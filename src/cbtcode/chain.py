@@ -12,12 +12,13 @@ import numpy as np
 from .errors import ValidationError
 
 
-def _check_inputs(emissions, transitions) -> tuple[np.ndarray, np.ndarray]:
+def _check_inputs(emissions, transitions, batched: bool = False) -> tuple[np.ndarray, np.ndarray]:
     E = np.asarray(emissions, dtype=float)
+    if E.ndim != (3 if batched else 2) or 0 in E.shape:
+        form = "a (batch, max_len, n_tags) array" if batched else "a (length, n_tags) matrix"
+        raise ValidationError(f"emissions must be {form}, got shape {E.shape}")
+    k = E.shape[-1]
     T = np.asarray(transitions, dtype=float)
-    if E.ndim != 2 or E.shape[0] < 1 or E.shape[1] < 1:
-        raise ValidationError(f"emissions must be a (length, n_tags) matrix, got shape {E.shape}")
-    k = E.shape[1]
     if T.shape != (k, k):
         raise ValidationError(f"transitions must be ({k}, {k}), got {T.shape}")
     if not (np.all(np.isfinite(E)) and np.all(np.isfinite(T))):
@@ -30,33 +31,60 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(a - m), axis=axis))
 
 
-def forward_backward(emissions, transitions) -> tuple[float, np.ndarray, np.ndarray]:
-    """Exact marginal inference.
+def forward_backward(emissions, transitions, lengths=None):
+    """Exact marginal inference for one sequence or a padded batch.
 
-    Returns (log_partition, marginals, pairwise) where marginals is
-    (n, k) with rows summing to 1 and pairwise is (n-1, k, k) giving the
-    joint probability of tags at adjacent positions.
+    For one (n, k) emission matrix, returns (log_partition, marginals,
+    pairwise): marginals is (n, k) with rows summing to 1 and pairwise is
+    (n-1, k, k), the joint probability of the tags at adjacent positions.
+
+    For a (batch, max_len, k) array with the length of each sequence, returns
+    log_partition (batch,), marginals (batch, max_len, k) and pairwise
+    (batch, max_len-1, k, k), all zero past each sequence's end.  Emissions
+    past a sequence's end are ignored.
     """
-    E, T = _check_inputs(emissions, transitions)
-    n, k = E.shape
-
-    alpha = np.empty((n, k))
-    alpha[0] = E[0]
-    for t in range(1, n):
-        alpha[t] = E[t] + _logsumexp(alpha[t - 1][:, None] + T, axis=0)
-
-    beta = np.zeros((n, k))
-    for t in range(n - 2, -1, -1):
-        beta[t] = _logsumexp(T + (E[t + 1] + beta[t + 1])[None, :], axis=1)
-
-    log_z = float(_logsumexp(alpha[-1], axis=0))
-    marginals = np.exp(alpha + beta - log_z)
-    if n > 1:
-        pairwise = np.exp(
-            alpha[:-1, :, None] + T[None, :, :] + (E[1:] + beta[1:])[:, None, :] - log_z
-        )
+    single = lengths is None
+    if single:
+        E, T = _check_inputs(emissions, transitions)
+        E, n = E[None], np.array([E.shape[0]])
     else:
-        pairwise = np.zeros((0, k, k))
+        E, T = _check_inputs(emissions, transitions, batched=True)
+        n = np.asarray(lengths)
+        if n.shape != E.shape[:1] or not np.issubdtype(n.dtype, np.integer):
+            raise ValidationError(f"lengths must be {E.shape[0]} integers, got {lengths!r}")
+        if n.min() < 1 or n.max() > E.shape[1]:
+            raise ValidationError(f"lengths must lie in [1, {E.shape[1]}]")
+    b, max_len, k = E.shape
+    live = np.arange(max_len)[None, :] < n[:, None]  # (b, max_len)
+
+    # Past its end a sequence carries alpha forward and beta back unchanged, so
+    # alpha[:, -1] holds each sequence's final alpha and beta is 0 from its
+    # last position on.
+    alpha = np.empty((b, max_len, k))
+    alpha[:, 0] = E[:, 0]
+    for t in range(1, max_len):
+        step = E[:, t] + _logsumexp(alpha[:, t - 1, :, None] + T, axis=1)
+        alpha[:, t] = np.where(live[:, t, None], step, alpha[:, t - 1])
+
+    beta = np.zeros((b, max_len, k))
+    for t in range(max_len - 2, -1, -1):
+        step = _logsumexp(T + (E[:, t + 1] + beta[:, t + 1])[:, None, :], axis=2)
+        beta[:, t] = np.where(live[:, t + 1, None], step, beta[:, t + 1])
+
+    log_z = _logsumexp(alpha[:, -1], axis=1)
+    marginals = np.where(live[:, :, None], np.exp(alpha + beta - log_z[:, None, None]), 0.0)
+    pairwise = np.where(
+        live[:, 1:, None, None],
+        np.exp(
+            alpha[:, :-1, :, None]
+            + T
+            + (E[:, 1:] + beta[:, 1:])[:, :, None, :]
+            - log_z[:, None, None, None]
+        ),
+        0.0,
+    )
+    if single:
+        return float(log_z[0]), marginals[0], pairwise[0]
     return log_z, marginals, pairwise
 
 

@@ -39,8 +39,8 @@ class Token:
     end_s: float
 
     def __post_init__(self) -> None:
-        if not self.text or any(c.isspace() for c in self.text):
-            raise ValidationError(f"token text must be non-empty without whitespace: {self.text!r}")
+        if not isinstance(self.text, str) or not self.text or any(c.isspace() for c in self.text):
+            raise ValidationError(f"token text must be a non-empty string without whitespace: {self.text!r}")
         if not (math.isfinite(self.start_s) and math.isfinite(self.end_s)):
             raise ValidationError(f"token {self.text!r} has non-finite times")
         if self.start_s < 0:
@@ -175,24 +175,27 @@ def _token_from_record(rec: object, where: str) -> Token:
 
 
 def session_from_record(rec: dict, where: str = "record") -> Session:
-    """Build a Session from a parsed JSON record, validating invariants."""
-    if "id" not in rec:
-        raise ParseError(f"{where}: missing session id")
-    if rec.get("format_version") != FORMAT_VERSION:
-        raise ParseError(f"{where}: missing or unsupported format_version (expected {FORMAT_VERSION})")
-    turns = []
-    for ti, trec in enumerate(rec.get("turns", [])):
-        if not isinstance(trec, dict) or "speaker" not in trec or "tokens" not in trec:
-            raise ParseError(f"{where}, turn {ti}: expected object with speaker and tokens")
-        tokens = tuple(
-            _token_from_record(tok, f"{where}, turn {ti}, token {wi}")
-            for wi, tok in enumerate(trec["tokens"])
-        )
-        turns.append(Turn(speaker=trec["speaker"], tokens=tokens))
-    scores = None
-    if rec.get("scores") is not None:
-        scores = CodeScores.from_dict(rec["scores"])
-    return Session(id=str(rec["id"]), turns=tuple(turns), scores=scores)
+    """Build a Session from a parsed JSON record; every error message starts with `where`."""
+    try:
+        if "id" not in rec:
+            raise ParseError("missing session id")
+        if rec.get("format_version") != FORMAT_VERSION:
+            raise ParseError(f"missing or unsupported format_version (expected {FORMAT_VERSION})")
+        turns = []
+        for ti, trec in enumerate(rec.get("turns", [])):
+            if not isinstance(trec, dict) or "speaker" not in trec or "tokens" not in trec:
+                raise ParseError(f"turn {ti}: expected object with speaker and tokens")
+            tokens = tuple(
+                _token_from_record(tok, f"turn {ti}, token {wi}")
+                for wi, tok in enumerate(trec["tokens"])
+            )
+            turns.append(Turn(speaker=trec["speaker"], tokens=tokens))
+        scores = None
+        if rec.get("scores") is not None:
+            scores = CodeScores.from_dict(rec["scores"])
+        return Session(id=str(rec["id"]), turns=tuple(turns), scores=scores)
+    except ValidationError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def session_to_record(session: Session) -> dict:
@@ -232,10 +235,7 @@ def parse_corpus(path: str | Path) -> list[Session]:
                 raise ParseError(f"{path}, line {lineno}: invalid JSON ({exc.msg})") from None
             if not isinstance(rec, dict):
                 raise ParseError(f"{path}, line {lineno}: expected a JSON object")
-            try:
-                session = session_from_record(rec, where=f"{path}, line {lineno}")
-            except ValidationError as exc:
-                raise type(exc)(f"{path}, line {lineno}: {exc}") from None
+            session = session_from_record(rec, where=f"{path}, line {lineno}")
             if session.id in seen:
                 raise ValidationError(f"{path}, line {lineno}: duplicate session id {session.id!r}")
             seen.add(session.id)

@@ -85,6 +85,7 @@ class PipelineConfig:
             raise ValidationError("svm C must be positive")
 
     def to_payload(self) -> dict:
+        """Every field but threads, which changes no output (from_payload still accepts it)."""
         return {
             "feature_set": self.feature_set,
             "pause_threshold": self.pause_threshold,
@@ -96,7 +97,6 @@ class PipelineConfig:
             "folds": self.folds,
             "seed": self.seed,
             "word_denominator": self.word_denominator,
-            "threads": self.threads,
         }
 
     @classmethod

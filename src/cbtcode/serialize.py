@@ -81,31 +81,39 @@ def tagged_session_to_record(session: TaggedSession) -> dict:
 
 
 def tagged_session_from_record(rec: dict, where: str) -> TaggedSession:
+    """Build a TaggedSession from a parsed JSON record; every error message starts with `where`."""
     from .corpus import Token
 
-    if rec.get("format_version") != FORMAT_VERSION:
-        raise ParseError(f"{where}: missing or unsupported format_version")
-    if "id" not in rec or "utterances" not in rec:
-        raise ParseError(f"{where}: tagged session record needs id and utterances")
-    utts = []
-    for ui, urec in enumerate(rec["utterances"]):
-        tokens = tuple(
-            Token(text=t["text"], start_s=float(t["start_s"]), end_s=float(t["end_s"]))
-            for t in urec["tokens"]
-        )
-        utts.append(
-            TaggedUtterance(
-                Utterance(
-                    tokens=tokens,
-                    speaker=urec["speaker"],
-                    index_in_session=int(urec.get("index", ui)),
-                ),
-                da=urec.get("da"),
-                mc=urec.get("mc"),
+    try:
+        if rec.get("format_version") != FORMAT_VERSION:
+            raise ParseError("missing or unsupported format_version")
+        if "id" not in rec or "utterances" not in rec:
+            raise ParseError("tagged session record needs id and utterances")
+        utts = []
+        for ui, urec in enumerate(rec["utterances"]):
+            if not isinstance(urec, dict) or "speaker" not in urec or "tokens" not in urec:
+                raise ParseError(f"utterance {ui}: expected object with speaker and tokens")
+            tokens = tuple(
+                Token(text=t["text"], start_s=float(t["start_s"]), end_s=float(t["end_s"]))
+                for t in urec["tokens"]
             )
-        )
-    scores = CodeScores.from_dict(rec["scores"]) if rec.get("scores") is not None else None
-    return TaggedSession(id=str(rec["id"]), utterances=tuple(utts), scores=scores)
+            utts.append(
+                TaggedUtterance(
+                    Utterance(
+                        tokens=tokens,
+                        speaker=urec["speaker"],
+                        index_in_session=int(urec.get("index", ui)),
+                    ),
+                    da=urec.get("da"),
+                    mc=urec.get("mc"),
+                )
+            )
+        scores = CodeScores.from_dict(rec["scores"]) if rec.get("scores") is not None else None
+        return TaggedSession(id=str(rec["id"]), utterances=tuple(utts), scores=scores)
+    except ValidationError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: malformed record ({type(exc).__name__}: {exc})") from None
 
 
 def write_tagged_corpus(sessions: Sequence[TaggedSession], path: str | Path) -> None:
@@ -132,6 +140,8 @@ def read_tagged_corpus(path: str | Path) -> list[TaggedSession]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}, line {lineno}: invalid JSON ({exc.msg})") from None
+            if not isinstance(rec, dict):
+                raise ParseError(f"{path}, line {lineno}: expected a JSON object")
             session = tagged_session_from_record(rec, where=f"{path}, line {lineno}")
             if session.id in seen:
                 raise ValidationError(f"{path}, line {lineno}: duplicate session id {session.id!r}")
@@ -364,23 +374,28 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
             if line.startswith("#row "):
                 row_ids.append(line[5:])
             elif line.startswith("#col "):
-                rest = line[5:]
-                sel, name = rest.split(" ", 1)
-                col_sel.append(bool(int(sel)))
+                sel, sep, name = line[5:].partition(" ")
+                if sel not in ("0", "1") or not sep:
+                    raise ParseError(f"{path}, line {lineno}: expected '#col <0|1> <name>'")
+                col_sel.append(sel == "1")
                 col_names.append(name)
             elif line.startswith("#"):
                 key, _, value = line[1:].partition(" ")
                 headers[key] = value
             else:
-                parts = line.split(" ")
-                if len(parts) != 3:
-                    raise ParseError(f"{path}, line {lineno}: expected 'row col value'")
-                triplets.append((int(parts[0]), int(parts[1]), float(parts[2])))
+                try:
+                    r, c, v = line.split(" ")
+                    triplets.append((int(r), int(c), float(v)))
+                except ValueError:
+                    raise ParseError(f"{path}, line {lineno}: expected 'row col value'") from None
     if headers.get("kind") != "feature_matrix":
         raise ValidationError(f"{path}: not a feature matrix file")
     if headers.get("format_version") != str(FORMAT_VERSION):
         raise ValidationError(f"{path}: unsupported format_version {headers.get('format_version')!r}")
-    n, d = (int(v) for v in headers["shape"].split(" "))
+    try:
+        n, d = (int(v) for v in headers.get("shape", "").split(" "))
+    except ValueError:
+        raise ParseError(f"{path}: expected a '#shape <rows> <cols>' header") from None
     if len(row_ids) != n or len(col_names) != d:
         raise ParseError(f"{path}: header shape disagrees with row/col entries")
     X = np.zeros((n, d))

@@ -9,14 +9,16 @@ the MC tagger labels each utterance independently.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 
-from .chain import viterbi
+from .chain import forward_backward, viterbi
 from .corpus import CodeScores
 from .errors import ValidationError
 from .optimize import OptResult, minimize_lbfgs
@@ -151,128 +153,76 @@ class ChainCRF:
         return viterbi(self.emission_matrix(feats_per_pos), self.transitions)
 
 
-class _CrfData:
-    """Sequences packed by length so the forward-backward loop vectorizes."""
-
-    def __init__(self, sequences: list[tuple[list[np.ndarray], np.ndarray]], n_labels: int):
-        self.n_labels = n_labels
-        self.n_sequences = len(sequences)
-        by_len: dict[int, list[tuple[list[np.ndarray], np.ndarray]]] = {}
-        for seq in sequences:
-            by_len.setdefault(len(seq[1]), []).append(seq)
-        self.groups = []
-        for length in sorted(by_len):
-            batch = by_len[length]
-            b = len(batch)
-            gold = np.stack([g for _, g in batch])  # (b, length)
-            ids_flat: list[np.ndarray] = []
-            rows: list[np.ndarray] = []
-            for bi, (feats, _) in enumerate(batch):
-                for t, ids in enumerate(feats):
-                    ids_flat.append(ids)
-                    rows.append(np.full(len(ids), bi * length + t, dtype=np.intp))
-            ids_cat = np.concatenate(ids_flat) if ids_flat else np.empty(0, dtype=np.intp)
-            rows_cat = np.concatenate(rows) if rows else np.empty(0, dtype=np.intp)
-            self.groups.append((length, b, ids_cat, rows_cat, gold))
+def _incidence(feature_rows: Sequence[Iterable[str]], feature_index: Mapping[str, int]) -> sparse.csr_array:
+    """Position x feature counts; features missing from feature_index are dropped."""
+    ids = [[feature_index[f] for f in feats if f in feature_index] for feats in feature_rows]
+    indptr = np.zeros(len(ids) + 1, dtype=np.intp)
+    np.cumsum([len(row) for row in ids], out=indptr[1:])
+    indices = np.fromiter(itertools.chain.from_iterable(ids), dtype=np.intp, count=int(indptr[-1]))
+    A = sparse.csr_array(
+        (np.ones(len(indices)), indices, indptr), shape=(len(ids), len(feature_index))
+    )
+    A.sum_duplicates()
+    return A
 
 
-def _prepare_sequences(
-    data: Iterable[LabeledSequence],
-    label_index: Mapping[str, int],
-    feature_index: Mapping[str, int],
-    *,
-    drop_unknown: bool,
-) -> list[tuple[list[np.ndarray], np.ndarray]]:
-    out = []
-    for si, (feats_per_pos, labels) in enumerate(data):
-        if len(feats_per_pos) != len(labels):
+def crf_training_objective(
+    data: Sequence[LabeledSequence],
+    labels: Sequence[str],
+    feature_names: Sequence[str],
+    l2: float,
+) -> Callable:
+    """The exact objective train_chain_crf minimizes.
+
+    Returns theta -> (negative penalized log-likelihood, gradient) over
+    theta = [emission weights (row-major), transitions (row-major)].
+    Features absent from feature_names are ignored.
+    """
+    if not data:
+        raise ValidationError("no training sequences")
+    label_index = {lab: i for i, lab in enumerate(labels)}
+    feature_index = {f: i for i, f in enumerate(feature_names)}
+    k, n_w, l2 = len(labels), len(feature_names) * len(labels), float(l2)
+    lengths = np.array([len(tags) for _, tags in data], dtype=np.intp)
+    max_len = int(lengths.max())
+    # Position t of sequence s is row s * max_len + t; padding rows are empty.
+    gold = np.zeros((len(data), max_len), dtype=np.intp)
+    rows: list[Sequence[str]] = []
+    for si, (feats_per_pos, tags) in enumerate(data):
+        if len(feats_per_pos) != len(tags):
             raise ValidationError(f"sequence {si}: features and labels differ in length")
-        if len(labels) == 0:
+        if not tags:
             raise ValidationError(f"sequence {si} is empty")
-        gold = np.empty(len(labels), dtype=np.intp)
-        for t, lab in enumerate(labels):
-            if lab not in label_index:
-                raise ValidationError(f"sequence {si}: unknown gold tag {lab!r}")
-            gold[t] = label_index[lab]
-        id_rows = []
-        for feats in feats_per_pos:
-            if drop_unknown:
-                ids = [feature_index[f] for f in feats if f in feature_index]
-            else:
-                ids = [feature_index[f] for f in feats]
-            id_rows.append(np.asarray(ids, dtype=np.intp))
-        out.append((id_rows, gold))
-    return out
-
-
-def _crf_objective(packed: _CrfData, n_features: int, l2: float) -> Callable:
-    """Negative penalized log-likelihood and gradient over [W.flat, T.flat]."""
-    k = packed.n_labels
+        for t, tag in enumerate(tags):
+            if tag not in label_index:
+                raise ValidationError(f"sequence {si}: unknown gold tag {tag!r}")
+            gold[si, t] = label_index[tag]
+        rows.extend(feats_per_pos)
+        rows.extend([()] * (max_len - len(tags)))
+    A = _incidence(rows, feature_index)
+    live = np.arange(max_len) < lengths[:, None]
+    observed_W = A.T @ ((gold[:, :, None] == np.arange(k)) & live[:, :, None]).reshape(-1, k)
+    pairs = live[:, 1:]
+    observed_T = np.bincount(
+        gold[:, :-1][pairs] * k + gold[:, 1:][pairs], minlength=k * k
+    ).reshape(k, k)
 
     def fun(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        W = theta[: n_features * k].reshape(n_features, k)
-        T = theta[n_features * k :].reshape(k, k)
-        loglik = 0.0
-        obs_minus_exp_W = np.zeros_like(W)
-        obs_minus_exp_T = np.zeros_like(T)
-
-        for length, b, ids_cat, rows_cat, gold in packed.groups:
-            E_flat = np.zeros((b * length, k))
-            if len(ids_cat):
-                np.add.at(E_flat, rows_cat, W[ids_cat])
-            E = E_flat.reshape(b, length, k)
-
-            alpha = np.empty((length, b, k))
-            alpha[0] = E[:, 0]
-            for t in range(1, length):
-                m = alpha[t - 1][:, :, None] + T[None, :, :]
-                mm = m.max(axis=1, keepdims=True)
-                alpha[t] = E[:, t] + (mm[:, 0, :] + np.log(np.exp(m - mm).sum(axis=1)))
-            beta = np.zeros((length, b, k))
-            for t in range(length - 2, -1, -1):
-                m = T[None, :, :] + (E[:, t + 1] + beta[t + 1])[:, None, :]
-                mm = m.max(axis=2, keepdims=True)
-                beta[t] = mm[:, :, 0] + np.log(np.exp(m - mm).sum(axis=2))
-
-            last = alpha[length - 1]
-            lm = last.max(axis=1)
-            log_z = lm + np.log(np.exp(last - lm[:, None]).sum(axis=1))  # (b,)
-
-            # Unary residuals: gold one-hot minus marginals.
-            marg = np.exp(alpha.transpose(1, 0, 2) + beta.transpose(1, 0, 2) - log_z[:, None, None])
-            resid = -marg.reshape(b * length, k)
-            flat_gold = gold.reshape(-1)
-            resid[np.arange(b * length), flat_gold] += 1.0
-            if len(ids_cat):
-                np.add.at(obs_minus_exp_W, ids_cat, resid[rows_cat])
-
-            gold_score = E.reshape(b * length, k)[np.arange(b * length), flat_gold].reshape(b, length).sum(axis=1)
-            if length > 1:
-                gold_score = gold_score + T[gold[:, :-1], gold[:, 1:]].sum(axis=1)
-                for t in range(length - 1):
-                    pair = np.exp(
-                        alpha[t][:, :, None]
-                        + T[None, :, :]
-                        + (E[:, t + 1] + beta[t + 1])[:, None, :]
-                        - log_z[:, None, None]
-                    )
-                    obs_minus_exp_T -= pair.sum(axis=0)
-                np.add.at(
-                    obs_minus_exp_T,
-                    (gold[:, :-1].reshape(-1), gold[:, 1:].reshape(-1)),
-                    1.0,
-                )
-            loglik += float((gold_score - log_z).sum())
-
-        penalty = 0.5 * l2 * (float(np.dot(W.reshape(-1), W.reshape(-1))) + float(np.dot(T.reshape(-1), T.reshape(-1))))
-        nll = -loglik + penalty
+        W = theta[:n_w].reshape(-1, k)
+        T = theta[n_w:].reshape(k, k)
+        E = A @ W
+        if not (np.all(np.isfinite(E)) and np.all(np.isfinite(T))):
+            return np.inf, np.full_like(theta, np.nan)  # a line-search step too far
+        log_z, marginals, pairwise = forward_backward(E.reshape(-1, max_len, k), T, lengths)
+        loglik = float(np.vdot(observed_W, W) + np.vdot(observed_T, T) - log_z.sum())
+        nll = -loglik + 0.5 * l2 * float(np.dot(theta, theta))
         grad = np.concatenate(
             [
-                (-obs_minus_exp_W + l2 * W).reshape(-1),
-                (-obs_minus_exp_T + l2 * T).reshape(-1),
+                (A.T @ marginals.reshape(-1, k) - observed_W).reshape(-1),
+                (pairwise.sum(axis=(0, 1)) - observed_T).reshape(-1),
             ]
         )
-        return nll, grad
+        return nll, grad + l2 * theta
 
     return fun
 
@@ -294,14 +244,8 @@ def train_chain_crf(
         labels = labels.labels
     if scheme is None:
         scheme = "chain"
-    if not data:
-        raise ValidationError("no training sequences")
-    label_index = {lab: i for i, lab in enumerate(labels)}
     names = sorted({f for feats_per_pos, _ in data for feats in feats_per_pos for f in feats})
-    feature_index = {f: i for i, f in enumerate(names)}
-    sequences = _prepare_sequences(data, label_index, feature_index, drop_unknown=False)
-    packed = _CrfData(sequences, len(labels))
-    fun = _crf_objective(packed, len(names), float(l2))
+    fun = crf_training_objective(data, labels, names, l2)
     theta0 = np.zeros(len(names) * len(labels) + len(labels) ** 2)
     res = minimize_lbfgs(fun, theta0, tol=tol, max_iter=max_iter)
     if not res.converged:
@@ -335,27 +279,9 @@ def crf_loglik_grad(model: ChainCRF, data: Sequence[LabeledSequence]) -> tuple[f
     (row-major)] and equals observed minus expected feature counts minus the
     L2 term.
     """
-    label_index = {lab: i for i, lab in enumerate(model.labels)}
-    sequences = _prepare_sequences(data, label_index, model._feature_index, drop_unknown=True)
-    packed = _CrfData(sequences, len(model.labels))
-    fun = _crf_objective(packed, len(model.feature_names), model.l2)
-    theta = np.concatenate([model.weights.reshape(-1), model.transitions.reshape(-1)])
-    nll, grad = fun(theta)
+    fun = crf_training_objective(data, model.labels, model.feature_names, model.l2)
+    nll, grad = fun(np.concatenate([model.weights.reshape(-1), model.transitions.reshape(-1)]))
     return -nll, -grad
-
-
-def crf_training_objective(
-    data: Sequence[LabeledSequence],
-    labels: tuple[str, ...],
-    feature_names: Sequence[str],
-    l2: float,
-) -> Callable:
-    """The exact objective train_chain_crf minimizes, exposed for testing."""
-    label_index = {lab: i for i, lab in enumerate(labels)}
-    feature_index = {f: i for i, f in enumerate(feature_names)}
-    sequences = _prepare_sequences(data, label_index, feature_index, drop_unknown=False)
-    packed = _CrfData(sequences, len(labels))
-    return _crf_objective(packed, len(feature_names), float(l2))
 
 
 def tag_da(utterances: Sequence[Utterance], model: ChainCRF) -> list[TaggedUtterance]:
@@ -406,39 +332,6 @@ class UtteranceClassifier:
         return self.labels[int(np.argmax(self.scores(words)))]
 
 
-def _multinomial_objective(
-    ids_cat: np.ndarray,
-    rows_cat: np.ndarray,
-    gold: np.ndarray,
-    n_examples: int,
-    n_features: int,
-    n_labels: int,
-    l2: float,
-) -> Callable:
-    def fun(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        W = theta[: n_features * n_labels].reshape(n_features, n_labels)
-        b = theta[n_features * n_labels :]
-        S = np.tile(b, (n_examples, 1))
-        if len(ids_cat):
-            np.add.at(S, rows_cat, W[ids_cat])
-        m = S.max(axis=1, keepdims=True)
-        log_z = m[:, 0] + np.log(np.exp(S - m).sum(axis=1))
-        nll = float((log_z - S[np.arange(n_examples), gold]).sum())
-        nll += 0.5 * l2 * float(np.dot(W.reshape(-1), W.reshape(-1)))
-
-        probs = np.exp(S - log_z[:, None])
-        resid = probs
-        resid[np.arange(n_examples), gold] -= 1.0  # d nll / d score
-        gW = np.zeros_like(W)
-        if len(ids_cat):
-            np.add.at(gW, ids_cat, resid[rows_cat])
-        gW += l2 * W
-        gb = resid.sum(axis=0)
-        return nll, np.concatenate([gW.reshape(-1), gb])
-
-    return fun
-
-
 def multinomial_training_objective(
     examples: Sequence[tuple[Sequence[str], str]],
     labels: tuple[str, ...],
@@ -448,23 +341,27 @@ def multinomial_training_objective(
     """Objective over [W.flat, bias] for labeled (words, tag) examples."""
     label_index = {lab: i for i, lab in enumerate(labels)}
     feature_index = {f: i for i, f in enumerate(feature_names)}
-    ids_flat, rows = [], []
-    gold = np.empty(len(examples), dtype=np.intp)
-    for i, (words, lab) in enumerate(examples):
+    for _, lab in examples:
         if lab not in label_index:
             raise ValidationError(f"unknown tag {lab!r}")
-        gold[i] = label_index[lab]
-        ids = np.asarray(
-            [feature_index[f] for f in utterance_features(words) if f in feature_index],
-            dtype=np.intp,
-        )
-        ids_flat.append(ids)
-        rows.append(np.full(len(ids), i, dtype=np.intp))
-    ids_cat = np.concatenate(ids_flat) if ids_flat else np.empty(0, dtype=np.intp)
-    rows_cat = np.concatenate(rows) if rows else np.empty(0, dtype=np.intp)
-    return _multinomial_objective(
-        ids_cat, rows_cat, gold, len(examples), len(feature_names), len(labels), float(l2)
-    )
+    gold = np.array([label_index[lab] for _, lab in examples], dtype=np.intp)
+    A = _incidence([utterance_features(words) for words, _ in examples], feature_index)
+    n, n_w, l2 = len(examples), len(feature_names) * len(labels), float(l2)
+
+    def fun(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        W = theta[:n_w].reshape(-1, len(labels))
+        S = A @ W + theta[n_w:]
+        m = S.max(axis=1, keepdims=True)
+        log_z = m[:, 0] + np.log(np.exp(S - m).sum(axis=1))
+        nll = float((log_z - S[np.arange(n), gold]).sum())
+        nll += 0.5 * l2 * float(np.dot(W.reshape(-1), W.reshape(-1)))
+
+        resid = np.exp(S - log_z[:, None])
+        resid[np.arange(n), gold] -= 1.0  # d nll / d score
+        gW = A.T @ resid + l2 * W
+        return nll, np.concatenate([gW.reshape(-1), resid.sum(axis=0)])
+
+    return fun
 
 
 def train_utterance_classifier(

@@ -64,6 +64,14 @@ class TestForwardBackward:
         assert viterbi(E2, T) == path
         assert np.abs(marg - marg2).max() < 1e-9
 
+    def test_batch_lengths_rejected_when_malformed(self):
+        E = np.zeros((2, 3, 2))
+        for lengths in ([1], [0, 3], [1, 4], [1.0, 2.0]):
+            with pytest.raises(ValidationError, match="lengths"):
+                forward_backward(E, np.zeros((2, 2)), lengths)
+        with pytest.raises(ValidationError, match="emissions"):
+            forward_backward(np.zeros((3, 2)), np.zeros((2, 2)), [3])
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError):
             forward_backward(np.array([[np.nan, 0.0]]), np.zeros((2, 2)))
@@ -138,6 +146,16 @@ class TestCrfGradient:
         )
         ll2, _ = crf_loglik_grad(m2, tiny_dataset())
         assert ll2 <= 0.0
+
+    def test_overflowing_step_returns_nonfinite_value(self):
+        # L-BFGS backtracks from a trial step whose value is not finite, so
+        # the objective must return one instead of raising.
+        labels = ("X", "Y")
+        names = ("bias", "w=a", "w=b")
+        fun = crf_training_objective(tiny_dataset(), labels, names, l2=0.1)
+        for theta in (np.full(10, np.inf), np.full(10, 1e308)):
+            value, _ = fun(theta)
+            assert not np.isfinite(value)
 
     def test_l2_term_is_linear_in_strength(self):
         rng = np.random.default_rng(7)

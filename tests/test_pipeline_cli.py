@@ -1,9 +1,14 @@
 """End-to-end CLI flows: every subcommand runs, composes, and is deterministic."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cbtcode
 from cbtcode.cli import main
 from cbtcode.serialize import load_linear_model, load_report, read_matrix
 
@@ -353,6 +358,30 @@ def test_global_seed_flag_matches_local(workspace, tmp_path):
     assert r_local.read_bytes() == r_global.read_bytes()
 
 
+def test_manifest_identical_across_thread_counts(workspace, tmp_path):
+    data = workspace["data"]
+    manifests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        assert (
+            main(
+                ["--threads", threads, "evaluate", "--set", "tfidf", "--in", str(data / "corpus.jsonl"),
+                 "--no-segmentation", "--k-grid", "8", "--report", str(out / "report.json"),
+                 "--out-dir", str(out / "artifacts")]
+            )
+            == 0
+        )
+        manifests.append((out / "artifacts" / "run_manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = "import sys, cbtcode.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cbtcode.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
+
+
 class TestExitCodes:
     def test_missing_artifact_is_exit_3(self, tmp_path):
         rc = main(
@@ -403,3 +432,51 @@ class TestExitCodes:
             ["tag", "--scheme", "da", "--model", str(models / "mc.json"), "--in", str(seg), "--out", str(tmp_path / "t.jsonl")]
         )
         assert rc == 2
+
+    def test_matrix_col_without_name_is_exit_2(self, tmp_path, capsys):
+        matrix = tmp_path / "bad.mtx"
+        matrix.write_text(
+            "#format_version 1\n#kind feature_matrix\n#shape 1 1\n#row s1\n#col 1\n0 0 1.0\n",
+            encoding="utf-8",
+        )
+        labels = tmp_path / "labels.csv"
+        labels.write_text("id,ag,at,co,fb,gd,hw,ip,cb,pt,sc,un\ns1,1,1,1,1,1,1,1,1,1,1,1\n", encoding="utf-8")
+        rc = main(["evaluate", "--matrix", str(matrix), "--labels", str(labels), "--report", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert f"{matrix}, line 5:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "token", [{"text": 5, "start_s": 0.0, "end_s": 0.2}, {"start_s": 0.0, "end_s": 0.2}]
+    )
+    def test_bad_token_is_exit_2_and_named_once(self, tmp_path, capsys, token):
+        corpus = tmp_path / "bad_token.jsonl"
+        record = {
+            "format_version": 1,
+            "id": "s1",
+            "turns": [{"speaker": "therapist", "tokens": [token]}],
+            "scores": None,
+        }
+        corpus.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
+        rc = main(["segment", "--disable", "--in", str(corpus), "--out", str(tmp_path / "seg.jsonl")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{corpus}, line 2:" in err
+        assert err.count(str(corpus)) == 1
+
+    @pytest.mark.parametrize("command", ["tag", "featurize"])
+    def test_tagged_utterance_without_tokens_is_exit_2(self, workspace, tmp_path, capsys, command):
+        corpus = tmp_path / "tagged.jsonl"
+        record = {
+            "format_version": 1,
+            "id": "s1",
+            "scores": None,
+            "utterances": [{"speaker": "therapist", "index": 0, "da": None, "mc": None}],
+        }
+        corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        if command == "tag":
+            argv = ["tag", "--scheme", "mc", "--model", str(workspace["models"] / "mc.json")]
+        else:
+            argv = ["featurize", "--set", "tfidf"]
+        rc = main([*argv, "--in", str(corpus), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"{corpus}, line 1:" in capsys.readouterr().err
