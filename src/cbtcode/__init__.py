@@ -49,7 +49,6 @@ from .features import (  # noqa: E402
     FeatureMatrix,
     FeatureSpace,
     ScalerStats,
-    SparseFeatureVector,
     anova_f_scores,
     apply_scaler,
     augment_tokens,
@@ -59,6 +58,7 @@ from .features import (  # noqa: E402
     fuse_concat,
     select_k_by_cv,
     tag_count_features,
+    tfidf_matrix,
     transform_tfidf,
 )
 from .svm import LinearModel, class_weights, predict, train_svm  # noqa: E402

@@ -44,7 +44,7 @@ from .serialize import (
     write_matrix,
     write_tagged_corpus,
 )
-from .svm import LinearModel, class_weights, train_svm
+from .svm import class_weights, train_svm
 from .synth import SynthConfig, generate_corpus
 from .tagger import (
     DA_TAG_SET,
@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Behavioral-code prediction pipeline for diarized session transcripts.",
     )
     parser.add_argument("--version", action="version", version=f"cbtcode {__version__}")
-    parser.add_argument("--threads", type=int, default=1, help="session-level parallelism")
+    parser.add_argument("--threads", type=int, default=1, help="accepted for compatibility; currently has no effect")
     parser.add_argument("--seed", type=int, dest="global_seed", help="default seed for subcommands")
     parser.add_argument("--config", dest="global_config", help="default config file for subcommands")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -115,7 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=1.0, help="SVM C")
     p.add_argument("--l2", type=float, default=0.1, help="L2 strength (boundary/da/mc)")
     p.add_argument("--max-sequences", type=int, help="cap on training sequences (boundary)")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="model file")
 
     p = sub.add_parser("evaluate", help="run the cross-validated evaluation protocol")
@@ -197,7 +196,7 @@ def _cmd_segment(args) -> int:
         if not args.model:
             raise MissingArtifactError("segment needs --model (or pass --disable)")
         model = load_chain_crf(args.model, expect_scheme="boundary")
-    segmented = segment_corpus(sessions, model, args.pause, args.threads)
+    segmented = segment_corpus(sessions, model, args.pause)
     write_corpus([utterances_to_session(s) for s in segmented], args.out)
     n_utts = sum(len(s.utterances) for s in segmented)
     print(f"segmented {len(segmented)} sessions into {n_utts} utterances -> {args.out}")
@@ -217,7 +216,7 @@ def _cmd_tag(args) -> int:
         model = load_chain_crf(args.model, expect_scheme="da")
     else:
         model = load_utterance_classifier(args.model, expect_scheme="mc")
-    tagged = tag_corpus(sessions, args.scheme, model, args.threads)
+    tagged = tag_corpus(sessions, args.scheme, model)
     write_tagged_corpus(tagged, args.out)
     print(f"tagged {len(tagged)} sessions with {args.scheme} -> {args.out}")
     return 0
@@ -225,9 +224,7 @@ def _cmd_tag(args) -> int:
 
 def _cmd_featurize(args) -> int:
     sessions = read_tagged_corpus(args.input)
-    matrix = build_feature_matrix(
-        sessions, args.feature_set, args.max_df, args.min_df, args.word_denominator, args.threads
-    )
+    matrix = build_feature_matrix(sessions, args.feature_set, args.max_df, args.min_df, args.word_denominator)
     write_matrix(matrix, args.out)
     if args.space_out:
         save_feature_space(matrix, args.space_out)
@@ -271,17 +268,9 @@ def _cmd_train(args) -> int:
         cols = np.flatnonzero(mask)
         scaler = fit_scaler(matrix.X[:, cols])
         X = apply_scaler(matrix.X[:, cols], scaler)
-        model = train_svm(X, y, C=args.c, weights=class_weights(y), seed=_resolved_seed(args))
-        model = LinearModel(
-            weights=model.weights,
-            bias=model.bias,
-            C=model.C,
-            weight_low=model.weight_low,
-            weight_high=model.weight_high,
-            seed=model.seed,
-            n_iter=model.n_iter,
-            gap=model.gap,
-            converged=model.converged,
+        model = train_svm(X, y, C=args.c, weights=class_weights(y))
+        model = replace(
+            model,
             space_fingerprint=matrix.fingerprint,
             feature_mask=tuple(int(c) for c in cols),
             scaler_mean=scaler.mean,
@@ -300,7 +289,7 @@ def _cmd_train(args) -> int:
         if args.max_sequences:
             lines = lines[: args.max_sequences]
         data = make_boundary_training_data(lines)
-        model = train_boundary_model(data, l2=args.l2, seed=_resolved_seed(args))
+        model = train_boundary_model(data, l2=args.l2)
         save_chain_crf(model, args.out)
         print(f"trained boundary model on {len(data)} sequences -> {args.out}")
         return 0
@@ -309,10 +298,10 @@ def _cmd_train(args) -> int:
         raise ValidationError(f"train --what {args.what} needs --in (gold-tagged corpus)")
     sessions = read_tagged_corpus(args.input)
     if args.what == "da":
-        model = train_chain_crf(da_training_sequences(sessions), DA_TAG_SET, l2=args.l2, seed=_resolved_seed(args))
+        model = train_chain_crf(da_training_sequences(sessions), DA_TAG_SET, l2=args.l2)
         save_chain_crf(model, args.out)
     else:
-        model = train_utterance_classifier(mc_training_examples(sessions), l2=args.l2, seed=_resolved_seed(args))
+        model = train_utterance_classifier(mc_training_examples(sessions), l2=args.l2)
         save_utterance_classifier(model, args.out)
     print(f"trained {args.what} tagger on {len(sessions)} sessions -> {args.out}")
     return 0
@@ -344,7 +333,6 @@ def _cmd_evaluate(args) -> int:
                 folds=args.folds,
                 seed=seed,
                 word_denominator=args.word_denominator,
-                threads=args.threads,
             )
             models = PipelineModels(boundary=args.boundary_model, da=args.da_model, mc=args.mc_model)
             out_dir = args.out_dir or str(Path(args.report).parent / "artifacts")
@@ -357,9 +345,7 @@ def _cmd_evaluate(args) -> int:
             print(f"report -> {args.report} (artifacts in {out_dir})")
             return 0
         sessions = read_tagged_corpus(args.input)
-        matrix = build_feature_matrix(
-            sessions, args.feature_set, args.max_df, args.min_df, args.word_denominator, args.threads
-        )
+        matrix = build_feature_matrix(sessions, args.feature_set, args.max_df, args.min_df, args.word_denominator)
         scores = _scores_for(matrix.session_ids, args.labels, args.input)
         report = run_protocol(matrix, scores, args.folds, seed, k_grid, args.c)
     save_report(report, args.report)
@@ -378,9 +364,7 @@ def _cmd_compare(args) -> int:
     matrices = {}
     for name in (args.set_a, args.set_b):
         if name not in matrices:
-            matrices[name] = build_feature_matrix(
-                sessions, name, args.max_df, args.min_df, threads=args.threads
-            )
+            matrices[name] = build_feature_matrix(sessions, name, args.max_df, args.min_df)
     result = five_by_two_cv_f_test(
         matrices[args.set_a],
         matrices[args.set_b],

@@ -12,9 +12,9 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .errors import ParseError, ValidationError
+from .errors import MissingArtifactError, ParseError, ValidationError
 
 CODES = ("ag", "at", "co", "fb", "gd", "hw", "ip", "cb", "pt", "sc", "un")
 
@@ -90,13 +90,16 @@ class CodeScores:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, int]) -> "CodeScores":
+        """Scores keyed by code; each value must be an int (not a bool, float or string)."""
+        if not isinstance(d, Mapping):
+            raise ValidationError(f"scores must be an object keyed by code, got {type(d).__name__}")
         unknown = set(d) - set(CODES)
         if unknown:
             raise ValidationError(f"unknown score codes: {sorted(unknown)}")
         missing = [c for c in CODES if c not in d]
         if missing:
             raise ValidationError(f"missing score codes: {missing} (all 11 required)")
-        return cls(tuple(int(d[c]) for c in CODES))
+        return cls(tuple(d[c] for c in CODES))
 
     def to_dict(self) -> dict[str, int]:
         return {c: v for c, v in zip(CODES, self.values)}
@@ -169,7 +172,7 @@ def _token_from_record(rec: object, where: str) -> Token:
         end_s = float(rec["end_s"])
     except KeyError as exc:
         raise ParseError(f"{where}: token record missing field {exc}") from None
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"{where}: token times must be numbers") from None
     return Token(text=text, start_s=start_s, end_s=end_s)
 
@@ -182,9 +185,12 @@ def session_from_record(rec: dict, where: str = "record") -> Session:
         if rec.get("format_version") != FORMAT_VERSION:
             raise ParseError(f"missing or unsupported format_version (expected {FORMAT_VERSION})")
         turns = []
-        for ti, trec in enumerate(rec.get("turns", [])):
-            if not isinstance(trec, dict) or "speaker" not in trec or "tokens" not in trec:
-                raise ParseError(f"turn {ti}: expected object with speaker and tokens")
+        turn_records = rec.get("turns", [])
+        if not isinstance(turn_records, list):
+            raise ParseError("turns must be a list")
+        for ti, trec in enumerate(turn_records):
+            if not isinstance(trec, dict) or not isinstance(trec.get("tokens"), list) or "speaker" not in trec:
+                raise ParseError(f"turn {ti}: expected object with speaker and a list of tokens")
             tokens = tuple(
                 _token_from_record(tok, f"turn {ti}, token {wi}")
                 for wi, tok in enumerate(trec["tokens"])
@@ -215,31 +221,48 @@ def session_to_record(session: Session) -> dict:
     }
 
 
+def read_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """(line number, text without its line ending) of each line of a UTF-8 file.
+
+    A line that is not valid UTF-8 raises a ParseError naming the file and line.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError(f"{path}, line {lineno}: not valid UTF-8") from None
+            yield lineno, line.rstrip("\r\n")
+
+
+def read_jsonl(path: Path) -> Iterator[tuple[str, dict]]:
+    """("<path>, line N", record) of each non-blank line of a JSONL file of objects."""
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        where = f"{path}, line {lineno}"
+        try:
+            rec = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
+        if not isinstance(rec, dict):
+            raise ParseError(f"{where}: expected a JSON object")
+        yield where, rec
+
+
 def parse_corpus(path: str | Path) -> list[Session]:
     """Read a JSONL transcript corpus; raises ParseError/ValidationError on bad input."""
     path = Path(path)
     if not path.exists():
-        from .errors import MissingArtifactError
-
         raise MissingArtifactError(f"corpus file not found: {path}")
     sessions: list[Session] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}, line {lineno}: invalid JSON ({exc.msg})") from None
-            if not isinstance(rec, dict):
-                raise ParseError(f"{path}, line {lineno}: expected a JSON object")
-            session = session_from_record(rec, where=f"{path}, line {lineno}")
-            if session.id in seen:
-                raise ValidationError(f"{path}, line {lineno}: duplicate session id {session.id!r}")
-            seen.add(session.id)
-            sessions.append(session)
+    for where, rec in read_jsonl(path):
+        session = session_from_record(rec, where=where)
+        if session.id in seen:
+            raise ValidationError(f"{where}: duplicate session id {session.id!r}")
+        seen.add(session.id)
+        sessions.append(session)
     return sessions
 
 
@@ -256,30 +279,31 @@ def read_scores_table(path: str | Path) -> dict[str, CodeScores]:
     """Read a delimited label table (header: id,ag,...,un) keyed by session id."""
     path = Path(path)
     if not path.exists():
-        from .errors import MissingArtifactError
-
         raise MissingArtifactError(f"labels file not found: {path}")
     out: dict[str, CodeScores] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        cols = [c.strip() for c in header.split(",")]
-        if cols[:1] != ["id"] or tuple(cols[1:]) != CODES:
-            raise ParseError(f"{path}: header must be 'id,{','.join(CODES)}', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != len(CODES) + 1:
-                raise ParseError(f"{path}, line {lineno}: expected {len(CODES) + 1} columns")
-            sid = parts[0]
-            if sid in out:
-                raise ValidationError(f"{path}, line {lineno}: duplicate session id {sid!r}")
-            try:
-                values = {c: int(v) for c, v in zip(CODES, parts[1:])}
-            except ValueError:
-                raise ParseError(f"{path}, line {lineno}: scores must be integers") from None
+    lines = read_lines(path)
+    header = next(lines, (1, ""))[1].strip()
+    cols = [c.strip() for c in header.split(",")]
+    if cols[:1] != ["id"] or tuple(cols[1:]) != CODES:
+        raise ParseError(f"{path}: header must be 'id,{','.join(CODES)}', got {header!r}")
+    for lineno, line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != len(CODES) + 1:
+            raise ParseError(f"{path}, line {lineno}: expected {len(CODES) + 1} columns")
+        sid = parts[0]
+        if sid in out:
+            raise ValidationError(f"{path}, line {lineno}: duplicate session id {sid!r}")
+        try:
+            values = {c: int(v) for c, v in zip(CODES, parts[1:])}
+        except ValueError:
+            raise ParseError(f"{path}, line {lineno}: scores must be integers") from None
+        try:
             out[sid] = CodeScores.from_dict(values)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}, line {lineno}: {exc}") from None
     return out
 
 

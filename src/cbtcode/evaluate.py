@@ -254,7 +254,7 @@ def run_protocol(
     labels = _labels_by_code(ids, scores_by_id)
     selectable = np.asarray(matrix.selectable, dtype=bool)
 
-    chosen_k, _ = select_k_by_cv(
+    chosen_k = select_k_by_cv(
         matrix.X, ids, selectable, labels["total"], k_grid, n_folds, seed, svm_c
     )
 
@@ -370,7 +370,7 @@ def five_by_two_cv_f_test(
     for matrix in (matrix_a, matrix_b):
         selectable = np.asarray(matrix.selectable, dtype=bool)
         grid = k_grid if k_grid else (min(64, matrix.X.shape[1]),)
-        k, _ = select_k_by_cv(
+        k = select_k_by_cv(
             matrix.X, ids, selectable, labels["total"], grid, selection_folds, seed, svm_c
         )
         ks.append(k)

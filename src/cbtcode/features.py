@@ -56,43 +56,6 @@ class FeatureSpace:
         return {n: i for i, n in enumerate(self.names)}
 
 
-@dataclass(frozen=True)
-class SparseFeatureVector:
-    """(index, value) pairs sorted by index over a feature space."""
-
-    indices: tuple[int, ...]
-    values: tuple[float, ...]
-    dim: int
-    fingerprint: str
-
-    def __post_init__(self) -> None:
-        if len(self.indices) != len(self.values):
-            raise ValidationError("indices/values length mismatch")
-        prev = -1
-        for i in self.indices:
-            if i <= prev or i >= self.dim:
-                raise ValidationError("indices must be strictly increasing and within the space")
-            prev = i
-        if any(not math.isfinite(v) for v in self.values):
-            raise ValidationError("feature values must be finite")
-
-    def to_dense(self) -> np.ndarray:
-        x = np.zeros(self.dim)
-        if self.indices:
-            x[list(self.indices)] = self.values
-        return x
-
-
-def _dense_to_sparse(x: np.ndarray, fingerprint: str) -> SparseFeatureVector:
-    nz = np.flatnonzero(x)
-    return SparseFeatureVector(
-        indices=tuple(int(i) for i in nz),
-        values=tuple(float(x[i]) for i in nz),
-        dim=len(x),
-        fingerprint=fingerprint,
-    )
-
-
 # ---------------------------------------------------------------------------
 # tf-idf
 
@@ -137,20 +100,32 @@ def fit_tfidf(
     )
 
 
-def transform_tfidf(tokens: Sequence[str], space: FeatureSpace) -> SparseFeatureVector:
-    """count(t) * idf(t), L2-normalized; out-of-vocabulary terms are ignored."""
+def transform_tfidf(
+    tokens: Sequence[str], space: FeatureSpace, index: Mapping[str, int] | None = None
+) -> np.ndarray:
+    """Dense tf-idf row of one document: count(t) * idf(t), L2-normalized.
+
+    Out-of-vocabulary terms are ignored, so a document with no vocabulary
+    term gives a zero row.  ``index`` is ``space.index()``, passed in by
+    callers that transform many documents so it is built once.
+    """
+    if index is None:
+        index = space.index()
+    row = np.zeros(space.dim)
+    cols, counts = np.unique([j for j in map(index.get, tokens) if j is not None], return_counts=True)
+    if len(cols):
+        vals = counts * space.idf[cols]
+        row[cols] = vals / np.linalg.norm(vals)
+    return row
+
+
+def tfidf_matrix(documents: Sequence[tuple[str, Sequence[str]]], space: FeatureSpace) -> np.ndarray:
+    """Dense (len(documents), space.dim) tf-idf rows of (session_id, tokens) documents."""
     index = space.index()
-    counts: Counter[int] = Counter()
-    for t in tokens:
-        j = index.get(t)
-        if j is not None:
-            counts[j] += 1
-    if not counts:
-        return SparseFeatureVector((), (), space.dim, space.fingerprint)
-    idx = sorted(counts)
-    vals = np.array([counts[j] * space.idf[j] for j in idx])
-    vals /= np.linalg.norm(vals)
-    return SparseFeatureVector(tuple(idx), tuple(float(v) for v in vals), space.dim, space.fingerprint)
+    X = np.zeros((len(documents), space.dim))
+    for row, (_, tokens) in zip(X, documents):
+        row[:] = transform_tfidf(tokens, space, index)
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -250,27 +225,14 @@ def concat_spaces(word_space: FeatureSpace, block_space: FeatureSpace) -> Featur
     )
 
 
-def fuse_concat(
-    word_vec: SparseFeatureVector,
-    block: SparseFeatureVector | np.ndarray,
-    fused: FeatureSpace,
-) -> SparseFeatureVector:
-    """Concatenate a word-level vector with a tag block (word-level first)."""
-    if isinstance(block, SparseFeatureVector):
-        if block.fingerprint != fused.fingerprint:
-            raise ValidationError("tag block comes from a different corpus than the fused space")
-        block_dense = block.to_dense()
-    else:
-        block_dense = np.asarray(block, dtype=float)
-    if word_vec.fingerprint != fused.fingerprint:
-        raise ValidationError("word-level vector comes from a different corpus than the fused space")
-    word_dim = fused.dim - len(block_dense)
-    if word_vec.dim != word_dim:
+def fuse_concat(word_X: np.ndarray, block_X: np.ndarray, fused: FeatureSpace) -> np.ndarray:
+    """Rows of the concatenated space: word-level columns first, tag block second."""
+    if word_X.shape[0] != block_X.shape[0] or word_X.shape[1] + block_X.shape[1] != fused.dim:
         raise ValidationError(
-            f"dimension mismatch: word vector dim {word_vec.dim}, expected {word_dim}"
+            f"dimension mismatch: {word_X.shape} word rows and {block_X.shape} tag-block rows "
+            f"do not fill a {fused.dim}-dim fused space"
         )
-    dense = np.concatenate([word_vec.to_dense(), block_dense])
-    return _dense_to_sparse(dense, fused.fingerprint)
+    return np.hstack([word_X, block_X])
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +288,12 @@ def select_k_by_cv(
     folds: int,
     seed: int,
     svm_c: float = 1.0,
-) -> tuple[int, np.ndarray]:
+) -> int:
     """Choose K by cross-validated pooled F1 on the total-score labels.
 
     For each k in the grid, F scores are recomputed inside every training
-    fold.  Ties prefer the smallest k.  Returns the chosen k and the top-k
-    mask computed on the full data (for inspection; the evaluation protocol
-    refits per fold).
+    fold.  Ties prefer the smallest k.  Returns 0 when no feature is
+    selectable (pure tag-count sets).
     """
     from .evaluate import cv_pooled_counts, make_folds, pooled_f1
 
@@ -343,8 +304,7 @@ def select_k_by_cv(
     selectable = np.asarray(selectable, dtype=bool)
     n_selectable = int(selectable.sum())
     if n_selectable == 0:
-        # Nothing is subject to selection (pure tag-count sets).
-        return 0, ~selectable
+        return 0
     y = np.array([_require_label(y_total, sid) for sid in session_ids], dtype=bool)
     plan = make_folds(session_ids, folds, seed, dict(zip(session_ids, (bool(v) for v in y))))
     best_k = None
@@ -355,8 +315,7 @@ def select_k_by_cv(
         if f1 > best_f1:
             best_f1 = f1
             best_k = k
-    full_scores = anova_f_scores(X, y)
-    return int(best_k), top_k_mask(full_scores, selectable, int(best_k))
+    return int(best_k)
 
 
 def _require_label(labels: Mapping[str, bool], sid: str) -> bool:

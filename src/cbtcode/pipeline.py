@@ -19,13 +19,13 @@ from .errors import MissingArtifactError, ValidationError
 from .evaluate import EvalReport, run_protocol
 from .features import (
     FeatureMatrix,
+    augment_tokens,
     concat_spaces,
     fit_tfidf,
     fuse_concat,
     tag_block_space,
     tag_count_features,
-    augment_tokens,
-    transform_tfidf,
+    tfidf_matrix,
 )
 from .segmenter import DEFAULT_PAUSE_THRESHOLD, BoundaryModel, Utterance, segment_session
 from .tagger import (
@@ -66,7 +66,6 @@ class PipelineConfig:
     folds: int = 5
     seed: int = 0
     word_denominator: str = "therapist"
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.feature_set not in FEATURE_SETS:
@@ -79,13 +78,10 @@ class PipelineConfig:
             raise ValidationError("k_grid must be a non-empty list of positive integers")
         if self.word_denominator not in ("therapist", "session"):
             raise ValidationError("word_denominator must be 'therapist' or 'session'")
-        if self.threads < 1:
-            raise ValidationError("threads must be at least 1")
         if self.svm_c <= 0:
             raise ValidationError("svm C must be positive")
 
     def to_payload(self) -> dict:
-        """Every field but threads, which changes no output (from_payload still accepts it)."""
         return {
             "feature_set": self.feature_set,
             "pause_threshold": self.pause_threshold,
@@ -101,7 +97,9 @@ class PipelineConfig:
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "PipelineConfig":
+        """Build a config; the "threads" field of older configs is accepted and dropped."""
         kwargs = dict(payload)
+        kwargs.pop("threads", None)
         if "k_grid" in kwargs:
             kwargs["k_grid"] = tuple(int(k) for k in kwargs["k_grid"])
         unknown = set(kwargs) - set(cls.__dataclass_fields__)
@@ -151,7 +149,6 @@ def segment_corpus(
     sessions: Sequence[Session],
     model: BoundaryModel | None,
     threshold: float = DEFAULT_PAUSE_THRESHOLD,
-    threads: int = 1,
 ) -> list[TaggedSession]:
     """Segment every session into (untagged) utterances."""
 
@@ -163,14 +160,13 @@ def segment_corpus(
             scores=session.scores,
         )
 
-    return ordered_map(one, sessions, threads)
+    return ordered_map(one, sessions)
 
 
 def tag_corpus(
     sessions: Sequence[TaggedSession],
     scheme: str,
     model: ChainCRF | UtteranceClassifier,
-    threads: int = 1,
 ) -> list[TaggedSession]:
     """Tag every session's utterances with one scheme, keeping other tags."""
     if scheme not in TAG_SETS:
@@ -192,7 +188,7 @@ def tag_corpus(
             )
         return TaggedSession(id=session.id, utterances=merged, scores=session.scores)
 
-    return ordered_map(one, sessions, threads)
+    return ordered_map(one, sessions)
 
 
 def build_feature_matrix(
@@ -201,57 +197,51 @@ def build_feature_matrix(
     max_df: float = 0.95,
     min_df: float = 0.05,
     word_denominator: str = "therapist",
-    threads: int = 1,
 ) -> FeatureMatrix:
-    """Featurize a tagged corpus into one of the seven feature sets."""
+    """Featurize a tagged corpus into one of the seven feature sets.
+
+    Word-level sets are tf-idf over therapist tokens, or over word|TAG
+    tokens for da-tfidf / mc-tfidf; tfidf+da / tfidf+mc append the tag
+    block; da / mc are the tag block alone.
+    """
     scheme_name = required_scheme(feature_set)
     ids = tuple(s.id for s in sessions)
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate session ids in corpus")
     fingerprint = corpus_fingerprint(ids)
     therapist = [s.therapist_utterances() for s in sessions]
+    scheme = TAG_SETS[scheme_name] if scheme_name else None
+    augmented = feature_set in ("da-tfidf", "mc-tfidf")
 
-    def block_rows(scheme) -> np.ndarray:
-        rows = []
-        for s, utts in zip(sessions, therapist):
-            total = None
-            if word_denominator == "session":
-                total = sum(len(tu.utterance.tokens) for tu in s.utterances)
-            rows.append(tag_count_features(utts, scheme, total_words=total))
-        return np.stack(rows) if rows else np.zeros((0, 14))
-
-    if feature_set == "tfidf":
-        docs = [
-            (s.id, [t.text for tu in utts for t in tu.utterance.tokens])
+    space = X = None
+    if feature_set not in ("da", "mc"):
+        if augmented:
+            docs = [(s.id, augment_tokens(utts, scheme)) for s, utts in zip(sessions, therapist)]
+        else:
+            docs = [
+                (s.id, [t.text for tu in utts for t in tu.utterance.tokens])
+                for s, utts in zip(sessions, therapist)
+            ]
+        space = fit_tfidf(docs, max_df, min_df, provenance="augmented_tfidf" if augmented else "tfidf")
+        X = tfidf_matrix(docs, space)
+    if scheme is not None and not augmented:
+        tag_space = tag_block_space(scheme, fingerprint, len(sessions))
+        rows = [
+            tag_count_features(
+                utts,
+                scheme,
+                total_words=sum(len(tu.utterance.tokens) for tu in s.utterances)
+                if word_denominator == "session"
+                else None,
+            )
             for s, utts in zip(sessions, therapist)
         ]
-        space = fit_tfidf(docs, max_df, min_df, provenance="tfidf")
-        vecs = ordered_map(lambda d: transform_tfidf(d[1], space), docs, threads)
-        X = np.stack([v.to_dense() for v in vecs]) if vecs else np.zeros((0, space.dim))
-    elif feature_set in ("da", "mc"):
-        scheme = TAG_SETS[feature_set]
-        space = tag_block_space(scheme, fingerprint, len(sessions))
-        X = block_rows(scheme)
-    elif feature_set in ("tfidf+da", "tfidf+mc"):
-        scheme = TAG_SETS[scheme_name]
-        docs = [
-            (s.id, [t.text for tu in utts for t in tu.utterance.tokens])
-            for s, utts in zip(sessions, therapist)
-        ]
-        word_space = fit_tfidf(docs, max_df, min_df, provenance="tfidf")
-        block_space = tag_block_space(scheme, word_space.fingerprint, len(sessions))
-        space = concat_spaces(word_space, block_space)
-        blocks = block_rows(scheme)
-        vecs = ordered_map(lambda d: transform_tfidf(d[1], word_space), docs, threads)
-        X = np.stack(
-            [fuse_concat(v, b, space).to_dense() for v, b in zip(vecs, blocks)]
-        ) if vecs else np.zeros((0, space.dim))
-    else:  # da-tfidf / mc-tfidf: tf-idf over augmented tokens
-        scheme = TAG_SETS[scheme_name]
-        docs = [(s.id, augment_tokens(utts, scheme)) for s, utts in zip(sessions, therapist)]
-        space = fit_tfidf(docs, max_df, min_df, provenance="augmented_tfidf")
-        vecs = ordered_map(lambda d: transform_tfidf(d[1], space), docs, threads)
-        X = np.stack([v.to_dense() for v in vecs]) if vecs else np.zeros((0, space.dim))
+        block = np.array(rows).reshape(len(sessions), tag_space.dim)
+        if space is None:
+            space, X = tag_space, block
+        else:
+            space = concat_spaces(space, tag_space)
+            X = fuse_concat(X, block, space)
 
     return FeatureMatrix(
         set_name=feature_set,
@@ -318,14 +308,14 @@ def run_end_to_end(
     sessions = parse_corpus(corpus_path)
 
     boundary = _load_boundary(models) if config.segmentation else None
-    segmented = segment_corpus(sessions, boundary, config.pause_threshold, config.threads)
+    segmented = segment_corpus(sessions, boundary, config.pause_threshold)
     segmented_path = out_dir / "corpus_segmented.jsonl"
     write_corpus([utterances_to_session(s) for s in segmented], segmented_path)
 
     scheme = required_scheme(config.feature_set)
     if scheme is not None:
         tagger_model = _load_tagger(scheme, models)
-        tagged = tag_corpus(segmented, scheme, tagger_model, config.threads)
+        tagged = tag_corpus(segmented, scheme, tagger_model)
     else:
         tagged = segmented
     tagged_path = out_dir / "corpus_tagged.jsonl"
@@ -337,7 +327,6 @@ def run_end_to_end(
         config.max_df,
         config.min_df,
         config.word_denominator,
-        config.threads,
     )
     matrix_path = out_dir / f"features_{config.feature_set.replace('+', '_')}.mtx"
     write_matrix(matrix, matrix_path)

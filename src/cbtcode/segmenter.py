@@ -135,7 +135,6 @@ def train_boundary_model(
     data: Sequence[tuple[Sequence[str], Sequence[str]]],
     *,
     l2: float = 0.1,
-    seed: int = 0,
     tol: float = 1e-4,
     max_iter: int = 500,
 ) -> BoundaryModel:
@@ -156,7 +155,6 @@ def train_boundary_model(
         labeled,
         BOUNDARY_LABELS,
         l2=l2,
-        seed=seed,
         scheme="boundary",
         tol=tol,
         max_iter=max_iter,

@@ -9,13 +9,14 @@ identical runs produce identical files.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__
-from .corpus import CodeScores, session_from_record, session_to_record
+from .corpus import CodeScores, read_jsonl, read_lines
 from .errors import MissingArtifactError, ParseError, ValidationError
 from .evaluate import EvalReport, FiveByTwoResult
 from .features import FeatureMatrix
@@ -112,7 +113,7 @@ def tagged_session_from_record(rec: dict, where: str) -> TaggedSession:
         return TaggedSession(id=str(rec["id"]), utterances=tuple(utts), scores=scores)
     except ValidationError as exc:
         raise type(exc)(f"{where}: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: malformed record ({type(exc).__name__}: {exc})") from None
 
 
@@ -131,22 +132,12 @@ def read_tagged_corpus(path: str | Path) -> list[TaggedSession]:
         raise MissingArtifactError(f"tagged corpus not found: {path}")
     out: list[TaggedSession] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}, line {lineno}: invalid JSON ({exc.msg})") from None
-            if not isinstance(rec, dict):
-                raise ParseError(f"{path}, line {lineno}: expected a JSON object")
-            session = tagged_session_from_record(rec, where=f"{path}, line {lineno}")
-            if session.id in seen:
-                raise ValidationError(f"{path}, line {lineno}: duplicate session id {session.id!r}")
-            seen.add(session.id)
-            out.append(session)
+    for where, rec in read_jsonl(path):
+        session = tagged_session_from_record(rec, where=where)
+        if session.id in seen:
+            raise ValidationError(f"{where}: duplicate session id {session.id!r}")
+        seen.add(session.id)
+        out.append(session)
     return out
 
 
@@ -155,20 +146,12 @@ def sniff_corpus_kind(path: str | Path) -> str:
     path = Path(path)
     if not path.exists():
         raise MissingArtifactError(f"corpus not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                raise ParseError(f"{path}: first record is not valid JSON") from None
-            if "turns" in rec:
-                return "turns"
-            if "utterances" in rec:
-                return "utterances"
-            raise ParseError(f"{path}: record has neither turns nor utterances")
+    for where, rec in read_jsonl(path):
+        if "turns" in rec:
+            return "turns"
+        if "utterances" in rec:
+            return "utterances"
+        raise ParseError(f"{where}: record has neither turns nor utterances")
     raise ValidationError(f"{path}: empty corpus file")
 
 
@@ -187,7 +170,6 @@ def save_chain_crf(model: ChainCRF, path: str | Path) -> None:
             "weights": [[float(v) for v in row] for row in model.weights],
             "transitions": [[float(v) for v in row] for row in model.transitions],
             "l2": model.l2,
-            "seed": model.seed,
             "n_iter": model.n_iter,
             "grad_norm": model.grad_norm,
             "converged": model.converged,
@@ -205,7 +187,6 @@ def load_chain_crf(path: str | Path, expect_scheme: str | None = None) -> ChainC
         weights=np.array(p["weights"], dtype=float),
         transitions=np.array(p["transitions"], dtype=float),
         l2=float(p["l2"]),
-        seed=int(p["seed"]),
         n_iter=int(p["n_iter"]),
         grad_norm=float(p["grad_norm"]),
         converged=bool(p["converged"]),
@@ -229,7 +210,6 @@ def save_utterance_classifier(model: UtteranceClassifier, path: str | Path) -> N
             "weights": [[float(v) for v in row] for row in model.weights],
             "bias": [float(v) for v in model.bias],
             "l2": model.l2,
-            "seed": model.seed,
             "n_iter": model.n_iter,
             "grad_norm": model.grad_norm,
             "converged": model.converged,
@@ -247,7 +227,6 @@ def load_utterance_classifier(path: str | Path, expect_scheme: str | None = None
         weights=np.array(p["weights"], dtype=float),
         bias=np.array(p["bias"], dtype=float),
         l2=float(p["l2"]),
-        seed=int(p["seed"]),
         n_iter=int(p["n_iter"]),
         grad_norm=float(p["grad_norm"]),
         converged=bool(p["converged"]),
@@ -271,7 +250,6 @@ def save_linear_model(model: LinearModel, path: str | Path, code: str | None = N
             "C": model.C,
             "weight_low": model.weight_low,
             "weight_high": model.weight_high,
-            "seed": model.seed,
             "n_iter": model.n_iter,
             "gap": model.gap,
             "converged": model.converged,
@@ -295,7 +273,6 @@ def load_linear_model(path: str | Path) -> LinearModel:
         C=float(p["C"]),
         weight_low=float(p["weight_low"]),
         weight_high=float(p["weight_high"]),
-        seed=int(p["seed"]),
         n_iter=int(p["n_iter"]),
         gap=float(p["gap"]),
         converged=bool(p["converged"]),
@@ -362,46 +339,56 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
     if not path.exists():
         raise MissingArtifactError(f"feature matrix not found: {path}")
     headers: dict[str, str] = {}
-    row_ids: list[str] = []
+    shape_line = None
+    rows: dict[str, None] = {}
     col_names: list[str] = []
     col_sel: list[bool] = []
-    triplets: list[tuple[int, int, float]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#row "):
-                row_ids.append(line[5:])
-            elif line.startswith("#col "):
-                sel, sep, name = line[5:].partition(" ")
-                if sel not in ("0", "1") or not sep:
-                    raise ParseError(f"{path}, line {lineno}: expected '#col <0|1> <name>'")
-                col_sel.append(sel == "1")
-                col_names.append(name)
-            elif line.startswith("#"):
-                key, _, value = line[1:].partition(" ")
-                headers[key] = value
-            else:
-                try:
-                    r, c, v = line.split(" ")
-                    triplets.append((int(r), int(c), float(v)))
-                except ValueError:
-                    raise ParseError(f"{path}, line {lineno}: expected 'row col value'") from None
+    triplets: list[tuple[int, int, int, float]] = []
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        if line.startswith("#row "):
+            if line[5:] in rows:
+                raise ValidationError(f"{path}, line {lineno}: duplicate session id {line[5:]!r}")
+            rows[line[5:]] = None
+        elif line.startswith("#col "):
+            sel, sep, name = line[5:].partition(" ")
+            if sel not in ("0", "1") or not sep:
+                raise ParseError(f"{path}, line {lineno}: expected '#col <0|1> <name>'")
+            col_sel.append(sel == "1")
+            col_names.append(name)
+        elif line.startswith("#"):
+            key, _, value = line[1:].partition(" ")
+            headers[key] = value
+            if key == "shape":
+                shape_line = lineno
+        else:
+            try:
+                r, c, v = line.split(" ")
+                triplets.append((lineno, int(r), int(c), float(v)))
+            except ValueError:
+                raise ParseError(f"{path}, line {lineno}: expected 'row col value'") from None
     if headers.get("kind") != "feature_matrix":
         raise ValidationError(f"{path}: not a feature matrix file")
     if headers.get("format_version") != str(FORMAT_VERSION):
         raise ValidationError(f"{path}: unsupported format_version {headers.get('format_version')!r}")
+    if shape_line is None:
+        raise ParseError(f"{path}: expected a '#shape <rows> <cols>' header")
     try:
-        n, d = (int(v) for v in headers.get("shape", "").split(" "))
+        n, d = (int(v) for v in headers["shape"].split(" "))
     except ValueError:
-        raise ParseError(f"{path}: expected a '#shape <rows> <cols>' header") from None
-    if len(row_ids) != n or len(col_names) != d:
-        raise ParseError(f"{path}: header shape disagrees with row/col entries")
+        raise ParseError(f"{path}, line {shape_line}: expected '#shape <rows> <cols>'") from None
+    if len(rows) != n or len(col_names) != d:
+        raise ParseError(
+            f"{path}, line {shape_line}: shape {n} x {d} disagrees with "
+            f"{len(rows)} #row and {len(col_names)} #col lines"
+        )
     X = np.zeros((n, d))
-    for r, c, v in triplets:
+    for lineno, r, c, v in triplets:
         if not (0 <= r < n and 0 <= c < d):
-            raise ParseError(f"{path}: triplet out of bounds ({r}, {c})")
+            raise ParseError(f"{path}, line {lineno}: triplet out of bounds ({r}, {c})")
+        if not math.isfinite(v):
+            raise ParseError(f"{path}, line {lineno}: value {v!r} is not finite")
         X[r, c] = v
     return FeatureMatrix(
         set_name=headers.get("set", ""),
@@ -409,7 +396,7 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
         selectable=tuple(col_sel),
         provenance=headers.get("provenance", "tfidf"),
         fingerprint=headers.get("fingerprint", ""),
-        session_ids=tuple(row_ids),
+        session_ids=tuple(rows),
         X=X,
     )
 

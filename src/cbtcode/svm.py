@@ -43,7 +43,6 @@ class LinearModel:
     C: float
     weight_low: float
     weight_high: float
-    seed: int
     n_iter: int
     gap: float
     converged: bool
@@ -88,7 +87,6 @@ def train_svm(
     y: Sequence[bool],
     C: float = 1.0,
     weights: ClassWeights | None = None,
-    seed: int = 0,
     *,
     tol: float = 1e-6,
     max_iter: int = 1_000_000,
@@ -242,7 +240,6 @@ def train_svm(
         C=float(C),
         weight_low=float(weights.low),
         weight_high=float(weights.high),
-        seed=int(seed),
         n_iter=n_iter,
         gap=float(gap),
         converged=bool(converged),

@@ -126,7 +126,6 @@ class ChainCRF:
     weights: np.ndarray  # (n_features, n_labels)
     transitions: np.ndarray  # (n_labels, n_labels)
     l2: float
-    seed: int
     n_iter: int = 0
     grad_norm: float = 0.0
     converged: bool = True
@@ -232,7 +231,6 @@ def train_chain_crf(
     labels: tuple[str, ...] | TagSet,
     *,
     l2: float = 0.1,
-    seed: int = 0,
     scheme: str | None = None,
     tol: float = 1e-4,
     max_iter: int = 500,
@@ -264,7 +262,6 @@ def train_chain_crf(
         weights=W,
         transitions=T,
         l2=float(l2),
-        seed=int(seed),
         n_iter=res.n_iter,
         grad_norm=res.grad_norm,
         converged=res.converged,
@@ -309,7 +306,6 @@ class UtteranceClassifier:
     weights: np.ndarray  # (n_features, n_labels)
     bias: np.ndarray  # (n_labels,)
     l2: float
-    seed: int
     n_iter: int = 0
     grad_norm: float = 0.0
     converged: bool = True
@@ -369,7 +365,6 @@ def train_utterance_classifier(
     *,
     tag_set: TagSet = MC_TAG_SET,
     l2: float = 0.1,
-    seed: int = 0,
     tol: float = 1e-4,
     max_iter: int = 500,
 ) -> UtteranceClassifier:
@@ -398,7 +393,6 @@ def train_utterance_classifier(
         weights=res.x[: len(names) * k].reshape(len(names), k),
         bias=res.x[len(names) * k :],
         l2=float(l2),
-        seed=int(seed),
         n_iter=res.n_iter,
         grad_norm=res.grad_norm,
         converged=res.converged,

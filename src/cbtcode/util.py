@@ -3,25 +3,15 @@
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-def ordered_map(fn: Callable[[T], R], items: Iterable[T], threads: int = 1) -> list[R]:
-    """Map fn over items preserving order.
-
-    With threads > 1 the work is distributed over a thread pool; because the
-    reduction is ordered and fn must be pure, results are identical to the
-    sequential path regardless of thread count.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
+    """Map fn over items in order: the per-session loop of the corpus stages."""
+    return [fn(x) for x in items]
 
 
 def corpus_fingerprint(session_ids: Sequence[str]) -> str:

@@ -13,7 +13,7 @@ import pytest
 from cbtcode.chain import forward_backward, viterbi
 from cbtcode.cli import main
 from cbtcode.evaluate import combined_f_statistic, five_by_two_cv_f_test, run_protocol
-from cbtcode.features import fit_tfidf, tag_count_features, transform_tfidf
+from cbtcode.features import fit_tfidf, tag_count_features, tfidf_matrix
 from cbtcode.pipeline import build_feature_matrix, segment_corpus, tag_corpus
 from cbtcode.segmenter import make_boundary_training_data, train_boundary_model
 from cbtcode.svm import class_weights, hinge_objective, train_svm
@@ -144,10 +144,9 @@ def test_criterion_03_tfidf_matches_bruteforce_oracle():
         space = fit_tfidf(docs, max_df=0.95, min_df=0.05)
         vocab_o, idf_o, transform_o = brute_tfidf(list(docs), 0.95, 0.05)
         assert list(space.names) == vocab_o
-        for _, toks in docs:
-            mine = transform_tfidf(toks, space).to_dense()
-            theirs = np.array(transform_o(toks))
-            worst = max(worst, float(np.abs(mine - theirs).max()))
+        mine = tfidf_matrix(docs, space)
+        theirs = np.array([transform_o(toks) for _, toks in docs])
+        worst = max(worst, float(np.abs(mine - theirs).max()))
     # document-frequency boundary cases at exactly 5% and 95% of 20 docs
     docs20 = [(f"d{i}", ["lower"] if i == 0 else ["upper"]) for i in range(20)]
     docs20 = [(sid, toks + ["mid"] if i % 2 else toks) for i, (sid, toks) in enumerate(docs20)]
@@ -287,10 +286,9 @@ def planted_run():
     boundary = train_boundary_model(
         make_boundary_training_data(ln.split() for ln in result.boundary_lines[:400]),
         l2=0.05,
-        seed=0,
     )
-    da_model = train_chain_crf(da_training_sequences(result.tagged), DA_TAG_SET, l2=0.05, seed=0)
-    mc_model = train_utterance_classifier(mc_training_examples(result.tagged), l2=0.05, seed=0)
+    da_model = train_chain_crf(da_training_sequences(result.tagged), DA_TAG_SET, l2=0.05)
+    mc_model = train_utterance_classifier(mc_training_examples(result.tagged), l2=0.05)
     scores = {s.id: s.scores for s in result.sessions}
 
     tagged = {}
@@ -317,6 +315,7 @@ def planted_run():
     }
 
 
+@pytest.mark.slow
 def test_criterion_08_paper_ordering_on_synthetic_corpus(planted_run):
     t0 = time.time()
     report_for = planted_run["report_for"]
@@ -336,6 +335,7 @@ def test_criterion_08_paper_ordering_on_synthetic_corpus(planted_run):
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_segmentation_ablation(planted_run, tmp_path):
     from cbtcode.serialize import save_report
 

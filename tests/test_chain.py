@@ -131,7 +131,7 @@ class TestCrfGradient:
 
     def test_loglik_nonpositive_without_regularization(self):
         rng = np.random.default_rng(6)
-        model = train_chain_crf(tiny_dataset(), ("X", "Y"), l2=0.0, seed=0, max_iter=5)
+        model = train_chain_crf(tiny_dataset(), ("X", "Y"), l2=0.0, max_iter=5)
         ll, _ = crf_loglik_grad(model, tiny_dataset())
         assert ll <= 0.0
         # also at random weights
@@ -142,7 +142,6 @@ class TestCrfGradient:
             weights=rng.normal(size=model.weights.shape),
             transitions=rng.normal(size=model.transitions.shape),
             l2=0.0,
-            seed=0,
         )
         ll2, _ = crf_loglik_grad(m2, tiny_dataset())
         assert ll2 <= 0.0
@@ -180,20 +179,20 @@ class TestCrfTraining:
             gold = [labels[int(rng.integers(0, 3))] for _ in range(n)]
             feats = [["bias", "w=tok_" + g] for g in gold]
             data.append((feats, gold))
-        model = train_chain_crf(data, labels, l2=0.01, seed=0)
+        model = train_chain_crf(data, labels, l2=0.01)
         for feats, gold in data:
             decoded = [model.labels[i] for i in model.decode(feats)]
             assert decoded == gold
 
     def test_stationarity_after_training(self):
         data = tiny_dataset()
-        model = train_chain_crf(data, ("X", "Y"), l2=0.2, seed=0)
+        model = train_chain_crf(data, ("X", "Y"), l2=0.2)
         _, grad = crf_loglik_grad(model, data)
         assert float(np.linalg.norm(grad)) < 1e-4
 
     def test_deterministic_given_seed(self):
-        m1 = train_chain_crf(tiny_dataset(), ("X", "Y"), l2=0.1, seed=3)
-        m2 = train_chain_crf(tiny_dataset(), ("X", "Y"), l2=0.1, seed=3)
+        m1 = train_chain_crf(tiny_dataset(), ("X", "Y"), l2=0.1)
+        m2 = train_chain_crf(tiny_dataset(), ("X", "Y"), l2=0.1)
         assert np.array_equal(m1.weights, m2.weights)
         assert np.array_equal(m1.transitions, m2.transitions)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from cbtcode.features import (
     select_k_by_cv,
     tag_block_space,
     tag_count_features,
+    tfidf_matrix,
     top_k_mask,
     transform_tfidf,
 )
+from cbtcode.pipeline import build_feature_matrix
 from cbtcode.segmenter import Utterance
-from cbtcode.tagger import DA_TAG_SET, MC_TAG_SET, TaggedUtterance
+from cbtcode.tagger import DA_TAG_SET, MC_TAG_SET, TaggedSession, TaggedUtterance
 from helpers import brute_tfidf
 
 
@@ -68,15 +71,17 @@ class TestTfidfTransform:
     def test_hand_computed_single_doc(self):
         docs = [("a", ["a", "a", "b"])]
         space = fit_tfidf(docs, max_df=1.0, min_df=0.0)
-        vec = transform_tfidf(["a", "a", "b"], space).to_dense()
-        assert np.abs(vec - np.array([2, 1]) / math.sqrt(5)).max() < 1e-12
+        X = tfidf_matrix(docs, space)
+        assert X.shape == (1, 2)
+        assert np.abs(X[0] - np.array([2, 1]) / math.sqrt(5)).max() < 1e-12
 
     def test_oov_only_gives_zero_vector(self):
         docs = [("a", ["x", "y"]), ("b", ["x"])]
         space = fit_tfidf(docs, max_df=1.0, min_df=0.0)
-        vec = transform_tfidf(["zz", "qq"], space)
-        assert vec.indices == ()
-        assert np.all(vec.to_dense() == 0.0)
+        X = tfidf_matrix([("c", ["zz", "qq"]), ("d", []), ("a", ["x", "y"])], space)
+        assert X.shape == (3, space.dim)
+        assert np.all(X[:2] == 0.0)
+        assert abs(np.linalg.norm(X[2]) - 1.0) < 1e-12
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(0)
@@ -91,10 +96,13 @@ class TestTfidfTransform:
             assert list(space.names) == vocab_o
             for name in space.names:
                 assert abs(space.idf[space.names.index(name)] - idf_o[name]) < 1e-12
-            for _, toks in docs:
-                mine = transform_tfidf(toks, space).to_dense()
-                theirs = np.array(transform_o(toks))
-                assert np.abs(mine - theirs).max() < 1e-9
+            # Besides the fitted documents: one with no vocabulary term, and an empty one.
+            queries = docs + [("oov", ["unseen", "words"]), ("empty", [])]
+            mine = tfidf_matrix(queries, space)
+            theirs = np.array([transform_o(toks) for _, toks in queries])
+            assert mine.shape == theirs.shape == (len(queries), space.dim)
+            assert np.abs(mine - theirs).max() < 1e-9
+            assert np.all(mine[-2:] == 0.0)
 
     def test_unit_norm_or_zero(self):
         rng = np.random.default_rng(1)
@@ -102,9 +110,19 @@ class TestTfidfTransform:
             (f"d{i}", [f"t{int(j)}" for j in rng.integers(0, 15, size=20)]) for i in range(12)
         ]
         space = fit_tfidf(docs, max_df=1.0, min_df=0.0)
-        for _, toks in docs:
-            norm = np.linalg.norm(transform_tfidf(toks, space).to_dense())
+        for norm in np.linalg.norm(tfidf_matrix(docs, space), axis=1):
             assert abs(norm - 1.0) < 1e-9 or norm == 0.0
+
+    def test_rows_do_not_depend_on_the_rest_of_the_corpus(self):
+        rng = np.random.default_rng(12)
+        docs = [(f"d{i}", [f"t{int(j)}" for j in rng.integers(0, 20, size=15)]) for i in range(8)]
+        space = fit_tfidf(docs, max_df=1.0, min_df=0.0)
+        whole = tfidf_matrix(docs, space)
+        for i, (_, tokens) in enumerate(docs):
+            assert np.array_equal(tfidf_matrix([docs[i]], space)[0], whole[i])
+            assert np.array_equal(transform_tfidf(tokens, space), whole[i])
+            assert np.array_equal(transform_tfidf(tokens, space, space.index()), whole[i])
+        assert tfidf_matrix([], space).shape == (0, space.dim)
 
 
 class TestTagCounts:
@@ -239,6 +257,29 @@ class TestConcatFusion:
         ]
         return fit_tfidf(docs, max_df=0.95, min_df=0.05), docs
 
+    def make_corpus(self, n_sessions=12):
+        """Tagged sessions; the last one has no therapist utterance, so its tag block is zero."""
+        rng = np.random.default_rng(13)
+        sessions = []
+        for i in range(n_sessions):
+            speaker = "patient" if i == n_sessions - 1 else "therapist"
+            utts = tuple(
+                tagged(
+                    [f"w{int(rng.integers(0, 25))}" for _ in range(int(rng.integers(1, 7)))],
+                    mc=MC_TAG_SET.labels[int(rng.integers(0, 7))],
+                    speaker=speaker,
+                    index=j,
+                )
+                for j in range(int(rng.integers(2, 8)))
+            )
+            sessions.append(TaggedSession(id=f"s{i}", utterances=utts))
+        return sessions
+
+    def build(self, sessions, feature_set):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the empty session's zero block
+            return build_feature_matrix(sessions, feature_set)
+
     def test_dimensions_add(self):
         word_space, docs = self.make_word_space(500, 2)
         assert word_space.dim == 500
@@ -247,25 +288,38 @@ class TestConcatFusion:
         assert fused.dim == 514
 
     def test_zero_block_leaves_word_values(self):
-        word_space, docs = self.make_word_space(40, 2)
-        block_space = tag_block_space(MC_TAG_SET, word_space.fingerprint, 2)
-        fused = concat_spaces(word_space, block_space)
-        vec = transform_tfidf(docs[0][1], word_space)
-        out = fuse_concat(vec, np.zeros(14), fused)
-        assert np.array_equal(out.to_dense()[:40], vec.to_dense())
-        assert np.all(out.to_dense()[40:] == 0.0)
+        sessions = self.make_corpus()
+        word = self.build(sessions, "tfidf")
+        fused = self.build(sessions, "tfidf+mc")
+        d = word.X.shape[1]
+        assert fused.X.shape == (len(sessions), d + 14)
+        assert np.array_equal(fused.X[:, :d], word.X)
+        assert np.all(fused.X[-1] == 0.0)  # no therapist words and a zero tag block
+        assert np.all(fused.X[:-1, d:].sum(axis=1) > 0.0)
 
     def test_word_level_block_comes_first_and_is_deterministic(self):
-        word_space, docs = self.make_word_space(30, 2)
-        block_space = tag_block_space(MC_TAG_SET, word_space.fingerprint, 2)
-        fused = concat_spaces(word_space, block_space)
-        assert fused.names[: word_space.dim] == tuple(f"tfidf:{n}" for n in word_space.names)
-        assert fused.names[word_space.dim :] == block_space.names
-        vec = transform_tfidf(docs[1][1], word_space)
-        block = np.arange(14) / 14.0
-        a = fuse_concat(vec, block, fused)
-        b = fuse_concat(vec, block, fused)
-        assert a == b
+        sessions = self.make_corpus()
+        word = self.build(sessions, "tfidf")
+        block = self.build(sessions, "mc")
+        fused = self.build(sessions, "tfidf+mc")
+        d = word.X.shape[1]
+        assert fused.names == fused.space.names
+        assert fused.names[:d] == tuple(f"tfidf:{n}" for n in word.names)
+        assert fused.names[d:] == block.names
+        assert np.array_equal(fused.X[:, d:], block.X)
+        again = self.build(sessions, "tfidf+mc")
+        assert again.names == fused.names
+        assert again.X.tobytes() == fused.X.tobytes()
+
+    def test_fuse_concat_rejects_rows_that_do_not_fill_the_space(self):
+        word_space, docs = self.make_word_space(40, 3)
+        fused = concat_spaces(word_space, tag_block_space(MC_TAG_SET, word_space.fingerprint, 3))
+        word_X = tfidf_matrix(docs, word_space)
+        assert fuse_concat(word_X, np.ones((3, 14)), fused).shape == (3, fused.dim)
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            fuse_concat(word_X, np.ones((3, 13)), fused)
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            fuse_concat(word_X, np.ones((2, 14)), fused)
 
     def test_selection_flags_preserved(self):
         word_space, _ = self.make_word_space(30, 2)
@@ -335,9 +389,10 @@ class TestSelectK:
         y = {sid: bool(rng.random() < 0.5) for sid in ids}
         if all(y.values()) or not any(y.values()):
             y[ids[0]] = not y[ids[0]]
-        k, mask = select_k_by_cv(X, ids, [True] * 12, y, [12], folds=3, seed=0)
+        k = select_k_by_cv(X, ids, [True] * 12, y, [12], folds=3, seed=0)
         assert k == 12
-        assert mask.all()
+        f = anova_f_scores(X, np.array([y[s] for s in ids]))
+        assert top_k_mask(f, np.ones(12, dtype=bool), k).all()
 
     def test_planted_features_rank_top(self):
         rng = np.random.default_rng(8)
@@ -349,10 +404,11 @@ class TestSelectK:
         X[:, :planted] += 3.0 * y_bits[:, None]
         ids = [f"s{i}" for i in range(n)]
         y = {sid: bool(b) for sid, b in zip(ids, y_bits)}
-        k, mask = select_k_by_cv(X, ids, [True] * d, y, [5, 10, 20, 40], folds=5, seed=0)
+        k = select_k_by_cv(X, ids, [True] * d, y, [5, 10, 20, 40], folds=5, seed=0)
         f = anova_f_scores(X, np.array([y[s] for s in ids]))
         top10 = set(np.argsort(-f, kind="stable")[:planted])
         assert top10 == set(range(planted))
+        assert set(np.flatnonzero(top_k_mask(f, np.ones(d, dtype=bool), planted))) == set(range(planted))
         assert k <= 20
 
     def test_deterministic(self):
@@ -362,8 +418,13 @@ class TestSelectK:
         y = {sid: bool(i % 2) for i, sid in enumerate(ids)}
         r1 = select_k_by_cv(X, ids, [True] * 16, y, [4, 8, 16], folds=4, seed=5)
         r2 = select_k_by_cv(X, ids, [True] * 16, y, [4, 8, 16], folds=4, seed=5)
-        assert r1[0] == r2[0]
-        assert np.array_equal(r1[1], r2[1])
+        assert isinstance(r1, int) and r1 in (4, 8, 16)
+        assert r1 == r2
+
+    def test_nothing_selectable_gives_zero(self):
+        ids = ["a", "b", "c", "d"]
+        y = {"a": True, "b": False, "c": True, "d": False}
+        assert select_k_by_cv(np.ones((4, 2)), ids, [False, False], y, [8], 2, 0) == 0
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,0 +1,174 @@
+"""Property tests for the corpus and matrix readers.
+
+Each example writes a mutated file and reads it back.  The reader must either
+accept it or raise a CbtCodeError whose message starts with the file (and,
+for a fault on one line, that line) exactly once; any other exception is an
+escape that would reach the CLI as a traceback.
+"""
+
+import json
+import re
+
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from cbtcode.corpus import parse_corpus
+from cbtcode.errors import CbtCodeError
+from cbtcode.features import FeatureMatrix
+from cbtcode.serialize import read_matrix, write_matrix
+
+FUZZ = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+
+VALID_RECORD = {
+    "format_version": 1,
+    "id": "s1",
+    "turns": [
+        {
+            "speaker": "therapist",
+            "tokens": [
+                {"text": "so", "start_s": 0.0, "end_s": 0.2},
+                {"text": "homework", "start_s": 0.3, "end_s": 0.7},
+            ],
+        },
+        {"speaker": "patient", "tokens": [{"text": "yes", "start_s": 3.1, "end_s": 3.4}]},
+    ],
+    "scores": {c: 3 for c in ("ag", "at", "co", "fb", "gd", "hw", "ip", "cb", "pt", "sc", "un")},
+}
+
+
+def paths(value, prefix=()):
+    """Every location in a JSON value, as a tuple of keys and indices."""
+    yield prefix
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from paths(v, prefix + (k,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from paths(v, prefix + (i,))
+
+
+RECORD_PATHS = [p for p in paths(VALID_RECORD) if p]
+
+
+def mutate(record, path, value, delete):
+    """A copy of record with the node at path replaced (or deleted), if an
+    earlier edit has not removed that location."""
+    record = json.loads(json.dumps(record))
+    node = record
+    for key in path[:-1]:
+        try:
+            node = node[key]
+        except (KeyError, IndexError, TypeError):
+            return record
+    last = path[-1]
+    if isinstance(node, dict) and delete:
+        node.pop(last, None)
+    elif isinstance(node, dict) or (isinstance(node, list) and isinstance(last, int) and last < len(node)):
+        node[last] = value
+    return record
+
+
+def assert_rejected_cleanly(read, path, per_line_only):
+    try:
+        read(path)
+    except CbtCodeError as exc:
+        message = str(exc)
+        line = r", line \d+" if per_line_only else r"(, line \d+)?"
+        assert re.match(re.escape(str(path)) + line + ": ", message), message
+        assert message.count(str(path)) == 1, message
+
+
+@FUZZ
+@given(
+    edits=st.lists(
+        st.tuples(st.sampled_from(RECORD_PATHS), JSON_VALUES, st.booleans()), min_size=1, max_size=3
+    ),
+    position=st.integers(0, 2),
+)
+@example(edits=[(("turns", 0, "tokens", 0, "start_s"), 10**400, False)], position=0)  # too large for a float
+def test_parse_corpus_mutated_record(tmp_path, edits, position):
+    record = VALID_RECORD
+    for path, value, delete in edits:
+        record = mutate(record, path, value, delete)
+    lines = [json.dumps({**VALID_RECORD, "id": f"ok{i}"}) for i in range(2)]
+    lines.insert(position, json.dumps(record))
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert_rejected_cleanly(parse_corpus, corpus, per_line_only=True)
+
+
+@FUZZ
+@given(lines=st.lists(st.binary(max_size=40) | JSON_VALUES.map(lambda v: json.dumps(v).encode()), max_size=4))
+def test_parse_corpus_arbitrary_lines(tmp_path, lines):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(json.dumps(VALID_RECORD).encode() + b"\n" + b"\n".join(lines))
+    assert_rejected_cleanly(parse_corpus, corpus, per_line_only=True)
+
+
+def valid_matrix_lines(tmp_path):
+    matrix = FeatureMatrix(
+        set_name="tfidf",
+        names=("a", "b", "c"),
+        selectable=(True, True, False),
+        provenance="tfidf",
+        fingerprint="0123456789abcdef",
+        session_ids=("s1", "s2"),
+        X=np.array([[0.6, 0.0, 0.8], [0.0, 1.0, 0.0]]),
+    )
+    path = tmp_path / "valid.mtx"
+    write_matrix(matrix, path)
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+MATRIX_FIELDS = st.sampled_from(
+    ["0", "1", "2", "3", "-1", "1e400", "nan", "inf", "0.5", "x", "", "s1", "1_0", "99999999999999999999"]
+)
+MATRIX_LINES = st.one_of(
+    st.text(max_size=20),
+    st.tuples(st.sampled_from(["#shape", "#row", "#col", "#kind", "#format_version", "#set"]),
+              st.lists(MATRIX_FIELDS, max_size=3)).map(lambda t: " ".join([t[0], *t[1]])),
+    st.lists(MATRIX_FIELDS, min_size=1, max_size=4).map(" ".join),
+)
+
+
+@FUZZ
+@given(
+    edits=st.lists(
+        st.tuples(st.sampled_from(["replace", "insert", "delete", "duplicate"]), st.integers(0, 30), MATRIX_LINES),
+        min_size=1,
+        max_size=3,
+    ),
+    garbage=st.none() | st.binary(min_size=1, max_size=8),
+)
+def test_read_matrix_mutated_lines(tmp_path, edits, garbage):
+    lines = [line.encode() for line in valid_matrix_lines(tmp_path)]
+    for op, index, text in edits:
+        i = index % len(lines) if lines else 0
+        if op == "replace" and lines:
+            lines[i] = text.encode()
+        elif op == "insert":
+            lines.insert(i, text.encode())
+        elif op == "delete" and lines:
+            del lines[i]
+        elif op == "duplicate" and lines:
+            lines.insert(i, lines[i])
+    if garbage is not None:
+        lines.append(garbage)
+    path = tmp_path / "fuzzed.mtx"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert_rejected_cleanly(read_matrix, path, per_line_only=False)

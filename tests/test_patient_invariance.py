@@ -53,7 +53,7 @@ def test_fixed_tags_patient_words_never_affect_features(gold_corpus, feature_set
 
 
 def test_mc_pipeline_end_to_end_ignores_patient_words(gold_corpus):
-    model = train_utterance_classifier(mc_training_examples(gold_corpus.tagged), l2=0.05, seed=0)
+    model = train_utterance_classifier(mc_training_examples(gold_corpus.tagged), l2=0.05)
     stripped = [
         TaggedSession(
             id=s.id,

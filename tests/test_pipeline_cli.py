@@ -6,11 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cbtcode
 from cbtcode.cli import main
+from cbtcode.corpus import CODES
+from cbtcode.pipeline import PipelineConfig
 from cbtcode.serialize import load_linear_model, load_report, read_matrix
+from cbtcode.svm import decision_function
 
 
 @pytest.fixture(scope="module")
@@ -375,6 +379,61 @@ def test_manifest_identical_across_thread_counts(workspace, tmp_path):
     assert manifests[0] == manifests[1]
 
 
+def _add_seed_key(src, dst):
+    """Copy a model file, adding the "seed" field that older versions wrote."""
+    doc = json.loads(src.read_text(encoding="utf-8"))
+    assert "seed" not in doc["payload"]
+    doc["payload"]["seed"] = 0
+    dst.write_text(json.dumps(doc), encoding="utf-8")
+
+
+@pytest.mark.parametrize("model", ["boundary", "da", "mc"])
+def test_tagger_file_with_seed_key_decodes_identically(workspace, tmp_path, model):
+    data, models = workspace["data"], workspace["models"]
+    old = tmp_path / f"old_{model}.json"
+    _add_seed_key(models / f"{model}.json", old)
+    outputs = []
+    for path in (models / f"{model}.json", old):
+        out = tmp_path / f"{path.stem}.jsonl"
+        if model == "boundary":
+            argv = ["segment", "--model", str(path), "--in", str(data / "corpus.jsonl")]
+        else:
+            argv = ["tag", "--scheme", model, "--model", str(path), "--in", str(data / "gold_tags.jsonl")]
+        assert main([*argv, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_svm_file_with_seed_key_decodes_identically(workspace, tmp_path):
+    data = workspace["data"]
+    matrix_path = tmp_path / "mc.mtx"
+    assert main(["featurize", "--set", "mc", "--in", str(data / "gold_tags.jsonl"), "--out", str(matrix_path)]) == 0
+    new = tmp_path / "svm.json"
+    argv = ["train", "--what", "svm", "--code", "total", "--features", str(matrix_path),
+            "--labels", str(data / "labels.csv"), "--out", str(new)]
+    assert main(argv) == 0
+    old = tmp_path / "old_svm.json"
+    _add_seed_key(new, old)
+    a, b = load_linear_model(new), load_linear_model(old)
+    for field in ("bias", "C", "weight_low", "weight_high", "n_iter", "gap", "converged",
+                  "space_fingerprint", "feature_mask"):
+        assert getattr(a, field) == getattr(b, field), field
+    for field in ("weights", "scaler_mean", "scaler_std"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    X = read_matrix(matrix_path).X[:, list(a.feature_mask)]
+    assert np.array_equal(decision_function(a, X), decision_function(b, X))
+
+
+def test_pipeline_config_with_threads_field_still_loads(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**PipelineConfig().to_payload(), "threads": 4}), encoding="utf-8")
+    config = PipelineConfig.from_file(path)
+    assert config == PipelineConfig()
+    assert "threads" not in config.to_payload()
+    with pytest.raises(cbtcode.errors.ValidationError, match="unknown pipeline config fields"):
+        PipelineConfig.from_payload({"workers": 2})
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     code = "import sys, cbtcode.cli; print('scipy.stats' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(cbtcode.__file__).parents[1])}
@@ -480,3 +539,47 @@ class TestExitCodes:
         rc = main([*argv, "--in", str(corpus), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert f"{corpus}, line 1:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [("#row s1\n#row s1\n#col 1 a\n0 0 1.0\n", 5), ("#row s1\n#row s2\n#col 1 a\n1 0 nan\n", 7)],
+        ids=["duplicate-row", "nan-value"],
+    )
+    def test_bad_matrix_line_is_exit_2(self, tmp_path, capsys, body, line):
+        matrix = tmp_path / "bad.mtx"
+        matrix.write_text("#format_version 1\n#kind feature_matrix\n#shape 2 1\n" + body, encoding="utf-8")
+        rc = main(["evaluate", "--matrix", str(matrix), "--labels", str(tmp_path / "labels.csv"),
+                   "--report", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert f"{matrix}, line {line}:" in capsys.readouterr().err
+
+    def test_tagged_utterance_with_infinite_index_is_exit_2(self, tmp_path, capsys):
+        corpus = tmp_path / "tagged.jsonl"
+        token = {"text": "hi", "start_s": 0.0, "end_s": 0.2}
+        utterance = {"speaker": "therapist", "index": float("inf"), "tokens": [token], "da": None, "mc": None}
+        record = {"format_version": 1, "id": "s1", "scores": None, "utterances": [utterance]}
+        corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        rc = main(["featurize", "--set", "tfidf", "--in", str(corpus), "--out", str(tmp_path / "m.mtx")])
+        assert rc == 2
+        assert f"{corpus}, line 1:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["x", 4.7, True], ids=["string", "float", "bool"])
+    @pytest.mark.parametrize("command", ["segment", "featurize"])
+    def test_malformed_score_is_exit_2_and_named_once(self, tmp_path, capsys, command, value):
+        scores = {code: 3 for code in CODES}
+        scores["ag"] = value
+        token = {"text": "hi", "start_s": 0.0, "end_s": 0.2}
+        record = {"format_version": 1, "id": "s1", "scores": scores}
+        if command == "segment":  # turn-level corpus
+            record["turns"] = [{"speaker": "therapist", "tokens": [token]}]
+            argv = ["segment", "--disable"]
+        else:  # tagged corpus
+            record["utterances"] = [{"speaker": "therapist", "index": 0, "tokens": [token], "da": None, "mc": "FA"}]
+            argv = ["featurize", "--set", "mc"]
+        corpus = tmp_path / "bad_scores.jsonl"
+        corpus.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
+        rc = main([*argv, "--in", str(corpus), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{corpus}, line 2: score for ag must be an integer, got {value!r}" in err
+        assert err.count(str(corpus)) == 1

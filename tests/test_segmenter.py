@@ -110,7 +110,6 @@ def crafted_boundary_model(boundary_words=("stop",)):
         weights=W,
         transitions=np.zeros((2, 2)),
         l2=0.0,
-        seed=0,
     )
 
 
@@ -166,7 +165,6 @@ class TestSegment:
                 weights=rng.normal(size=(len(names), 2)),
                 transitions=rng.normal(size=(2, 2)),
                 l2=0.0,
-                seed=0,
             )
             E = model.emission_matrix(boundary_features(words))
             _, _, _, best_score, best_path = enumerate_chain(E, model.transitions)
@@ -205,7 +203,7 @@ class TestBoundaryTraining:
         rng = np.random.default_rng(5)
         train = self.make_sentinel_corpus(rng, 200)
         held = self.make_sentinel_corpus(rng, 60)
-        model = train_boundary_model(train, l2=0.01, seed=0)
+        model = train_boundary_model(train, l2=0.01)
         predicted = []
         for tokens, _ in held:
             path = model.decode(boundary_features(tokens))
@@ -216,15 +214,15 @@ class TestBoundaryTraining:
     def test_same_seed_identical_weights(self):
         rng = np.random.default_rng(6)
         data = self.make_sentinel_corpus(rng, 40)
-        m1 = train_boundary_model(data, l2=0.1, seed=9)
-        m2 = train_boundary_model(data, l2=0.1, seed=9)
+        m1 = train_boundary_model(data, l2=0.1)
+        m2 = train_boundary_model(data, l2=0.1)
         assert np.array_equal(m1.weights, m2.weights)
         assert np.array_equal(m1.transitions, m2.transitions)
 
     def test_huge_l2_shrinks_weights_to_majority_prediction(self):
         rng = np.random.default_rng(7)
         data = self.make_sentinel_corpus(rng, 60)
-        model = train_boundary_model(data, l2=1e6, seed=0)
+        model = train_boundary_model(data, l2=1e6)
         assert float(np.abs(model.weights).max()) < 1e-3
         assert float(np.abs(model.transitions).max()) < 1e-3
         # majority label is INSIDE; near-zero weights decode to it via tie-break
@@ -236,7 +234,7 @@ class TestBoundaryTraining:
     def test_single_label_data_warns(self):
         data = [(["a", "b"], [INSIDE, INSIDE]), (["c"], [INSIDE])]
         with pytest.warns(UserWarning, match="single label"):
-            train_boundary_model(data, l2=0.1, seed=0, max_iter=20)
+            train_boundary_model(data, l2=0.1, max_iter=20)
 
 
 class TestBoundaryF1:

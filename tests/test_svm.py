@@ -92,8 +92,8 @@ class TestTrainSvm:
         X = rng.normal(size=(40, 8))
         y = rng.random(40) < 0.5
         y[0], y[1] = True, False
-        m1 = train_svm(X, y, seed=4)
-        m2 = train_svm(X, y, seed=4)
+        m1 = train_svm(X, y)
+        m2 = train_svm(X, y)
         assert np.array_equal(m1.weights, m2.weights)
         assert m1.bias == m2.bias
 
@@ -131,7 +131,6 @@ class TestTrainSvm:
             C=model.C,
             weight_low=model.weight_low,
             weight_high=model.weight_high,
-            seed=model.seed,
             n_iter=model.n_iter,
             gap=model.gap,
             converged=model.converged,
@@ -157,7 +156,6 @@ class TestPredict:
             C=1.0,
             weight_low=1.0,
             weight_high=1.0,
-            seed=0,
             n_iter=0,
             gap=0.0,
             converged=True,

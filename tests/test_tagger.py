@@ -62,7 +62,6 @@ def da_toy_model(rng):
         weights=rng.normal(size=(len(corpus_feats), k)),
         transitions=rng.normal(size=(k, k)),
         l2=0.0,
-        seed=0,
     )
 
 
@@ -135,7 +134,7 @@ class TestUtteranceClassifier:
         rng = np.random.default_rng(5)
         train = planted_mc_corpus(rng, 400)
         held = planted_mc_corpus(rng, 150)
-        model = train_utterance_classifier(train, l2=0.01, seed=0)
+        model = train_utterance_classifier(train, l2=0.01)
         hits = sum(model.predict(words) == tag for words, tag in held)
         assert hits / len(held) >= 0.95
 
@@ -147,7 +146,6 @@ class TestUtteranceClassifier:
             weights=np.zeros((1, 7)),
             bias=np.zeros(7),
             l2=0.0,
-            seed=0,
         )
         utts = [make_utterance(["anything", "at", "all"], index=i) for i in range(4)]
         assert all(tu.mc == "FA" for tu in tag_mc(utts, model))
@@ -180,15 +178,15 @@ class TestUtteranceClassifier:
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         train = planted_mc_corpus(rng, 120)
-        m1 = train_utterance_classifier(train, l2=0.1, seed=1)
-        m2 = train_utterance_classifier(train, l2=0.1, seed=1)
+        m1 = train_utterance_classifier(train, l2=0.1)
+        m2 = train_utterance_classifier(train, l2=0.1)
         assert np.array_equal(m1.weights, m2.weights)
         assert np.array_equal(m1.bias, m2.bias)
 
     def test_mc_tagging_is_per_utterance(self):
         # reordering utterances reorders tags identically (no chain coupling)
         rng = np.random.default_rng(9)
-        model = train_utterance_classifier(planted_mc_corpus(rng, 200), l2=0.05, seed=0)
+        model = train_utterance_classifier(planted_mc_corpus(rng, 200), l2=0.05)
         utts = [
             make_utterance(["sounds", "like", "rain"], index=0),
             make_utterance(["did", "you", "sleep"], index=1),
@@ -200,7 +198,7 @@ class TestUtteranceClassifier:
 
     def test_scheme_checked(self):
         rng = np.random.default_rng(10)
-        model = train_utterance_classifier(planted_mc_corpus(rng, 120), seed=0)
+        model = train_utterance_classifier(planted_mc_corpus(rng, 120))
         object.__setattr__(model, "scheme", "da")
         with pytest.raises(ValidationError):
             tag_mc([make_utterance(["hi"])], model)
