@@ -61,7 +61,7 @@ from .features import (  # noqa: E402
     tfidf_matrix,
     transform_tfidf,
 )
-from .svm import LinearModel, class_weights, predict, train_svm  # noqa: E402
+from .svm import LinearModel, SvmProblem, class_weights, predict, train_svm, train_svms  # noqa: E402
 from .evaluate import (  # noqa: E402
     EvalReport,
     FoldPlan,

@@ -126,6 +126,12 @@ class CodeLabels:
         return d
 
 
+def check_session_id(sid: str) -> None:
+    """Ids are written one per line (matrix `#row` lines), so no line break."""
+    if "\n" in sid or "\r" in sid:
+        raise ValidationError(f"session id {sid!r} contains a line break")
+
+
 @dataclass(frozen=True)
 class Session:
     """One recorded session: an id, ordered turns, and optional scores."""
@@ -137,6 +143,7 @@ class Session:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValidationError("session id must be non-empty")
+        check_session_id(self.id)
 
     def therapist_tokens(self) -> list[Token]:
         out: list[Token] = []
@@ -163,18 +170,29 @@ def binarize_scores(scores: CodeScores) -> CodeLabels:
 # Corpus file IO: UTF-8 JSONL, one session record per line.
 
 
-def _token_from_record(rec: object, where: str) -> Token:
-    if not isinstance(rec, dict):
-        raise ParseError(f"{where}: token record must be an object, got {type(rec).__name__}")
-    try:
-        text = rec["text"]
-        start_s = float(rec["start_s"])
-        end_s = float(rec["end_s"])
-    except KeyError as exc:
-        raise ParseError(f"{where}: token record missing field {exc}") from None
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{where}: token times must be numbers") from None
-    return Token(text=text, start_s=start_s, end_s=end_s)
+_TIME_TYPES = (int, float)  # JSON numbers; bool is a subclass of int but not one of these types
+
+
+def tokens_from_records(recs: Iterable[object], where: str) -> tuple[Token, ...]:
+    """Tokens from their JSON records; times must be JSON numbers (not
+    booleans or strings).  An error names `where` and the token's index."""
+    tokens = []
+    for ti, rec in enumerate(recs):
+        try:
+            text, start_s, end_s = rec["text"], rec["start_s"], rec["end_s"]  # type: ignore[index]
+        except KeyError as exc:
+            raise ParseError(f"{where}, token {ti}: token record missing field {exc}") from None
+        except TypeError:
+            kind = type(rec).__name__
+            raise ParseError(f"{where}, token {ti}: token record must be an object, got {kind}") from None
+        if type(start_s) not in _TIME_TYPES or type(end_s) not in _TIME_TYPES:
+            bad = end_s if type(start_s) in _TIME_TYPES else start_s
+            raise ParseError(f"{where}, token {ti}: token times must be numbers, got {bad!r}")
+        try:
+            tokens.append(Token(text=text, start_s=float(start_s), end_s=float(end_s)))
+        except OverflowError:
+            raise ParseError(f"{where}, token {ti}: token time too large") from None
+    return tuple(tokens)
 
 
 def session_from_record(rec: dict, where: str = "record") -> Session:
@@ -191,10 +209,7 @@ def session_from_record(rec: dict, where: str = "record") -> Session:
         for ti, trec in enumerate(turn_records):
             if not isinstance(trec, dict) or not isinstance(trec.get("tokens"), list) or "speaker" not in trec:
                 raise ParseError(f"turn {ti}: expected object with speaker and a list of tokens")
-            tokens = tuple(
-                _token_from_record(tok, f"turn {ti}, token {wi}")
-                for wi, tok in enumerate(trec["tokens"])
-            )
+            tokens = tokens_from_records(trec["tokens"], f"turn {ti}")
             turns.append(Turn(speaker=trec["speaker"], tokens=tokens))
         scores = None
         if rec.get("scores") is not None:

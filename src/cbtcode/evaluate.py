@@ -18,13 +18,13 @@ from .corpus import CODES, CodeScores, binarize_scores
 from .errors import ValidationError
 from .features import (
     FeatureMatrix,
+    ScalerStats,
     anova_f_scores,
     apply_scaler,
     fit_scaler,
-    select_k_by_cv,
     top_k_mask,
 )
-from .svm import class_weights, predict_many, train_svm
+from .svm import SvmProblem, class_weights, lockstep_batches, predict_many, train_svms
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,53 @@ def pooled_f1(per_fold_counts: Sequence[tuple[int, int, int]]) -> float:
 FoldSpy = Callable[..., None]
 
 
+class FoldTask(NamedTuple):
+    """One cross-validation fold: fit on the training rows, count on the test rows."""
+
+    X: np.ndarray
+    selectable: np.ndarray
+    y: np.ndarray
+    train_rows: np.ndarray
+    test_rows: np.ndarray
+    k_features: int
+
+
+class FoldFit(NamedTuple):
+    counts: FoldCounts
+    mask: np.ndarray
+    scaler: ScalerStats
+
+
+def fit_folds_and_count(tasks: Sequence[FoldTask], svm_c: float) -> list[FoldFit]:
+    """Fit selection, scaler, and SVM on each task's training rows and count
+    on its test rows.  The SVMs of each lockstep batch are solved together,
+    and only one batch's scaled training rows are held at a time."""
+    fits: dict[int, FoldFit] = {}
+    for batch in lockstep_batches([len(t.train_rows) for t in tasks]):
+        problems = []
+        selections = []
+        for t in (tasks[k] for k in batch):
+            y_train = t.y[t.train_rows]
+            f_scores = anova_f_scores(t.X[t.train_rows], y_train)
+            mask = top_k_mask(f_scores, t.selectable, t.k_features)
+            scaler = fit_scaler(t.X[np.ix_(t.train_rows, np.flatnonzero(mask))])
+            X_train = apply_scaler(t.X[np.ix_(t.train_rows, np.flatnonzero(mask))], scaler)
+            problems.append(SvmProblem(X_train, y_train, C=svm_c, weights=class_weights(y_train)))
+            selections.append((mask, scaler))
+        for k, (mask, scaler), model in zip(batch, selections, train_svms(problems)):
+            t = tasks[k]
+            pred = predict_many(model, apply_scaler(t.X[np.ix_(t.test_rows, np.flatnonzero(mask))], scaler))
+            truth = t.y[t.test_rows]
+            counts = FoldCounts(
+                tp=int(np.sum(pred & truth)),
+                fp=int(np.sum(pred & ~truth)),
+                fn=int(np.sum(~pred & truth)),
+                tn=int(np.sum(~pred & ~truth)),
+            )
+            fits[k] = FoldFit(counts, mask, scaler)
+    return [fits[k] for k in range(len(tasks))]
+
+
 def fit_fold_and_count(
     X: np.ndarray,
     selectable: np.ndarray,
@@ -113,23 +160,28 @@ def fit_fold_and_count(
     test_rows: np.ndarray,
     k_features: int,
     svm_c: float,
-) -> tuple[FoldCounts, np.ndarray, object]:
+) -> FoldFit:
     """Fit selection, scaler, and SVM on the training rows; count on the test rows."""
-    f_scores = anova_f_scores(X[train_rows], y[train_rows])
-    mask = top_k_mask(f_scores, selectable, k_features)
-    scaler = fit_scaler(X[np.ix_(train_rows, np.flatnonzero(mask))])
-    X_train = apply_scaler(X[np.ix_(train_rows, np.flatnonzero(mask))], scaler)
-    X_test = apply_scaler(X[np.ix_(test_rows, np.flatnonzero(mask))], scaler)
-    model = train_svm(X_train, y[train_rows], C=svm_c, weights=class_weights(y[train_rows]))
-    pred = predict_many(model, X_test)
-    truth = y[test_rows]
-    counts = FoldCounts(
-        tp=int(np.sum(pred & truth)),
-        fp=int(np.sum(pred & ~truth)),
-        fn=int(np.sum(~pred & truth)),
-        tn=int(np.sum(~pred & ~truth)),
-    )
-    return counts, mask, scaler
+    return fit_folds_and_count([FoldTask(X, selectable, y, train_rows, test_rows, k_features)], svm_c)[0]
+
+
+def _cv_tasks(
+    X: np.ndarray,
+    session_ids: Sequence[str],
+    selectable: np.ndarray,
+    y: np.ndarray,
+    plan: FoldPlan,
+    k_features: int,
+) -> list[FoldTask]:
+    """One task per fold of the plan; training rows keep the session order."""
+    row_of = {sid: i for i, sid in enumerate(session_ids)}
+    tasks = []
+    for fold in plan.folds:
+        test_ids = set(fold)
+        train_rows = np.array([row_of[sid] for sid in session_ids if sid not in test_ids], dtype=np.intp)
+        test_rows = np.array([row_of[sid] for sid in fold], dtype=np.intp)
+        tasks.append(FoldTask(X, selectable, y, train_rows, test_rows, k_features))
+    return tasks
 
 
 def cv_pooled_counts(
@@ -140,24 +192,57 @@ def cv_pooled_counts(
     plan: FoldPlan,
     k_features: int,
     svm_c: float,
-    spy: FoldSpy | None = None,
-    code: str = "total",
 ) -> list[FoldCounts]:
     """Run one cross-validated task, returning per-fold confusion counts."""
-    row_of = {sid: i for i, sid in enumerate(session_ids)}
-    out: list[FoldCounts] = []
-    for fi, fold in enumerate(plan.folds):
-        test_ids = set(fold)
-        train_ids = [sid for sid in session_ids if sid not in test_ids]
-        train_rows = np.array([row_of[sid] for sid in train_ids], dtype=np.intp)
-        test_rows = np.array([row_of[sid] for sid in fold], dtype=np.intp)
-        counts, mask, scaler = fit_fold_and_count(
-            X, selectable, y, train_rows, test_rows, k_features, svm_c
-        )
-        if spy is not None:
-            spy(code=code, fold=fi, train_ids=tuple(train_ids), test_ids=tuple(fold), mask=mask, scaler=scaler)
-        out.append(counts)
-    return out
+    tasks = _cv_tasks(X, session_ids, selectable, y, plan, k_features)
+    return [fit.counts for fit in fit_folds_and_count(tasks, svm_c)]
+
+
+def select_k_tasks(
+    X: np.ndarray,
+    session_ids: Sequence[str],
+    selectable: np.ndarray,
+    y_total: Mapping[str, bool],
+    k_grid: Sequence[int],
+    folds: int,
+    seed: int,
+) -> tuple[list[int], list[FoldTask]]:
+    """The K grid (clipped to the selectable count, ascending) and its fold
+    tasks, grid-major, on one plan stratified on the total-score labels.
+    Both are empty when no feature is selectable."""
+    if not k_grid:
+        raise ValidationError("k grid is empty")
+    if any(k < 1 for k in k_grid):
+        raise ValidationError("k grid entries must be positive")
+    n_selectable = int(selectable.sum())
+    if n_selectable == 0:
+        return [], []
+    y = np.array([_require_label(y_total, sid) for sid in session_ids], dtype=bool)
+    plan = make_folds(session_ids, folds, seed, dict(zip(session_ids, (bool(v) for v in y))))
+    ks = sorted({min(k, n_selectable) for k in k_grid})
+    return ks, [t for k in ks for t in _cv_tasks(X, session_ids, selectable, y, plan, k)]
+
+
+def best_k(ks: Sequence[int], fits: Sequence[FoldFit]) -> int:
+    """The K of `select_k_tasks` with the best pooled F1 over its folds;
+    ties prefer the smallest K, and an empty grid gives 0."""
+    if not ks:
+        return 0
+    n_folds = len(fits) // len(ks)
+    chosen, best_f1 = 0, -1.0
+    for g, k in enumerate(ks):
+        counts = [f.counts for f in fits[g * n_folds : (g + 1) * n_folds]]
+        f1 = pooled_f1([(c.tp, c.fp, c.fn) for c in counts])
+        if f1 > best_f1:
+            best_f1 = f1
+            chosen = k
+    return chosen
+
+
+def _require_label(labels: Mapping[str, bool], sid: str) -> bool:
+    if sid not in labels:
+        raise ValidationError(f"missing label for session {sid!r}")
+    return bool(labels[sid])
 
 
 @dataclass(frozen=True)
@@ -249,24 +334,47 @@ def run_protocol(
     spy: FoldSpy | None = None,
 ) -> EvalReport:
     """Full evaluation: choose K on the total-score labels, then run every
-    code task with per-fold selection, scaling, and SVM training."""
+    code task with per-fold selection, scaling, and SVM training.
+
+    The SVMs of each phase (every K x fold, then every code x fold) are
+    solved together.  The total task reuses the selection's fits at the
+    chosen K, which used the same plan, labels, and K."""
     ids = matrix.session_ids
     labels = _labels_by_code(ids, scores_by_id)
     selectable = np.asarray(matrix.selectable, dtype=bool)
 
-    chosen_k = select_k_by_cv(
-        matrix.X, ids, selectable, labels["total"], k_grid, n_folds, seed, svm_c
-    )
+    ks, selection = select_k_tasks(matrix.X, ids, selectable, labels["total"], k_grid, n_folds, seed)
+    selection_fits = fit_folds_and_count(selection, svm_c)
+    chosen_k = best_k(ks, selection_fits)
 
-    per_code: dict[str, CodeResult] = {}
+    tasks: dict[str, list[FoldTask]] = {}
     for code in list(CODES) + ["total"]:
         y = np.array([labels[code][sid] for sid in ids], dtype=bool)
         if y.all() or not y.any():
             raise ValidationError(f"code {code}: all sessions share one label; nothing to evaluate")
-        plan = make_folds(ids, n_folds, seed, labels[code])
-        counts = cv_pooled_counts(
-            matrix.X, ids, selectable, y, plan, chosen_k, svm_c, spy=spy, code=code
-        )
+        if code != "total" or not ks:
+            plan = make_folds(ids, n_folds, seed, labels[code])
+            tasks[code] = _cv_tasks(matrix.X, ids, selectable, y, plan, chosen_k)
+    flat = fit_folds_and_count([t for code_tasks in tasks.values() for t in code_tasks], svm_c)
+    fits = {code: flat[c * n_folds : (c + 1) * n_folds] for c, code in enumerate(tasks)}
+    if ks:
+        at = ks.index(chosen_k) * n_folds
+        tasks["total"] = selection[at : at + n_folds]
+        fits["total"] = selection_fits[at : at + n_folds]
+
+    per_code: dict[str, CodeResult] = {}
+    for code in list(CODES) + ["total"]:
+        if spy is not None:
+            for fi, (task, fit) in enumerate(zip(tasks[code], fits[code])):
+                spy(
+                    code=code,
+                    fold=fi,
+                    train_ids=tuple(ids[r] for r in task.train_rows),
+                    test_ids=tuple(ids[r] for r in task.test_rows),
+                    mask=fit.mask,
+                    scaler=fit.scaler,
+                )
+        counts = [fit.counts for fit in fits[code]]
         f1_high = pooled_f1([(c.tp, c.fp, c.fn) for c in counts])
         f1_low = pooled_f1([(c.tn, c.fn, c.fp) for c in counts])
         per_code[code] = CodeResult(f1_high=f1_high, f1_low=f1_low, folds=tuple(counts))
@@ -366,29 +474,26 @@ def five_by_two_cv_f_test(
     y = np.array([labels[code][sid] for sid in ids], dtype=bool)
     row_of = {sid: i for i, sid in enumerate(ids)}
 
-    ks = []
-    for matrix in (matrix_a, matrix_b):
-        selectable = np.asarray(matrix.selectable, dtype=bool)
+    selectables = [np.asarray(m.selectable, dtype=bool) for m in (matrix_a, matrix_b)]
+    grids, selection = [], []
+    for matrix, selectable in zip((matrix_a, matrix_b), selectables):
         grid = k_grid if k_grid else (min(64, matrix.X.shape[1]),)
-        k = select_k_by_cv(
-            matrix.X, ids, selectable, labels["total"], grid, selection_folds, seed, svm_c
-        )
-        ks.append(k)
+        ks, tasks = select_k_tasks(matrix.X, ids, selectable, labels["total"], grid, selection_folds, seed)
+        grids.append(ks)
+        selection.append(tasks)
+    selection_fits = fit_folds_and_count(selection[0] + selection[1], svm_c)
+    split = len(selection[0])
+    chosen = (best_k(grids[0], selection_fits[:split]), best_k(grids[1], selection_fits[split:]))
 
-    p = np.zeros((5, 2))
+    tasks = []
     for rep in range(5):
         plan = make_folds(ids, 2, seed + rep, labels[code])
         halves = [
             np.array([row_of[sid] for sid in fold], dtype=np.intp) for fold in plan.folds
         ]
-        for j, (train_rows, test_rows) in enumerate(((halves[0], halves[1]), (halves[1], halves[0]))):
-            errs = []
-            for matrix, k in zip((matrix_a, matrix_b), ks):
-                selectable = np.asarray(matrix.selectable, dtype=bool)
-                counts, _, _ = fit_fold_and_count(
-                    matrix.X, selectable, y, train_rows, test_rows, k, svm_c
-                )
-                n_test = len(test_rows)
-                errs.append((counts.fp + counts.fn) / n_test)
-            p[rep, j] = errs[0] - errs[1]
-    return combined_f_statistic(p)
+        for train_rows, test_rows in ((halves[0], halves[1]), (halves[1], halves[0])):
+            for matrix, selectable, k in zip((matrix_a, matrix_b), selectables, chosen):
+                tasks.append(FoldTask(matrix.X, selectable, y, train_rows, test_rows, k))
+    fits = fit_folds_and_count(tasks, svm_c)
+    errs = np.array([(f.counts.fp + f.counts.fn) / len(t.test_rows) for t, f in zip(tasks, fits)])
+    return combined_f_statistic((errs[0::2] - errs[1::2]).reshape(5, 2))

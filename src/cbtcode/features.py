@@ -295,33 +295,11 @@ def select_k_by_cv(
     fold.  Ties prefer the smallest k.  Returns 0 when no feature is
     selectable (pure tag-count sets).
     """
-    from .evaluate import cv_pooled_counts, make_folds, pooled_f1
+    from .evaluate import best_k, fit_folds_and_count, select_k_tasks
 
-    if not k_grid:
-        raise ValidationError("k grid is empty")
-    if any(k < 1 for k in k_grid):
-        raise ValidationError("k grid entries must be positive")
     selectable = np.asarray(selectable, dtype=bool)
-    n_selectable = int(selectable.sum())
-    if n_selectable == 0:
-        return 0
-    y = np.array([_require_label(y_total, sid) for sid in session_ids], dtype=bool)
-    plan = make_folds(session_ids, folds, seed, dict(zip(session_ids, (bool(v) for v in y))))
-    best_k = None
-    best_f1 = -1.0
-    for k in sorted({min(k, n_selectable) for k in k_grid}):
-        counts = cv_pooled_counts(X, session_ids, selectable, y, plan, k, svm_c)
-        f1 = pooled_f1([(tp, fp, fn) for tp, fp, fn, _ in counts])
-        if f1 > best_f1:
-            best_f1 = f1
-            best_k = k
-    return int(best_k)
-
-
-def _require_label(labels: Mapping[str, bool], sid: str) -> bool:
-    if sid not in labels:
-        raise ValidationError(f"missing label for session {sid!r}")
-    return bool(labels[sid])
+    ks, tasks = select_k_tasks(X, session_ids, selectable, y_total, k_grid, folds, seed)
+    return best_k(ks, fit_folds_and_count(tasks, svm_c))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .corpus import CodeScores, read_jsonl, read_lines
+from .corpus import CodeScores, read_jsonl, read_lines, tokens_from_records
 from .errors import MissingArtifactError, ParseError, ValidationError
 from .evaluate import EvalReport, FiveByTwoResult
 from .features import FeatureMatrix
@@ -44,15 +44,20 @@ def load_artifact(path: str | Path, kind: str) -> dict:
     path = Path(path)
     if not path.exists():
         raise MissingArtifactError(f"{kind} artifact not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc.msg})") from None
+    try:
+        doc = json.loads(path.read_bytes().decode("utf-8"))
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not valid UTF-8") from None
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: expected a JSON object, found {type(doc).__name__}")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValidationError(f"{path}: unsupported format_version {doc.get('format_version')!r}")
     if doc.get("kind") != kind:
         raise ValidationError(f"{path}: expected kind {kind!r}, found {doc.get('kind')!r}")
+    if not isinstance(doc.get("payload"), dict):
+        raise ValidationError(f"{path}: expected a payload object")
     return doc["payload"]
 
 
@@ -83,8 +88,6 @@ def tagged_session_to_record(session: TaggedSession) -> dict:
 
 def tagged_session_from_record(rec: dict, where: str) -> TaggedSession:
     """Build a TaggedSession from a parsed JSON record; every error message starts with `where`."""
-    from .corpus import Token
-
     try:
         if rec.get("format_version") != FORMAT_VERSION:
             raise ParseError("missing or unsupported format_version")
@@ -94,10 +97,7 @@ def tagged_session_from_record(rec: dict, where: str) -> TaggedSession:
         for ui, urec in enumerate(rec["utterances"]):
             if not isinstance(urec, dict) or "speaker" not in urec or "tokens" not in urec:
                 raise ParseError(f"utterance {ui}: expected object with speaker and tokens")
-            tokens = tuple(
-                Token(text=t["text"], start_s=float(t["start_s"]), end_s=float(t["end_s"]))
-                for t in urec["tokens"]
-            )
+            tokens = tokens_from_records(urec["tokens"], f"utterance {ui}")
             utts.append(
                 TaggedUtterance(
                     Utterance(

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .chain import forward_backward, viterbi
-from .corpus import CodeScores
+from .corpus import CodeScores, check_session_id
 from .errors import ValidationError
 from .optimize import OptResult, minimize_lbfgs
 
@@ -107,6 +107,9 @@ class TaggedSession:
     id: str
     utterances: tuple[TaggedUtterance, ...]
     scores: CodeScores | None = None
+
+    def __post_init__(self) -> None:
+        check_session_id(self.id)
 
     def therapist_utterances(self) -> list[TaggedUtterance]:
         return [tu for tu in self.utterances if tu.utterance.speaker == "therapist"]

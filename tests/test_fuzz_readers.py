@@ -1,4 +1,4 @@
-"""Property tests for the corpus and matrix readers.
+"""Property tests for the corpus, matrix and artifact readers.
 
 Each example writes a mutated file and reads it back.  The reader must either
 accept it or raise a CbtCodeError whose message starts with the file (and,
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from cbtcode.corpus import parse_corpus
 from cbtcode.errors import CbtCodeError
 from cbtcode.features import FeatureMatrix
-from cbtcode.serialize import read_matrix, write_matrix
+from cbtcode.serialize import load_artifact, read_matrix, write_matrix
 
 FUZZ = settings(
     max_examples=150,
@@ -172,3 +172,33 @@ def test_read_matrix_mutated_lines(tmp_path, edits, garbage):
     path = tmp_path / "fuzzed.mtx"
     path.write_bytes(b"\n".join(lines) + b"\n")
     assert_rejected_cleanly(read_matrix, path, per_line_only=False)
+
+
+VALID_ARTIFACT = {"format_version": 1, "kind": "linear_svm", "meta": {"tool": "cbtcode"}, "payload": {"bias": 0.5}}
+ARTIFACT_PATHS = [p for p in paths(VALID_ARTIFACT) if p]
+
+
+@FUZZ
+@given(
+    edits=st.lists(st.tuples(st.sampled_from(ARTIFACT_PATHS), JSON_VALUES, st.booleans()), max_size=3),
+    whole=st.none() | JSON_VALUES.map(lambda v: json.dumps(v).encode()) | st.binary(max_size=40),
+)
+@example(edits=[], whole=b"[1, 2]")  # a JSON list, not an object
+@example(edits=[], whole=b'{"format_version": 1, "kind": "linear_svm", "payload": {"bias": "\xff"}}')  # not UTF-8
+def test_load_artifact_mutated_file(tmp_path, edits, whole):
+    path = tmp_path / "model.json"
+    if whole is None:
+        doc = VALID_ARTIFACT
+        for location, value, delete in edits:
+            doc = mutate(doc, location, value, delete)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    else:
+        path.write_bytes(whole)
+    try:
+        payload = load_artifact(path, "linear_svm")
+    except CbtCodeError as exc:
+        message = str(exc)
+        assert message.startswith(f"{path}: "), message
+        assert message.count(str(path)) == 1, message
+    else:
+        assert isinstance(payload, dict)

@@ -434,6 +434,40 @@ def test_pipeline_config_with_threads_field_still_loads(tmp_path):
         PipelineConfig.from_payload({"workers": 2})
 
 
+def test_session_ids_with_spaces_and_non_ascii_survive_featurize_and_evaluate(workspace, tmp_path):
+    data = workspace["data"]
+    prefix = "séance ü "  # a shared prefix keeps the sorted order, hence the folds
+    records = [json.loads(line) for line in (data / "gold_tags.jsonl").read_text(encoding="utf-8").splitlines()]
+    renamed = tmp_path / "renamed.jsonl"
+    renamed.write_text(
+        "".join(json.dumps({**r, "id": prefix + r["id"]}) + "\n" for r in records), encoding="utf-8"
+    )
+    header, *rows = (data / "labels.csv").read_text(encoding="utf-8").splitlines()
+    labels = tmp_path / "labels.csv"
+    labels.write_text("\n".join([header, *(prefix + row for row in rows)]) + "\n", encoding="utf-8")
+    reports = []
+    for corpus, label_file, name in ((data / "gold_tags.jsonl", data / "labels.csv", "plain"), (renamed, labels, "renamed")):
+        matrix = tmp_path / f"{name}.mtx"
+        report = tmp_path / f"{name}.json"
+        assert main(["featurize", "--set", "tfidf", "--in", str(corpus), "--out", str(matrix)]) == 0
+        assert main(["evaluate", "--matrix", str(matrix), "--labels", str(label_file), "--k-grid", "8,16",
+                     "--report", str(report)]) == 0
+        reports.append(report.read_bytes())
+    assert read_matrix(tmp_path / "renamed.mtx").session_ids == tuple(prefix + r["id"] for r in records)
+    assert reports[0] == reports[1]
+
+
+def test_model_file_that_is_not_a_json_object_is_exit_2(workspace, tmp_path, capsys):
+    for body in (b"[1, 2]", b'{"kind": "\xff"}'):
+        model = tmp_path / "m.json"
+        model.write_bytes(body)
+        rc = main(["tag", "--scheme", "mc", "--model", str(model), "--in", str(workspace["data"] / "gold_tags.jsonl"),
+                   "--out", str(tmp_path / "out.jsonl")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{model}: " in err and err.count(str(model)) == 1, err
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     code = "import sys, cbtcode.cli; print('scipy.stats' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(cbtcode.__file__).parents[1])}
@@ -583,3 +617,41 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{corpus}, line 2: score for ag must be an integer, got {value!r}" in err
         assert err.count(str(corpus)) == 1
+
+    @pytest.mark.parametrize("time", ["0.5", True], ids=["string", "bool"])
+    @pytest.mark.parametrize("command", ["segment", "featurize"])
+    def test_token_time_that_is_not_a_number_is_exit_2_and_named_once(self, tmp_path, capsys, command, time):
+        token = {"text": "hi", "start_s": 0.0, "end_s": 0.2}
+        token["start_s" if time == "0.5" else "end_s"] = time
+        record = {"format_version": 1, "id": "s1", "scores": None}
+        if command == "segment":  # turn-level corpus
+            record["turns"] = [{"speaker": "therapist", "tokens": [token]}]
+            argv = ["segment", "--disable"]
+        else:  # tagged corpus
+            record["utterances"] = [{"speaker": "therapist", "index": 0, "tokens": [token], "da": None, "mc": None}]
+            argv = ["featurize", "--set", "tfidf"]
+        corpus = tmp_path / "bad_time.jsonl"
+        corpus.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
+        rc = main([*argv, "--in", str(corpus), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{corpus}, line 2: " in err and f"token times must be numbers, got {time!r}" in err
+        assert err.count(str(corpus)) == 1
+
+    @pytest.mark.parametrize("sid", ["s\n1", "s\r1"], ids=["newline", "return"])
+    @pytest.mark.parametrize("command", ["segment", "featurize"])
+    def test_session_id_with_line_break_is_exit_2(self, tmp_path, capsys, command, sid):
+        token = {"text": "hi", "start_s": 0.0, "end_s": 0.2}
+        record = {"format_version": 1, "id": sid, "scores": None}
+        if command == "segment":
+            record["turns"] = [{"speaker": "therapist", "tokens": [token]}]
+            argv = ["segment", "--disable"]
+        else:
+            record["utterances"] = [{"speaker": "therapist", "index": 0, "tokens": [token], "da": None, "mc": None}]
+            argv = ["featurize", "--set", "tfidf"]
+        corpus = tmp_path / "bad_id.jsonl"
+        corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        rc = main([*argv, "--in", str(corpus), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{corpus}, line 1: session id {sid!r} contains a line break" in err

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
-from cbtcode.errors import ValidationError
+import cbtcode.svm
+from cbtcode.errors import NumericalError, ValidationError
 from cbtcode.svm import (
+    ClassWeights,
     LinearModel,
+    SvmProblem,
     class_weights,
     decision_function,
     hinge_objective,
     predict,
     predict_many,
     train_svm,
+    train_svms,
 )
-from helpers import subgradient_hinge_oracle
+from helpers import smo_one_problem, subgradient_hinge_oracle
 
 
 class TestClassWeights:
@@ -146,6 +150,91 @@ class TestTrainSvm:
     def test_single_class_rejected(self):
         with pytest.raises(ValidationError):
             train_svm(np.ones((3, 2)), [True, True, True])
+
+
+def fold_like_problem(rng, n, d, C=1.0, weights=None, tol=1e-6, max_iter=1_000_000):
+    """Standardized features with a weak planted signal, as in a CV training fold."""
+    y = rng.random(n) < rng.uniform(0.3, 0.7)
+    y[0], y[1] = True, False
+    X = rng.normal(size=(n, d))
+    X[:, : max(1, d // 8)] += 0.8 * np.where(y, 1.0, -1.0)[:, None]
+    X = (X - X.mean(axis=0)) / X.std(axis=0)
+    return SvmProblem(X, y, C, weights, tol, max_iter)
+
+
+def mixed_problems():
+    """Sizes, dimensions, C and class weights mixed, with every way a solve stops."""
+    rng = np.random.default_rng(27)
+    problems = [
+        fold_like_problem(
+            rng,
+            n=int(rng.choice([48, 48, 48, 47, 30, 12])),
+            d=int(rng.choice([3, 16, 64, 128])),
+            C=float(rng.choice([0.1, 1.0, 10.0])),
+            weights=None
+            if rng.random() < 0.5
+            else ClassWeights(float(rng.uniform(0.5, 2)), float(rng.uniform(0.5, 2))),
+        )
+        for _ in range(50)
+    ]
+    problems += [
+        fold_like_problem(rng, 48, 16, C=1e-9),  # converges at the initial gap
+        # The positive (negative) class's box is below the 1e-12 free-set
+        # bound, so the up (low) set is empty from the start.
+        fold_like_problem(rng, 48, 16, weights=ClassWeights(1.0, 1e-13), tol=1e-30),
+        fold_like_problem(rng, 30, 16, weights=ClassWeights(1e-13, 1.0), tol=1e-30),
+        fold_like_problem(rng, 47, 64, tol=1e-30),  # runs until no violating pair is left
+    ]
+    return problems
+
+
+class TestTrainSvms:
+    def test_batch_equals_one_fit_at_a_time(self):
+        problems = mixed_problems()
+        for p, batched in zip(problems, train_svms(problems)):
+            alone = train_svm(p.X, p.y, p.C, p.weights, tol=p.tol, max_iter=p.max_iter)
+            weights = p.weights if p.weights is not None else class_weights(p.y)
+            w, bias, n_iter, gap, converged = smo_one_problem(p.X, p.y, p.C, weights, p.tol, p.max_iter)
+            for model in (batched, alone):
+                assert model.weights.tobytes() == w.tobytes()
+                assert (model.bias, model.n_iter, model.gap, model.converged) == (bias, n_iter, gap, converged)
+
+    def test_mixed_problems_cover_every_way_a_solve_stops(self, monkeypatch):
+        problems = mixed_problems()
+        models = train_svms(problems)
+        initial, empty_up, empty_low, no_pair = models[-4:]
+        assert initial.n_iter == 0 and initial.converged
+        assert empty_up.n_iter == 0 and not empty_up.converged
+        assert empty_low.n_iter == 0 and not empty_low.converged
+        assert no_pair.n_iter > 0 and not no_pair.converged
+        # A solve ends through an accepted Newton jump when it converges on a
+        # gap check and takes longer once jumps are refused.
+        monkeypatch.setattr(cbtcode.svm, "_newton_jump", lambda *args: None)
+        without_jumps = train_svms(problems)
+        jump_ended = [
+            m
+            for p, m, w in zip(problems, models, without_jumps)
+            if m.converged and m.n_iter > 0 and m.n_iter % max(64, len(p.y)) == 0 and w.n_iter > m.n_iter
+        ]
+        assert len(jump_ended) >= 5
+        assert len({len(p.y) for p in problems}) >= 4 and len({p.X.shape[1] for p in problems}) >= 4
+        assert sum(len(p.y) == 48 for p in problems) > 20  # more than one batch of one size
+
+    def test_max_iter_exhaustion_raises_the_first_failure_in_order(self):
+        rng = np.random.default_rng(13)
+        fine = fold_like_problem(rng, 48, 16)
+        first = fold_like_problem(rng, 30, 64, max_iter=7)
+        second = fold_like_problem(rng, 48, 64, max_iter=5)
+        with pytest.raises(NumericalError) as alone:
+            train_svm(first.X, first.y, first.C, first.weights, tol=first.tol, max_iter=first.max_iter)
+        # `second` shares a batch with `fine`, solved before the batch of `first`.
+        with pytest.raises(NumericalError) as batched:
+            train_svms([fine, first, second])
+        assert str(batched.value) == str(alone.value)
+        assert "max_iter=7" in str(batched.value)
+
+    def test_empty_list_gives_no_models(self):
+        assert train_svms([]) == []
 
 
 class TestPredict:
