@@ -13,7 +13,7 @@ from .corpus import (  # noqa: E402
     CodeLabels,
     CodeScores,
     Session,
-    Token,
+    Tokens,
     Turn,
     binarize_scores,
     parse_corpus,
@@ -22,8 +22,6 @@ from .corpus import (  # noqa: E402
 )
 from .chain import forward_backward, viterbi  # noqa: E402
 from .segmenter import (  # noqa: E402
-    Fragment,
-    Utterance,
     boundary_f1,
     make_boundary_training_data,
     pause_split,
@@ -36,8 +34,8 @@ from .tagger import (  # noqa: E402
     MC_TAG_SET,
     ChainCRF,
     TaggedSession,
-    TaggedUtterance,
     TagSet,
+    Utterance,
     UtteranceClassifier,
     crf_loglik_grad,
     tag_da,

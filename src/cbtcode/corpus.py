@@ -8,8 +8,10 @@ turns into low/high labels (per-code anchor 4, total threshold 40).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -31,24 +33,69 @@ FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class Token:
-    """One word with start/end times in seconds."""
+class Tokens:
+    """A run of words as three columns: texts and start/end times in seconds.
 
-    text: str
-    start_s: float
-    end_s: float
+    Every text is non-empty and holds no whitespace; times are finite,
+    starts are non-negative and do not decrease, and no word ends before it
+    starts.  Slicing gives a Tokens.
+    """
+
+    texts: tuple[str, ...]
+    start_s: tuple[float, ...]
+    end_s: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.text, str) or not self.text or any(c.isspace() for c in self.text):
-            raise ValidationError(f"token text must be a non-empty string without whitespace: {self.text!r}")
-        if not (math.isfinite(self.start_s) and math.isfinite(self.end_s)):
-            raise ValidationError(f"token {self.text!r} has non-finite times")
-        if self.start_s < 0:
-            raise ValidationError(f"token {self.text!r} has negative start time {self.start_s}")
-        if self.end_s < self.start_s:
-            raise ValidationError(
-                f"token {self.text!r} ends before it starts ({self.end_s} < {self.start_s})"
+        for name in ("texts", "start_s", "end_s"):
+            if type(getattr(self, name)) is not tuple:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+        texts, start, end = self.texts, self.start_s, self.end_s
+        if not len(texts) == len(start) == len(end):
+            raise ValidationError(f"token columns differ in length: {len(texts)}, {len(start)}, {len(end)}")
+        try:  # one pass of C-level builtins per rule over the whole run, copying no column
+            valid = (
+                " ".join(texts).split() == list(texts)
+                and all(map(math.isfinite, start))
+                and all(map(math.isfinite, end))
+                and min(start, default=0.0) >= 0
+                and all(map(operator.le, start, end))
+                and all(map(operator.le, start, itertools.islice(start, 1, None)))
             )
+        except TypeError:
+            valid = False
+        if not valid:
+            self._raise_first_fault()
+
+    def _raise_first_fault(self) -> None:
+        """Raise the error of the first token that breaks a rule, naming its index."""
+        for i, (text, start, end) in enumerate(zip(self.texts, self.start_s, self.end_s)):
+            prev = self.start_s[i - 1] if i else start
+            try:
+                fault = (
+                    "token text must be a non-empty string without whitespace"
+                    if not isinstance(text, str) or text.split() != [text]
+                    else "token has non-finite times" if not (math.isfinite(start) and math.isfinite(end))
+                    else f"token has negative start time {start}" if start < 0
+                    else f"token ends before it starts ({end} < {start})" if end < start
+                    else "tokens out of time order: starts before the token before it" if start < prev
+                    else None
+                )
+            except TypeError:
+                fault = "token times must be numbers"
+            if fault:
+                raise ValidationError(f"token {i} ({text!r}): {fault}")
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __getitem__(self, index: slice) -> "Tokens":
+        if not isinstance(index, slice):
+            raise TypeError("Tokens supports slicing only; index texts, start_s or end_s")
+        return Tokens(self.texts[index], self.start_s[index], self.end_s[index])
+
+    def records(self) -> list[dict]:
+        """The {"text", "start_s", "end_s"} JSON records of the tokens."""
+        return [{"text": t, "start_s": s, "end_s": e} for t, s, e in zip(self.texts, self.start_s, self.end_s)]
 
 
 @dataclass(frozen=True)
@@ -56,21 +103,13 @@ class Turn:
     """One speaker's uninterrupted sequence of tokens."""
 
     speaker: str
-    tokens: tuple[Token, ...]
+    tokens: Tokens
 
     def __post_init__(self) -> None:
         if self.speaker not in ROLES:
             raise ValidationError(f"unknown speaker role {self.speaker!r}; expected one of {ROLES}")
         if not self.tokens:
             raise ValidationError("turn has no tokens")
-        for a, b in zip(self.tokens, self.tokens[1:]):
-            if b.start_s < a.start_s:
-                raise ValidationError(
-                    f"tokens out of time order in turn: {b.text!r} starts before {a.text!r}"
-                )
-
-    def words(self) -> list[str]:
-        return [t.text for t in self.tokens]
 
 
 @dataclass(frozen=True)
@@ -145,13 +184,6 @@ class Session:
             raise ValidationError("session id must be non-empty")
         check_session_id(self.id)
 
-    def therapist_tokens(self) -> list[Token]:
-        out: list[Token] = []
-        for turn in self.turns:
-            if turn.speaker == THERAPIST:
-                out.extend(turn.tokens)
-        return out
-
 
 def total_ctrs(scores: CodeScores) -> int:
     """Sum of the 11 code scores; range [0, 66]."""
@@ -170,16 +202,34 @@ def binarize_scores(scores: CodeScores) -> CodeLabels:
 # Corpus file IO: UTF-8 JSONL, one session record per line.
 
 
-_TIME_TYPES = (int, float)  # JSON numbers; bool is a subclass of int but not one of these types
+_TOKEN_FIELDS = operator.itemgetter("text", "start_s", "end_s")
+_TIME_TYPES = {int, float}  # JSON numbers; bool is a subclass of int but not one of these types
 
 
-def tokens_from_records(recs: Iterable[object], where: str) -> tuple[Token, ...]:
-    """Tokens from their JSON records; times must be JSON numbers (not
+def tokens_from_records(recs: list, where: str) -> Tokens:
+    """Tokens from a list of JSON records; times must be JSON numbers (not
     booleans or strings).  An error names `where` and the token's index."""
-    tokens = []
+    try:
+        texts, start_s, end_s = zip(*map(_TOKEN_FIELDS, recs)) if recs else ((), (), ())
+        types = set(map(type, start_s)) | set(map(type, end_s))
+        if types != {float}:  # JSON integers become floats
+            if not types <= _TIME_TYPES:
+                raise TypeError
+            start_s, end_s = tuple(map(float, start_s)), tuple(map(float, end_s))
+    except (KeyError, TypeError, OverflowError):
+        _raise_record_fault(recs, where)
+    try:
+        return Tokens(texts, start_s, end_s)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}, {exc}") from None
+
+
+def _raise_record_fault(recs: list, where: str) -> None:
+    """Raise the ParseError of the first token record that is not an object
+    holding text and numeric times."""
     for ti, rec in enumerate(recs):
         try:
-            text, start_s, end_s = rec["text"], rec["start_s"], rec["end_s"]  # type: ignore[index]
+            _, start_s, end_s = _TOKEN_FIELDS(rec)
         except KeyError as exc:
             raise ParseError(f"{where}, token {ti}: token record missing field {exc}") from None
         except TypeError:
@@ -189,10 +239,9 @@ def tokens_from_records(recs: Iterable[object], where: str) -> tuple[Token, ...]
             bad = end_s if type(start_s) in _TIME_TYPES else start_s
             raise ParseError(f"{where}, token {ti}: token times must be numbers, got {bad!r}")
         try:
-            tokens.append(Token(text=text, start_s=float(start_s), end_s=float(end_s)))
+            float(start_s), float(end_s)
         except OverflowError:
             raise ParseError(f"{where}, token {ti}: token time too large") from None
-    return tuple(tokens)
 
 
 def session_from_record(rec: dict, where: str = "record") -> Session:
@@ -226,9 +275,7 @@ def session_to_record(session: Session) -> dict:
         "turns": [
             {
                 "speaker": turn.speaker,
-                "tokens": [
-                    {"text": t.text, "start_s": t.start_s, "end_s": t.end_s} for t in turn.tokens
-                ],
+                "tokens": turn.tokens.records(),
             }
             for turn in session.turns
         ],
@@ -263,6 +310,21 @@ def read_jsonl(path: Path) -> Iterator[tuple[str, dict]]:
         if not isinstance(rec, dict):
             raise ParseError(f"{where}: expected a JSON object")
         yield where, rec
+
+
+def read_json_file(path: Path, what: str) -> dict:
+    """The JSON object a UTF-8 file holds; every error names the file."""
+    if not path.exists():
+        raise MissingArtifactError(f"{what} not found: {path}")
+    try:
+        doc = json.loads(path.read_bytes().decode("utf-8"))
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not valid UTF-8") from None
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: expected a JSON object, found {type(doc).__name__}")
+    return doc
 
 
 def parse_corpus(path: str | Path) -> list[Session]:

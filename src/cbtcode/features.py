@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .tagger import TagSet, TaggedUtterance
+from .tagger import TagSet, Utterance
 from .util import corpus_fingerprint
 
 PROVENANCES = ("tfidf", "tag_counts", "augmented_tfidf", "concat")
@@ -151,7 +151,7 @@ def tag_block_space(scheme: TagSet, fingerprint: str, n_docs: int) -> FeatureSpa
 
 
 def tag_count_features(
-    tagged: Sequence[TaggedUtterance],
+    tagged: Sequence[Utterance],
     scheme: TagSet,
     *,
     total_words: int | None = None,
@@ -171,12 +171,12 @@ def tag_count_features(
     utt_counts = np.zeros(k)
     word_counts = np.zeros(k)
     n_words = 0
-    for tu in tagged:
-        tag = tu.tag(scheme.name)
+    for u in tagged:
+        tag = u.tag(scheme.name)
         if tag is None:
             raise ValidationError(f"utterance without a {scheme.name} tag")
         j = scheme.index(tag)
-        w = len(tu.utterance.tokens)
+        w = len(u.tokens)
         utt_counts[j] += 1
         word_counts[j] += w
         n_words += w
@@ -189,14 +189,14 @@ def tag_count_features(
     return out
 
 
-def augment_tokens(tagged: Sequence[TaggedUtterance], scheme: TagSet) -> list[str]:
+def augment_tokens(tagged: Sequence[Utterance], scheme: TagSet) -> list[str]:
     """Rewrite each token as word|TAG using its utterance's tag, order preserved."""
     out: list[str] = []
-    for tu in tagged:
-        tag = tu.tag(scheme.name)
+    for u in tagged:
+        tag = u.tag(scheme.name)
         if tag is None:
             raise ValidationError(f"cannot augment: utterance without a {scheme.name} tag")
-        out.extend(f"{tok.text}|{tag}" for tok in tu.utterance.tokens)
+        out.extend(f"{text}|{tag}" for text in u.tokens.texts)
     return out
 
 

@@ -7,8 +7,7 @@ mc-tfidf (tf-idf over word|TAG augmented tokens).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -27,17 +26,17 @@ from .features import (
     tag_count_features,
     tfidf_matrix,
 )
-from .segmenter import DEFAULT_PAUSE_THRESHOLD, BoundaryModel, Utterance, segment_session
+from .segmenter import DEFAULT_PAUSE_THRESHOLD, BoundaryModel, segment_session
 from .tagger import (
     TAG_SETS,
     ChainCRF,
     TaggedSession,
-    TaggedUtterance,
+    Utterance,
     UtteranceClassifier,
     tag_da,
     tag_mc,
 )
-from .util import corpus_fingerprint, ordered_map
+from .util import corpus_fingerprint, ordered_map, read_config
 
 FEATURE_SETS = ("tfidf", "da", "mc", "tfidf+da", "tfidf+mc", "da-tfidf", "mc-tfidf")
 
@@ -82,18 +81,7 @@ class PipelineConfig:
             raise ValidationError("svm C must be positive")
 
     def to_payload(self) -> dict:
-        return {
-            "feature_set": self.feature_set,
-            "pause_threshold": self.pause_threshold,
-            "segmentation": self.segmentation,
-            "max_df": self.max_df,
-            "min_df": self.min_df,
-            "k_grid": list(self.k_grid),
-            "svm_c": self.svm_c,
-            "folds": self.folds,
-            "seed": self.seed,
-            "word_denominator": self.word_denominator,
-        }
+        return asdict(self)
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "PipelineConfig":
@@ -109,11 +97,7 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        path = Path(path)
-        if not path.exists():
-            raise MissingArtifactError(f"pipeline config not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_payload(json.load(fh))
+        return read_config(cls, path, "pipeline config")
 
 
 def required_scheme(feature_set: str) -> str | None:
@@ -126,10 +110,7 @@ def utterances_to_session(tagged: TaggedSession) -> Session:
     """Materialize utterances as one turn each (segmented corpus form)."""
     return Session(
         id=tagged.id,
-        turns=tuple(
-            Turn(speaker=tu.utterance.speaker, tokens=tu.utterance.tokens)
-            for tu in tagged.utterances
-        ),
+        turns=tuple(Turn(speaker=u.speaker, tokens=u.tokens) for u in tagged.utterances),
         scores=tagged.scores,
     )
 
@@ -137,9 +118,7 @@ def utterances_to_session(tagged: TaggedSession) -> Session:
 def session_to_utterances(session: Session) -> TaggedSession:
     """Read a segmented corpus record back as untagged utterances."""
     utts = tuple(
-        TaggedUtterance(
-            Utterance(tokens=turn.tokens, speaker=turn.speaker, index_in_session=i)
-        )
+        Utterance(tokens=turn.tokens, speaker=turn.speaker, index_in_session=i)
         for i, turn in enumerate(session.turns)
     )
     return TaggedSession(id=session.id, utterances=utts, scores=session.scores)
@@ -154,11 +133,7 @@ def segment_corpus(
 
     def one(session: Session) -> TaggedSession:
         utts = segment_session(session, model, threshold)
-        return TaggedSession(
-            id=session.id,
-            utterances=tuple(TaggedUtterance(u) for u in utts),
-            scores=session.scores,
-        )
+        return TaggedSession(id=session.id, utterances=tuple(utts), scores=session.scores)
 
     return ordered_map(one, sessions)
 
@@ -172,21 +147,11 @@ def tag_corpus(
     if scheme not in TAG_SETS:
         raise ValidationError(f"unknown tag scheme {scheme!r}")
 
+    tag = tag_da if scheme == "da" else tag_mc
+
     def one(session: TaggedSession) -> TaggedSession:
-        utts = [tu.utterance for tu in session.utterances]
-        if scheme == "da":
-            fresh = tag_da(utts, model)
-            merged = tuple(
-                TaggedUtterance(tu.utterance, da=new.da, mc=tu.mc)
-                for tu, new in zip(session.utterances, fresh)
-            )
-        else:
-            fresh = tag_mc(utts, model)
-            merged = tuple(
-                TaggedUtterance(tu.utterance, da=tu.da, mc=new.mc)
-                for tu, new in zip(session.utterances, fresh)
-            )
-        return TaggedSession(id=session.id, utterances=merged, scores=session.scores)
+        utts = tuple(tag(session.utterances, model))
+        return TaggedSession(id=session.id, utterances=utts, scores=session.scores)
 
     return ordered_map(one, sessions)
 
@@ -218,10 +183,7 @@ def build_feature_matrix(
         if augmented:
             docs = [(s.id, augment_tokens(utts, scheme)) for s, utts in zip(sessions, therapist)]
         else:
-            docs = [
-                (s.id, [t.text for tu in utts for t in tu.utterance.tokens])
-                for s, utts in zip(sessions, therapist)
-            ]
+            docs = [(s.id, [w for u in utts for w in u.tokens.texts]) for s, utts in zip(sessions, therapist)]
         space = fit_tfidf(docs, max_df, min_df, provenance="augmented_tfidf" if augmented else "tfidf")
         X = tfidf_matrix(docs, space)
     if scheme is not None and not augmented:
@@ -230,7 +192,7 @@ def build_feature_matrix(
             tag_count_features(
                 utts,
                 scheme,
-                total_words=sum(len(tu.utterance.tokens) for tu in s.utterances)
+                total_words=sum(len(u.tokens) for u in s.utterances)
                 if word_denominator == "session"
                 else None,
             )

@@ -1,21 +1,22 @@
 """Turn splitting and utterance segmentation.
 
 Turns are first split wherever the pause between consecutive words exceeds
-the threshold (strictly; default 2.0 s).  Each resulting fragment is then
-segmented into utterances by a trainable two-label sequence model
+the threshold (strictly; default 2.0 s).  Each resulting fragment, itself a
+Turn, is then segmented into utterances by a trainable two-label sequence model
 (INSIDE/BOUNDARY) decoded with Viterbi; an utterance ends at every BOUNDARY
 token and at the fragment's final token.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import warnings
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .corpus import Session, Token, Turn
+from .corpus import Session, Turn
 from .errors import ValidationError
-from .tagger import ChainCRF, LabeledSequence, train_chain_crf
+from .tagger import ChainCRF, LabeledSequence, Utterance, train_chain_crf
 
 DEFAULT_PAUSE_THRESHOLD = 2.0
 
@@ -31,49 +32,17 @@ BOUNDARY_FEATURE_TEMPLATE = "current/prev/next lowercased token + position bucke
 BoundaryModel = ChainCRF
 
 
-@dataclass(frozen=True)
-class Fragment:
-    """A pause-free run of tokens from a single turn."""
-
-    tokens: tuple[Token, ...]
-    speaker: str
-    turn_index: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.tokens:
-            raise ValidationError("fragment has no tokens")
-
-
-@dataclass(frozen=True)
-class Utterance:
-    """A segmented utterance; the unit consumed by the taggers."""
-
-    tokens: tuple[Token, ...]
-    speaker: str
-    index_in_session: int
-
-    def __post_init__(self) -> None:
-        if not self.tokens:
-            raise ValidationError("utterance has no tokens")
-
-    def words(self) -> list[str]:
-        return [t.text for t in self.tokens]
-
-
-def pause_split(turn: Turn, threshold: float = DEFAULT_PAUSE_THRESHOLD, turn_index: int = 0) -> list[Fragment]:
+def pause_split(turn: Turn, threshold: float = DEFAULT_PAUSE_THRESHOLD) -> list[Turn]:
     """Split a turn between tokens whose gap exceeds threshold (strictly)."""
     if threshold <= 0:
         raise ValidationError(f"pause threshold must be positive, got {threshold}")
-    fragments: list[Fragment] = []
-    current: list[Token] = [turn.tokens[0]]
-    for prev, tok in zip(turn.tokens, turn.tokens[1:]):
-        if tok.start_s - prev.end_s > threshold:
-            fragments.append(Fragment(tuple(current), turn.speaker, turn_index))
-            current = [tok]
-        else:
-            current.append(tok)
-    fragments.append(Fragment(tuple(current), turn.speaker, turn_index))
-    return fragments
+    tokens = turn.tokens
+    gaps = map(operator.sub, itertools.islice(tokens.start_s, 1, None), tokens.end_s)
+    cuts = [i for i, gap in enumerate(gaps, 1) if gap > threshold]
+    if not cuts:  # the common case: keep the turn rather than copy its columns
+        return [turn]
+    bounds = [0, *cuts, len(tokens)]
+    return [Turn(turn.speaker, tokens[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def _position_bucket(i: int) -> str:
@@ -162,27 +131,17 @@ def train_boundary_model(
     )
 
 
-def segment(fragment: Fragment, model: BoundaryModel, start_index: int = 0) -> list[Utterance]:
-    """Split a fragment into utterances at Viterbi-decoded BOUNDARY tokens."""
+def segment(fragment: Turn, model: BoundaryModel, start_index: int = 0) -> list[Utterance]:
+    """Split a pause-free fragment into utterances at Viterbi-decoded BOUNDARY tokens."""
     if model.scheme != "boundary":
         raise ValidationError(f"model tags scheme {model.scheme!r}, expected 'boundary'")
-    words = [t.text for t in fragment.tokens]
-    path = model.decode(boundary_features(words))
+    path = model.decode(boundary_features(fragment.tokens.texts))
     boundary_idx = model.labels.index(BOUNDARY)
-    utterances: list[Utterance] = []
-    start = 0
-    for i, lab in enumerate(path):
-        last = i == len(path) - 1
-        if lab == boundary_idx or last:
-            utterances.append(
-                Utterance(
-                    tokens=fragment.tokens[start : i + 1],
-                    speaker=fragment.speaker,
-                    index_in_session=start_index + len(utterances),
-                )
-            )
-            start = i + 1
-    return utterances
+    ends = [i + 1 for i, lab in enumerate(path[:-1]) if lab == boundary_idx] + [len(path)]
+    return [
+        Utterance(tokens=fragment.tokens[a:b], speaker=fragment.speaker, index_in_session=start_index + n)
+        for n, (a, b) in enumerate(zip([0, *ends], ends))
+    ]
 
 
 def segment_session(
@@ -196,16 +155,10 @@ def segment_session(
     becomes a single utterance.
     """
     utterances: list[Utterance] = []
-    for ti, turn in enumerate(session.turns):
-        for fragment in pause_split(turn, threshold, turn_index=ti):
+    for turn in session.turns:
+        for fragment in pause_split(turn, threshold):
             if model is None:
-                utterances.append(
-                    Utterance(
-                        tokens=fragment.tokens,
-                        speaker=fragment.speaker,
-                        index_in_session=len(utterances),
-                    )
-                )
+                utterances.append(Utterance(fragment.tokens, fragment.speaker, index_in_session=len(utterances)))
             else:
                 utterances.extend(segment(fragment, model, start_index=len(utterances)))
     return utterances

@@ -8,21 +8,22 @@ identical runs produce identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import __version__
-from .corpus import CodeScores, read_jsonl, read_lines, tokens_from_records
+from .corpus import CodeScores, read_json_file, read_jsonl, read_lines, tokens_from_records
 from .errors import MissingArtifactError, ParseError, ValidationError
 from .evaluate import EvalReport, FiveByTwoResult
 from .features import FeatureMatrix
-from .segmenter import Utterance
+from .segmenter import BOUNDARY_LABELS
 from .svm import LinearModel
-from .tagger import ChainCRF, TaggedSession, TaggedUtterance, UtteranceClassifier
+from .tagger import TAG_SETS, ChainCRF, TaggedSession, Utterance, UtteranceClassifier
 
 FORMAT_VERSION = 1
 
@@ -42,16 +43,7 @@ def save_artifact(path: str | Path, kind: str, payload: dict) -> None:
 
 def load_artifact(path: str | Path, kind: str) -> dict:
     path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(f"{kind} artifact not found: {path}")
-    try:
-        doc = json.loads(path.read_bytes().decode("utf-8"))
-    except UnicodeDecodeError:
-        raise ParseError(f"{path}: not valid UTF-8") from None
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"{path}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: expected a JSON object, found {type(doc).__name__}")
+    doc = read_json_file(path, f"{kind} artifact")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValidationError(f"{path}: unsupported format_version {doc.get('format_version')!r}")
     if doc.get("kind") != kind:
@@ -72,16 +64,13 @@ def tagged_session_to_record(session: TaggedSession) -> dict:
         "scores": session.scores.to_dict() if session.scores is not None else None,
         "utterances": [
             {
-                "speaker": tu.utterance.speaker,
-                "index": tu.utterance.index_in_session,
-                "tokens": [
-                    {"text": t.text, "start_s": t.start_s, "end_s": t.end_s}
-                    for t in tu.utterance.tokens
-                ],
-                "da": tu.da,
-                "mc": tu.mc,
+                "speaker": u.speaker,
+                "index": u.index_in_session,
+                "tokens": u.tokens.records(),
+                "da": u.da,
+                "mc": u.mc,
             }
-            for tu in session.utterances
+            for u in session.utterances
         ],
     }
 
@@ -91,20 +80,20 @@ def tagged_session_from_record(rec: dict, where: str) -> TaggedSession:
     try:
         if rec.get("format_version") != FORMAT_VERSION:
             raise ParseError("missing or unsupported format_version")
-        if "id" not in rec or "utterances" not in rec:
-            raise ParseError("tagged session record needs id and utterances")
+        if "id" not in rec or not isinstance(rec.get("utterances"), list):
+            raise ParseError("tagged session record needs an id and a list of utterances")
         utts = []
         for ui, urec in enumerate(rec["utterances"]):
-            if not isinstance(urec, dict) or "speaker" not in urec or "tokens" not in urec:
-                raise ParseError(f"utterance {ui}: expected object with speaker and tokens")
-            tokens = tokens_from_records(urec["tokens"], f"utterance {ui}")
+            if not isinstance(urec, dict) or "speaker" not in urec or not isinstance(urec.get("tokens"), list):
+                raise ParseError(f"utterance {ui}: expected object with speaker and a list of tokens")
+            index = urec.get("index", ui)
+            if type(index) is not int or index < 0:
+                raise ParseError(f"utterance {ui}: index must be a non-negative integer, got {index!r}")
             utts.append(
-                TaggedUtterance(
-                    Utterance(
-                        tokens=tokens,
-                        speaker=urec["speaker"],
-                        index_in_session=int(urec.get("index", ui)),
-                    ),
+                Utterance(
+                    tokens=tokens_from_records(urec["tokens"], f"utterance {ui}"),
+                    speaker=urec["speaker"],
+                    index_in_session=index,
                     da=urec.get("da"),
                     mc=urec.get("mc"),
                 )
@@ -113,8 +102,6 @@ def tagged_session_from_record(rec: dict, where: str) -> TaggedSession:
         return TaggedSession(id=str(rec["id"]), utterances=tuple(utts), scores=scores)
     except ValidationError as exc:
         raise type(exc)(f"{where}: {exc}") from None
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{where}: malformed record ({type(exc).__name__}: {exc})") from None
 
 
 def write_tagged_corpus(sessions: Sequence[TaggedSession], path: str | Path) -> None:
@@ -159,84 +146,42 @@ def sniff_corpus_kind(path: str | Path) -> str:
 # Models
 
 
+def _tagger_payload(model: ChainCRF | UtteranceClassifier, **arrays: np.ndarray) -> dict:
+    return {
+        "scheme": model.scheme,
+        "labels": list(model.labels),
+        "feature_names": list(model.feature_names),
+        "weights": model.weights.tolist(),
+        **{name: a.tolist() for name, a in arrays.items()},
+        "l2": model.l2,
+        "n_iter": model.n_iter,
+        "grad_norm": model.grad_norm,
+        "converged": model.converged,
+        "feature_template": model.feature_template,
+    }
+
+
 def save_chain_crf(model: ChainCRF, path: str | Path) -> None:
-    save_artifact(
-        path,
-        "chain_crf",
-        {
-            "scheme": model.scheme,
-            "labels": list(model.labels),
-            "feature_names": list(model.feature_names),
-            "weights": [[float(v) for v in row] for row in model.weights],
-            "transitions": [[float(v) for v in row] for row in model.transitions],
-            "l2": model.l2,
-            "n_iter": model.n_iter,
-            "grad_norm": model.grad_norm,
-            "converged": model.converged,
-            "feature_template": model.feature_template,
-        },
-    )
+    save_artifact(path, "chain_crf", _tagger_payload(model, transitions=model.transitions))
 
 
 def load_chain_crf(path: str | Path, expect_scheme: str | None = None) -> ChainCRF:
+    path = Path(path)
     p = load_artifact(path, "chain_crf")
-    model = ChainCRF(
-        scheme=p["scheme"],
-        labels=tuple(p["labels"]),
-        feature_names=tuple(p["feature_names"]),
-        weights=np.array(p["weights"], dtype=float),
-        transitions=np.array(p["transitions"], dtype=float),
-        l2=float(p["l2"]),
-        n_iter=int(p["n_iter"]),
-        grad_norm=float(p["grad_norm"]),
-        converged=bool(p["converged"]),
-        feature_template=p.get("feature_template", ""),
-    )
-    if expect_scheme is not None and model.scheme != expect_scheme:
-        raise ValidationError(
-            f"{path}: model tags scheme {model.scheme!r}, expected {expect_scheme!r}"
-        )
-    return model
+    fields = _tagger_fields(p, path, expect_scheme)
+    k = len(fields["labels"])
+    return ChainCRF(**fields, transitions=_array(p, path, "transitions", (k, k)))
 
 
 def save_utterance_classifier(model: UtteranceClassifier, path: str | Path) -> None:
-    save_artifact(
-        path,
-        "utterance_classifier",
-        {
-            "scheme": model.scheme,
-            "labels": list(model.labels),
-            "feature_names": list(model.feature_names),
-            "weights": [[float(v) for v in row] for row in model.weights],
-            "bias": [float(v) for v in model.bias],
-            "l2": model.l2,
-            "n_iter": model.n_iter,
-            "grad_norm": model.grad_norm,
-            "converged": model.converged,
-            "feature_template": model.feature_template,
-        },
-    )
+    save_artifact(path, "utterance_classifier", _tagger_payload(model, bias=model.bias))
 
 
 def load_utterance_classifier(path: str | Path, expect_scheme: str | None = None) -> UtteranceClassifier:
+    path = Path(path)
     p = load_artifact(path, "utterance_classifier")
-    model = UtteranceClassifier(
-        scheme=p["scheme"],
-        labels=tuple(p["labels"]),
-        feature_names=tuple(p["feature_names"]),
-        weights=np.array(p["weights"], dtype=float),
-        bias=np.array(p["bias"], dtype=float),
-        l2=float(p["l2"]),
-        n_iter=int(p["n_iter"]),
-        grad_norm=float(p["grad_norm"]),
-        converged=bool(p["converged"]),
-        feature_template=p.get("feature_template", ""),
-    )
-    if expect_scheme is not None and model.scheme != expect_scheme:
-        raise ValidationError(
-            f"{path}: model tags scheme {model.scheme!r}, expected {expect_scheme!r}"
-        )
-    return model
+    fields = _tagger_fields(p, path, expect_scheme)
+    return UtteranceClassifier(**fields, bias=_array(p, path, "bias", (len(fields["labels"]),)))
 
 
 def save_linear_model(model: LinearModel, path: str | Path, code: str | None = None) -> None:
@@ -245,7 +190,7 @@ def save_linear_model(model: LinearModel, path: str | Path, code: str | None = N
         "linear_svm",
         {
             "code": code,
-            "weights": [float(v) for v in model.weights],
+            "weights": model.weights.tolist(),
             "bias": model.bias,
             "C": model.C,
             "weight_low": model.weight_low,
@@ -255,36 +200,94 @@ def save_linear_model(model: LinearModel, path: str | Path, code: str | None = N
             "converged": model.converged,
             "space_fingerprint": model.space_fingerprint,
             "feature_mask": list(model.feature_mask) if model.feature_mask is not None else None,
-            "scaler_mean": [float(v) for v in model.scaler_mean]
-            if model.scaler_mean is not None
-            else None,
-            "scaler_std": [float(v) for v in model.scaler_std]
-            if model.scaler_std is not None
-            else None,
+            "scaler_mean": model.scaler_mean.tolist() if model.scaler_mean is not None else None,
+            "scaler_std": model.scaler_std.tolist() if model.scaler_std is not None else None,
         },
     )
 
 
 def load_linear_model(path: str | Path) -> LinearModel:
+    path = Path(path)
     p = load_artifact(path, "linear_svm")
+    d = len(_field(p, path, "weights", "list"))
+    mask, mean, std = (p.get(name) is not None for name in ("feature_mask", "scaler_mean", "scaler_std"))
+    if mask and not (len(_field(p, path, "feature_mask", "counts")) == d and len(set(p["feature_mask"])) == d):
+        raise ValidationError(f"{path}: payload field 'feature_mask' must hold {d} distinct indices")
     return LinearModel(
-        weights=np.array(p["weights"], dtype=float),
-        bias=float(p["bias"]),
-        C=float(p["C"]),
-        weight_low=float(p["weight_low"]),
-        weight_high=float(p["weight_high"]),
-        n_iter=int(p["n_iter"]),
-        gap=float(p["gap"]),
-        converged=bool(p["converged"]),
-        space_fingerprint=p.get("space_fingerprint"),
-        feature_mask=tuple(p["feature_mask"]) if p.get("feature_mask") is not None else None,
-        scaler_mean=np.array(p["scaler_mean"], dtype=float)
-        if p.get("scaler_mean") is not None
-        else None,
-        scaler_std=np.array(p["scaler_std"], dtype=float)
-        if p.get("scaler_std") is not None
-        else None,
+        weights=_array(p, path, "weights", (d,)),
+        **{name: float(_field(p, path, name, "number")) for name in ("bias", "C", "weight_low", "weight_high", "gap")},
+        n_iter=_field(p, path, "n_iter", "count"),
+        converged=_field(p, path, "converged", "bool"),
+        space_fingerprint=None if p.get("space_fingerprint") is None else _field(p, path, "space_fingerprint", "str"),
+        feature_mask=tuple(p["feature_mask"]) if mask else None,
+        scaler_mean=_array(p, path, "scaler_mean", (d,)) if mean else None,
+        scaler_std=_array(p, path, "scaler_std", (d,)) if std else None,
     )
+
+
+# Model payload fields: each error names the file and the field.
+
+_KINDS: dict[str, tuple[str, Callable[[object], bool]]] = {
+    "number": ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),  # type: ignore[arg-type]
+    "count": ("a non-negative integer", lambda v: type(v) is int and v >= 0),  # type: ignore[operator]
+    "bool": ("a boolean", lambda v: type(v) is bool),
+    "str": ("a string", lambda v: type(v) is str),
+    "list": ("a list", lambda v: type(v) is list),
+    "strs": ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v)),
+    "counts": ("a list of indices", lambda v: type(v) is list and all(type(i) is int and i >= 0 for i in v)),
+}
+_MISSING = object()
+_SCHEME_LABELS = {"boundary": BOUNDARY_LABELS, **{name: tags.labels for name, tags in TAG_SETS.items()}}
+
+
+def _field(p: dict, path: Path, name: str, kind: str, default: object = _MISSING):
+    """p[name], of the kind named; a missing field gives default if there is one."""
+    if name not in p and default is not _MISSING:
+        return default
+    if name not in p:
+        raise ValidationError(f"{path}: payload field {name!r} is missing")
+    want, ok = _KINDS[kind]
+    if not ok(p[name]):
+        raise ValidationError(f"{path}: payload field {name!r} must be {want}")
+    return p[name]
+
+
+def _array(p: dict, path: Path, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The field as a float array of this shape, read from (nested) lists of finite JSON numbers."""
+    value = _field(p, path, name, "list")
+    try:  # a row that is not a list, ragged rows or a huge integer raise
+        arr = np.array(value, dtype=float)
+        items = itertools.chain.from_iterable(value) if len(shape) == 2 else value
+        ok = set(map(type, items)) <= {int, float} and (arr.shape == shape or value == [] and shape[0] == 0)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok or not np.isfinite(arr).all():
+        want = " x ".join(map(str, shape))
+        raise ValidationError(f"{path}: payload field {name!r} must be a {want} array of finite numbers")
+    return arr.reshape(shape)
+
+
+def _tagger_fields(p: dict, path: Path, expect_scheme: str | None) -> dict:
+    """The fields a chain CRF and an utterance classifier share."""
+    scheme = _field(p, path, "scheme", "str")
+    if expect_scheme is not None and scheme != expect_scheme:
+        raise ValidationError(f"{path}: model tags scheme {scheme!r}, expected {expect_scheme!r}")
+    labels = _field(p, path, "labels", "strs")
+    known = _SCHEME_LABELS.get(scheme, labels)
+    if not labels or len(set(labels)) != len(labels) or sorted(labels) != sorted(known):
+        raise ValidationError(f"{path}: payload field 'labels' must be distinct {scheme} labels, got {labels}")
+    names = _field(p, path, "feature_names", "strs")
+    return {
+        "scheme": scheme,
+        "labels": tuple(labels),
+        "feature_names": tuple(names),
+        "weights": _array(p, path, "weights", (len(names), len(labels))),
+        "l2": float(_field(p, path, "l2", "number")),
+        "n_iter": _field(p, path, "n_iter", "count"),
+        "grad_norm": float(_field(p, path, "grad_norm", "number")),
+        "converged": _field(p, path, "converged", "bool"),
+        "feature_template": _field(p, path, "feature_template", "str", ""),
+    }
 
 
 def save_feature_space(matrix: FeatureMatrix, path: str | Path) -> None:

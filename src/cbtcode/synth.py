@@ -12,17 +12,16 @@ baselines informative without giving away the planted rules.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .corpus import CODES, CodeScores, Session, Token, Turn
+from .corpus import CODES, CodeScores, Session, Tokens, Turn
 from .errors import ValidationError
-from .segmenter import Utterance
-from .tagger import DA_TAG_SET, MC_TAG_SET, TaggedSession, TaggedUtterance
+from .tagger import DA_TAG_SET, MC_TAG_SET, TaggedSession, Utterance
+from .util import read_config
 
 DEFAULT_DA_TEMPLATES: dict[str, tuple[str, ...]] = {
     "Question": ("what about that", "how did it go", "when did you notice"),
@@ -147,28 +146,7 @@ class SynthConfig:
                 raise ValidationError(f"mc template set is missing tag {tag!r}")
 
     def to_payload(self) -> dict:
-        return {
-            "n_sessions": self.n_sessions,
-            "utterances_per_session": list(self.utterances_per_session),
-            "utterances_per_turn": list(self.utterances_per_turn),
-            "filler_words_per_utterance": list(self.filler_words_per_utterance),
-            "vocabulary_size": self.vocabulary_size,
-            "da_templates": {k: list(v) for k, v in self.da_templates.items()},
-            "mc_templates": {k: list(v) for k, v in self.mc_templates.items()},
-            "rules": [
-                {"keyword": r.keyword, "tag": r.tag, "code": r.code, "strength": r.strength}
-                for r in self.rules
-            ],
-            "label_noise": self.label_noise,
-            "high_rate": self.high_rate,
-            "tag_mix_strength": self.tag_mix_strength,
-            "style_strength": self.style_strength,
-            "style_rate": self.style_rate,
-            "keyword_occurrences": list(self.keyword_occurrences),
-            "pause_rate": self.pause_rate,
-            "word_dropout": self.word_dropout,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "SynthConfig":
@@ -188,13 +166,7 @@ class SynthConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SynthConfig":
-        path = Path(path)
-        if not path.exists():
-            from .errors import MissingArtifactError
-
-            raise MissingArtifactError(f"synth config not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_payload(json.load(fh))
+        return read_config(cls, path, "synth config")
 
 
 @dataclass(frozen=True)
@@ -354,48 +326,49 @@ def generate_corpus(config: SynthConfig) -> SynthResult:
         # Token times: word durations with small in-utterance gaps; inside a
         # turn, occasional inter-utterance pauses exceed the 2 s threshold.
         clock = float(rng.uniform(0.0, 2.0))
-        utt_tokens: list[list[Token]] = []
+        utt_tokens: list[Tokens] = []
+        turn_tokens: list[Tokens] = []
         ui = 0
         for size in turn_sizes:
+            words: list[str] = []
+            starts: list[float] = []
+            ends: list[float] = []
             for k in range(size):
-                toks = []
+                first = len(words)
                 for wi, w in enumerate(utt_words[ui]):
                     if wi > 0:
                         clock += float(rng.uniform(0.02, 0.2))
                     dur = float(rng.uniform(0.18, 0.5))
-                    toks.append(Token(text=w, start_s=round(clock, 3), end_s=round(clock + dur, 3)))
+                    words.append(w)
+                    starts.append(round(clock, 3))
+                    ends.append(round(clock + dur, 3))
                     clock += dur
-                utt_tokens.append(toks)
+                utt_tokens.append(Tokens(words[first:], starts[first:], ends[first:]))
                 ui += 1
                 if k < size - 1:
                     if rng.random() < config.pause_rate:
                         clock += float(rng.uniform(2.2, 4.5))
                     else:
                         clock += float(rng.uniform(0.25, 1.6))
+            turn_tokens.append(Tokens(words, starts, ends))
             clock += float(rng.uniform(0.4, 2.0))
 
         turns: list[Turn] = []
-        tagged_utts: list[TaggedUtterance] = []
+        tagged_utts: list[Utterance] = []
         boundary_turn_lines: list[str] = []
         ui = 0
-        for size in turn_sizes:
-            turn_tokens: list[Token] = []
+        for ti, size in enumerate(turn_sizes):
             line_words: list[str] = []
             for k in range(size):
                 toks = utt_tokens[ui]
-                turn_tokens.extend(toks)
                 mark = "?" if utt_da[ui] == "Question" else "."
-                line_words.extend(t.text for t in toks[:-1])
-                line_words.append(toks[-1].text + mark)
+                line_words.extend(toks.texts[:-1])
+                line_words.append(toks.texts[-1] + mark)
                 tagged_utts.append(
-                    TaggedUtterance(
-                        Utterance(tokens=tuple(toks), speaker=utt_speaker[ui], index_in_session=ui),
-                        da=utt_da[ui],
-                        mc=utt_mc[ui],
-                    )
+                    Utterance(tokens=toks, speaker=utt_speaker[ui], index_in_session=ui, da=utt_da[ui], mc=utt_mc[ui])
                 )
                 ui += 1
-            turns.append(Turn(speaker=utt_speaker[ui - 1], tokens=tuple(turn_tokens)))
+            turns.append(Turn(speaker=utt_speaker[ui - 1], tokens=turn_tokens[ti]))
             boundary_turn_lines.append(" ".join(line_words))
 
         sessions.append(Session(id=sid, turns=tuple(turns), scores=scores))

@@ -11,20 +11,17 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from .chain import forward_backward, viterbi
-from .corpus import CodeScores, check_session_id
+from .corpus import CodeScores, Tokens, check_session_id
 from .errors import ValidationError
 from .optimize import OptResult, minimize_lbfgs
-
-if TYPE_CHECKING:  # segmenter imports this module at runtime
-    from .segmenter import Utterance
 
 FeatureSeq = Sequence[Sequence[str]]
 LabeledSequence = tuple[FeatureSeq, Sequence[str]]
@@ -83,14 +80,19 @@ def utterance_features(words: Sequence[str]) -> list[str]:
 
 
 @dataclass(frozen=True)
-class TaggedUtterance:
-    """An utterance plus its (optional) DA and MC tags."""
+class Utterance:
+    """A segmented utterance, the unit the taggers consume, with its
+    (optional) DA and MC tags."""
 
-    utterance: Utterance
+    tokens: Tokens
+    speaker: str
+    index_in_session: int
     da: str | None = None
     mc: str | None = None
 
     def __post_init__(self) -> None:
+        if not self.tokens:
+            raise ValidationError("utterance has no tokens")
         if self.da is not None and self.da not in DA_TAG_SET.labels:
             raise ValidationError(f"unknown da tag {self.da!r}")
         if self.mc is not None and self.mc not in MC_TAG_SET.labels:
@@ -105,14 +107,14 @@ class TaggedSession:
     """A session in utterance form, optionally tagged and scored."""
 
     id: str
-    utterances: tuple[TaggedUtterance, ...]
+    utterances: tuple[Utterance, ...]
     scores: CodeScores | None = None
 
     def __post_init__(self) -> None:
         check_session_id(self.id)
 
-    def therapist_utterances(self) -> list[TaggedUtterance]:
-        return [tu for tu in self.utterances if tu.utterance.speaker == "therapist"]
+    def therapist_utterances(self) -> list[Utterance]:
+        return [u for u in self.utterances if u.speaker == "therapist"]
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +286,15 @@ def crf_loglik_grad(model: ChainCRF, data: Sequence[LabeledSequence]) -> tuple[f
     return -nll, -grad
 
 
-def tag_da(utterances: Sequence[Utterance], model: ChainCRF) -> list[TaggedUtterance]:
-    """Tag a session's utterance sequence with dialog acts via Viterbi."""
+def tag_da(utterances: Sequence[Utterance], model: ChainCRF) -> list[Utterance]:
+    """The session's utterances with their dialog acts set by Viterbi."""
     if model.scheme != "da":
         raise ValidationError(f"model tags scheme {model.scheme!r}, expected 'da'")
     if not utterances:
         return []
-    feats = [utterance_features([t.text for t in u.tokens]) for u in utterances]
+    feats = [utterance_features(u.tokens.texts) for u in utterances]
     path = model.decode(feats)
-    return [TaggedUtterance(u, da=model.labels[i]) for u, i in zip(utterances, path)]
+    return [replace(u, da=model.labels[i]) for u, i in zip(utterances, path)]
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +404,11 @@ def train_utterance_classifier(
     )
 
 
-def tag_mc(utterances: Sequence[Utterance], model: UtteranceClassifier) -> list[TaggedUtterance]:
-    """Tag each utterance independently with an MI skill code."""
+def tag_mc(utterances: Sequence[Utterance], model: UtteranceClassifier) -> list[Utterance]:
+    """The utterances with their MI skill codes set, each independently."""
     if model.scheme != "mc":
         raise ValidationError(f"model tags scheme {model.scheme!r}, expected 'mc'")
-    return [TaggedUtterance(u, mc=model.predict([t.text for t in u.tokens])) for u in utterances]
+    return [replace(u, mc=model.predict(u.tokens.texts)) for u in utterances]
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +420,11 @@ def da_training_sequences(sessions: Sequence[TaggedSession]) -> list[LabeledSequ
     for s in sessions:
         feats = []
         labels = []
-        for tu in s.utterances:
-            if tu.da is None:
+        for u in s.utterances:
+            if u.da is None:
                 raise ValidationError(f"session {s.id}: utterance without a da tag")
-            feats.append(utterance_features([t.text for t in tu.utterance.tokens]))
-            labels.append(tu.da)
+            feats.append(utterance_features(u.tokens.texts))
+            labels.append(u.da)
         if feats:
             out.append((feats, labels))
     return out
@@ -431,8 +433,8 @@ def da_training_sequences(sessions: Sequence[TaggedSession]) -> list[LabeledSequ
 def mc_training_examples(sessions: Sequence[TaggedSession]) -> list[tuple[list[str], str]]:
     out: list[tuple[list[str], str]] = []
     for s in sessions:
-        for tu in s.utterances:
-            if tu.mc is None:
+        for u in s.utterances:
+            if u.mc is None:
                 raise ValidationError(f"session {s.id}: utterance without an mc tag")
-            out.append(([t.text for t in tu.utterance.tokens], tu.mc))
+            out.append((list(u.tokens.texts), u.mc))
     return out

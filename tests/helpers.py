@@ -13,7 +13,7 @@ from collections import Counter
 
 import numpy as np
 
-from cbtcode.corpus import CodeScores, Session, Token, Turn
+from cbtcode.corpus import CodeScores, Session, Tokens, Turn
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +279,21 @@ def random_scores(rng: np.random.Generator) -> CodeScores:
 
 def random_turn(rng: np.random.Generator, speaker: str, n_tokens: int, start: float = 0.0) -> Turn:
     words = ["w%d" % rng.integers(0, 50) for _ in range(n_tokens)]
-    tokens = []
+    starts, ends = [], []
     clock = start
     for w in words:
         gap = float(rng.uniform(0.0, 3.0))
         dur = float(rng.uniform(0.1, 0.5))
-        tokens.append(Token(text=w, start_s=round(clock + gap, 3), end_s=round(clock + gap + dur, 3)))
+        starts.append(round(clock + gap, 3))
+        ends.append(round(clock + gap + dur, 3))
         clock += gap + dur
-    return Turn(speaker=speaker, tokens=tuple(tokens))
+    return Turn(speaker=speaker, tokens=Tokens(words, starts, ends))
+
+
+def joined(parts) -> Tokens:
+    """The concatenation of Tokens runs, column by column."""
+    parts = list(parts)
+    return Tokens(*(tuple(x for p in parts for x in getattr(p, col)) for col in ("texts", "start_s", "end_s")))
 
 
 def random_session(rng: np.random.Generator, sid: str, with_scores: bool = True) -> Session:
@@ -296,7 +303,7 @@ def random_session(rng: np.random.Generator, sid: str, with_scores: bool = True)
     for _ in range(n_turns):
         speaker = "therapist" if rng.random() < 0.5 else "patient"
         turn = random_turn(rng, speaker, int(rng.integers(1, 8)), start=clock)
-        clock = turn.tokens[-1].end_s + float(rng.uniform(0.1, 1.0))
+        clock = turn.tokens.end_s[-1] + float(rng.uniform(0.1, 1.0))
         turns.append(turn)
     return Session(
         id=sid,

@@ -21,7 +21,7 @@ from cbtcode.synth import SynthConfig, generate_corpus
 from cbtcode.tagger import (
     DA_TAG_SET,
     MC_TAG_SET,
-    TaggedUtterance,
+    Utterance,
     crf_training_objective,
     da_training_sequences,
     mc_training_examples,
@@ -161,8 +161,7 @@ def test_criterion_03_tfidf_matches_bruteforce_oracle():
 
 
 def test_criterion_04_tag_blocks_match_hand_counts():
-    from cbtcode.corpus import Token
-    from cbtcode.segmenter import Utterance
+    from cbtcode.corpus import Tokens
 
     rng = np.random.default_rng(11)
     worst = 0.0
@@ -172,21 +171,24 @@ def test_criterion_04_tag_blocks_match_hand_counts():
         utts = []
         for i in range(int(rng.integers(1, 14))):
             n_words = int(rng.integers(1, 9))
-            tokens = tuple(Token(f"w{j}", j * 0.4, j * 0.4 + 0.3) for j in range(n_words))
+            tokens = Tokens([f"w{j}" for j in range(n_words)], [j * 0.4 for j in range(n_words)],
+                            [j * 0.4 + 0.3 for j in range(n_words)])
             tag = scheme.labels[int(rng.integers(0, 7))]
             utts.append(
-                TaggedUtterance(
-                    Utterance(tokens=tokens, speaker="therapist", index_in_session=i),
+                Utterance(
+                    tokens=tokens,
+                    speaker="therapist",
+                    index_in_session=i,
                     da=tag if scheme is DA_TAG_SET else None,
                     mc=tag if scheme is MC_TAG_SET else None,
                 )
             )
         block = tag_count_features(utts, scheme)
         assert block.shape == (14,)
-        total_words = sum(len(tu.utterance.tokens) for tu in utts)
+        total_words = sum(len(u.tokens) for u in utts)
         for j, tag in enumerate(scheme.labels):
-            n_u = sum(tu.tag(scheme.name) == tag for tu in utts)
-            n_w = sum(len(tu.utterance.tokens) for tu in utts if tu.tag(scheme.name) == tag)
+            n_u = sum(u.tag(scheme.name) == tag for u in utts)
+            n_w = sum(len(u.tokens) for u in utts if u.tag(scheme.name) == tag)
             worst = max(worst, abs(block[j] - n_u / len(utts)))
             worst = max(worst, abs(block[7 + j] - n_w / total_words))
         worst_sum = max(worst_sum, abs(block[:7].sum() - 1.0), abs(block[7:].sum() - 1.0))

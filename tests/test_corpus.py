@@ -7,7 +7,7 @@ from cbtcode.corpus import (
     CODES,
     CodeScores,
     Session,
-    Token,
+    Tokens,
     Turn,
     binarize_scores,
     parse_corpus,
@@ -196,24 +196,21 @@ class TestRecordShape:
 
     def test_token_invariants(self):
         with pytest.raises(ValidationError):
-            Token(text="two words", start_s=0.0, end_s=1.0)
+            Tokens(texts=("two words",), start_s=(0.0,), end_s=(1.0,))
         with pytest.raises(ValidationError):
-            Token(text="", start_s=0.0, end_s=1.0)
+            Tokens(texts=("",), start_s=(0.0,), end_s=(1.0,))
         with pytest.raises(ValidationError):
-            Token(text="x", start_s=-1.0, end_s=1.0)
+            Tokens(texts=("x",), start_s=(-1.0,), end_s=(1.0,))
 
     def test_turn_requires_tokens(self):
         with pytest.raises(ValidationError):
-            Turn(speaker="therapist", tokens=())
+            Turn(speaker="therapist", tokens=Tokens((), (), ()))
 
     def test_turn_time_order(self):
         with pytest.raises(ValidationError, match="time order"):
             Turn(
                 speaker="therapist",
-                tokens=(
-                    Token("a", 2.0, 2.5),
-                    Token("b", 1.0, 1.5),
-                ),
+                tokens=Tokens(("a", "b"), (2.0, 1.0), (2.5, 1.5)),
             )
 
     def test_session_id_required(self):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cbtcode.corpus import Token
+from cbtcode.corpus import Tokens
 from cbtcode.errors import ValidationError
 from cbtcode.features import (
     anova_f_scores,
@@ -22,16 +22,13 @@ from cbtcode.features import (
     transform_tfidf,
 )
 from cbtcode.pipeline import build_feature_matrix
-from cbtcode.segmenter import Utterance
-from cbtcode.tagger import DA_TAG_SET, MC_TAG_SET, TaggedSession, TaggedUtterance
+from cbtcode.tagger import DA_TAG_SET, MC_TAG_SET, TaggedSession, Utterance
 from helpers import brute_tfidf
 
 
 def tagged(words, mc=None, da=None, speaker="therapist", index=0):
-    tokens = tuple(Token(w, i * 0.4, i * 0.4 + 0.3) for i, w in enumerate(words))
-    return TaggedUtterance(
-        Utterance(tokens=tokens, speaker=speaker, index_in_session=index), da=da, mc=mc
-    )
+    tokens = Tokens(words, [i * 0.4 for i in range(len(words))], [i * 0.4 + 0.3 for i in range(len(words))])
+    return Utterance(tokens=tokens, speaker=speaker, index_in_session=index, da=da, mc=mc)
 
 
 class TestTfidfFit:
@@ -178,10 +175,10 @@ class TestTagCounts:
             ]
             block = tag_count_features(utts, MC_TAG_SET)
             # independent counting
-            n_words = sum(len(tu.utterance.tokens) for tu in utts)
+            n_words = sum(len(u.tokens) for u in utts)
             for j, tag in enumerate(MC_TAG_SET.labels):
-                n_u = sum(tu.mc == tag for tu in utts)
-                n_w = sum(len(tu.utterance.tokens) for tu in utts if tu.mc == tag)
+                n_u = sum(u.mc == tag for u in utts)
+                n_w = sum(len(u.tokens) for u in utts if u.mc == tag)
                 assert abs(block[j] - n_u / len(utts)) < 1e-12
                 assert abs(block[7 + j] - n_w / n_words) < 1e-12
 
@@ -227,7 +224,7 @@ class TestAugmentation:
                 )
                 for i in range(int(rng.integers(1, 10)))
             ]
-            base = {t.text for tu in utts for t in tu.utterance.tokens}
+            base = {w for u in utts for w in u.tokens.texts}
             out = augment_tokens(utts, MC_TAG_SET)
             assert len(set(out)) <= len(base) * 7
 
@@ -241,7 +238,7 @@ class TestAugmentation:
             )
             for i in range(8)
         ]
-        original = [t.text for tu in utts for t in tu.utterance.tokens]
+        original = [w for u in utts for w in u.tokens.texts]
         stripped = [w.rsplit("|", 1)[0] for w in augment_tokens(utts, MC_TAG_SET)]
         assert stripped == original
 

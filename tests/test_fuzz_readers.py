@@ -1,4 +1,5 @@
-"""Property tests for the corpus, matrix and artifact readers.
+"""Property tests for the corpus, tagged-corpus, label-table, matrix,
+artifact and model readers.
 
 Each example writes a mutated file and reads it back.  The reader must either
 accept it or raise a CbtCodeError whose message starts with the file (and,
@@ -9,14 +10,40 @@ escape that would reach the CLI as a traceback.
 import json
 import re
 
+from dataclasses import replace
+from functools import cache
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cbtcode.corpus import parse_corpus
-from cbtcode.errors import CbtCodeError
+from cbtcode.corpus import CODES, Tokens, Turn, parse_corpus, read_scores_table
+from cbtcode.errors import CbtCodeError, ValidationError
 from cbtcode.features import FeatureMatrix
-from cbtcode.serialize import load_artifact, read_matrix, write_matrix
+from cbtcode.segmenter import make_boundary_training_data, segment, train_boundary_model
+from cbtcode.serialize import (
+    load_artifact,
+    load_chain_crf,
+    load_linear_model,
+    load_utterance_classifier,
+    read_matrix,
+    read_tagged_corpus,
+    save_chain_crf,
+    save_linear_model,
+    save_utterance_classifier,
+    write_matrix,
+)
+from cbtcode.svm import class_weights, decision_function, train_svm
+from cbtcode.tagger import (
+    DA_TAG_SET,
+    MC_TAG_SET,
+    Utterance,
+    tag_da,
+    tag_mc,
+    train_chain_crf,
+    train_utterance_classifier,
+)
 
 FUZZ = settings(
     max_examples=150,
@@ -202,3 +229,198 @@ def test_load_artifact_mutated_file(tmp_path, edits, whole):
         assert message.count(str(path)) == 1, message
     else:
         assert isinstance(payload, dict)
+
+
+VALID_TAGGED_RECORD = {
+    "format_version": 1,
+    "id": "s1",
+    "utterances": [
+        {
+            "speaker": "therapist",
+            "index": 0,
+            "tokens": [
+                {"text": "did", "start_s": 0.0, "end_s": 0.2},
+                {"text": "homework", "start_s": 0.3, "end_s": 0.7},
+            ],
+            "da": "Question",
+            "mc": "QUC",
+        },
+        {
+            "speaker": "patient",
+            "index": 1,
+            "tokens": [{"text": "yes", "start_s": 3.1, "end_s": 3.4}],
+            "da": None,
+            "mc": None,
+        },
+    ],
+    "scores": {c: 3 for c in CODES},
+}
+TAGGED_PATHS = [p for p in paths(VALID_TAGGED_RECORD) if p]
+
+
+@FUZZ
+@given(
+    edits=st.lists(
+        st.tuples(st.sampled_from(TAGGED_PATHS), JSON_VALUES, st.booleans()), min_size=1, max_size=3
+    ),
+    position=st.integers(0, 2),
+)
+@example(edits=[(("utterances", 0, "index"), "7", False)], position=0)
+@example(edits=[(("utterances", 0, "index"), True, False)], position=1)
+@example(edits=[(("utterances", 0, "tokens", 1, "start_s"), -0.5, False)], position=2)
+@example(edits=[(("utterances", 0, "tokens"), {"text": "x"}, False)], position=0)
+def test_read_tagged_corpus_mutated_record(tmp_path, edits, position):
+    record = VALID_TAGGED_RECORD
+    for path, value, delete in edits:
+        record = mutate(record, path, value, delete)
+    lines = [json.dumps({**VALID_TAGGED_RECORD, "id": f"ok{i}"}) for i in range(2)]
+    lines.insert(position, json.dumps(record))
+    corpus = tmp_path / "tagged.jsonl"
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert_rejected_cleanly(read_tagged_corpus, corpus, per_line_only=True)
+
+
+@FUZZ
+@given(lines=st.lists(st.binary(max_size=40) | JSON_VALUES.map(lambda v: json.dumps(v).encode()), max_size=4))
+def test_read_tagged_corpus_arbitrary_lines(tmp_path, lines):
+    corpus = tmp_path / "tagged.jsonl"
+    corpus.write_bytes(json.dumps(VALID_TAGGED_RECORD).encode() + b"\n" + b"\n".join(lines))
+    assert_rejected_cleanly(read_tagged_corpus, corpus, per_line_only=True)
+
+
+SCORE_FIELDS = st.sampled_from(["s1", "s2", "id", "0", "3", "6", "7", "-1", "x", "", " 4", "1_0", "4.0", "١"])
+
+
+@FUZZ
+@given(
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(["replace", "insert", "delete"]),
+            st.integers(0, 5),
+            st.text(max_size=30) | st.lists(SCORE_FIELDS, max_size=13).map(",".join),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    garbage=st.none() | st.binary(min_size=1, max_size=8),
+)
+def test_read_scores_table_mutated_lines(tmp_path, edits, garbage):
+    lines = ["id," + ",".join(CODES), "s1," + ",".join("3" * len(CODES)), "s2," + ",".join("5" * len(CODES))]
+    lines = [line.encode() for line in lines]
+    for op, index, text in edits:
+        i = index % len(lines) if lines else 0
+        if op == "replace" and lines:
+            lines[i] = text.encode()
+        elif op == "insert":
+            lines.insert(i, text.encode())
+        elif op == "delete" and lines:
+            del lines[i]
+    if garbage is not None:
+        lines.append(garbage)
+    path = tmp_path / "labels.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert_rejected_cleanly(read_scores_table, path, per_line_only=False)
+
+
+@cache
+def small_models() -> dict[str, tuple]:
+    """A small trained model of each kind, with its writer and its loader."""
+    boundary = train_boundary_model(make_boundary_training_data([["so", "we", "start."], ["right?", "yes", "ok."]]))
+    da = train_chain_crf(
+        [([["bias", "w=what"], ["bias", "w=yes"]], ["Question", "Agreement"]), ([["bias", "w=so"]], ["Statement"])],
+        DA_TAG_SET,
+    )
+    mc = train_utterance_classifier([([f"w{i}"], tag) for i, tag in enumerate(MC_TAG_SET.labels)])
+    X = np.array([[0.0, 1.0], [1.0, 0.0], [0.9, 0.2], [0.1, 0.8]])
+    y = np.array([False, True, True, False])
+    svm = replace(
+        train_svm(X, y, C=1.0, weights=class_weights(y)),
+        space_fingerprint="0123456789abcdef",
+        feature_mask=(0, 1),
+        scaler_mean=np.array([0.5, 0.5]),
+        scaler_std=np.array([0.4, 0.4]),
+    )
+    return {
+        "boundary": (boundary, save_chain_crf, load_chain_crf),
+        "da": (da, save_chain_crf, load_chain_crf),
+        "mc": (mc, save_utterance_classifier, load_utterance_classifier),
+        "svm": (svm, save_linear_model, load_linear_model),
+    }
+
+
+def model_doc(kind: str, tmp_path) -> dict:
+    """The saved artifact of the small model of this kind, as JSON."""
+    model, save, _ = small_models()[kind]
+    path = tmp_path / f"{kind}.json"
+    save(model, path)
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def use_model(kind, model):
+    """Apply a loaded model the way the pipeline does."""
+    tokens = Tokens(("so", "what", "yes"), (0.0, 0.5, 1.0), (0.4, 0.9, 1.4))
+    utts = [Utterance(tokens, "therapist", 0)]
+    if kind == "svm":
+        d = len(model.weights)
+        assert all(len(v) == d for v in (model.feature_mask, model.scaler_mean, model.scaler_std) if v is not None)
+        decision_function(model, np.zeros((1, d)))
+    elif model.scheme == "boundary":
+        segment(Turn("therapist", tokens), model)
+    elif model.scheme == "da":
+        tag_da(utts, model)
+    elif model.scheme == "mc":
+        tag_mc(utts, model)
+    elif kind == "mc":
+        model.predict(tokens.texts)
+    else:
+        model.decode([["bias"], ["w=what"]])
+
+
+@FUZZ
+@given(kind=st.sampled_from(["boundary", "da", "mc", "svm"]), data=st.data())
+def test_model_loaders_mutated_payload(tmp_path, kind, data):
+    doc = model_doc(kind, tmp_path)
+    locations = [("payload", *p) for p in paths(doc["payload"])]
+    edits = data.draw(
+        st.lists(st.tuples(st.sampled_from(locations), JSON_VALUES, st.booleans()), min_size=1, max_size=3)
+    )
+    for location, value, delete in edits:
+        doc = mutate(doc, location, value, delete)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    load = small_models()[kind][2]
+    try:
+        model = load(path)
+    except CbtCodeError as exc:
+        message = str(exc)
+        assert message.startswith(f"{path}: "), message
+        assert message.count(str(path)) == 1, message
+    else:
+        use_model(kind, model)
+
+
+def test_classifier_with_empty_payload_names_the_file_and_field(tmp_path):
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps({"format_version": 1, "kind": "utterance_classifier", "payload": {}}), encoding="utf-8")
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: payload field 'scheme' is missing")):
+        load_utterance_classifier(path)
+
+
+@pytest.mark.parametrize("kind, field", [("mc", "weights"), ("da", "weights"), ("da", "transitions"), ("mc", "bias")])
+def test_short_row_names_the_file_and_field(tmp_path, kind, field):
+    doc = model_doc(kind, tmp_path)
+    rows = doc["payload"][field]
+    (rows[0] if isinstance(rows[0], list) else rows).pop()
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: payload field {field!r} must be a ")):
+        small_models()[kind][2](path)
+
+
+def test_feature_names_that_disagree_with_weights_name_the_file(tmp_path):
+    doc = model_doc("mc", tmp_path)
+    doc["payload"]["feature_names"].append("w=extra")
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: payload field 'weights' must be a ")):
+        load_utterance_classifier(path)

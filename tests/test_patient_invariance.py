@@ -9,13 +9,12 @@ legitimately shift therapist DA tags; that path is exercised elsewhere.)
 import numpy as np
 import pytest
 
-from cbtcode.corpus import Token
+from cbtcode.corpus import Tokens
 from cbtcode.pipeline import FEATURE_SETS, build_feature_matrix, tag_corpus
-from cbtcode.segmenter import Utterance
 from cbtcode.synth import SynthConfig, generate_corpus
 from cbtcode.tagger import (
     TaggedSession,
-    TaggedUtterance,
+    Utterance,
     mc_training_examples,
     train_utterance_classifier,
 )
@@ -27,13 +26,11 @@ def mutate_patient_words(sessions):
     for s in sessions:
         utts = []
         for tu in s.utterances:
-            u = tu.utterance
+            u = tu
             if u.speaker == "patient":
-                tokens = tuple(
-                    Token("xmutatedx", t.start_s, t.end_s) for t in u.tokens
-                )
+                tokens = Tokens(["xmutatedx"] * len(u.tokens), u.tokens.start_s, u.tokens.end_s)
                 u = Utterance(tokens=tokens, speaker="patient", index_in_session=u.index_in_session)
-            utts.append(TaggedUtterance(u, da=tu.da, mc=tu.mc))
+            utts.append(Utterance(u.tokens, u.speaker, u.index_in_session, da=tu.da, mc=tu.mc))
         out.append(TaggedSession(id=s.id, utterances=tuple(utts), scores=s.scores))
     return out
 
@@ -57,7 +54,7 @@ def test_mc_pipeline_end_to_end_ignores_patient_words(gold_corpus):
     stripped = [
         TaggedSession(
             id=s.id,
-            utterances=tuple(TaggedUtterance(tu.utterance) for tu in s.utterances),
+            utterances=tuple(Utterance(u.tokens, u.speaker, u.index_in_session) for u in s.utterances),
             scores=s.scores,
         )
         for s in gold_corpus.tagged

@@ -468,6 +468,50 @@ def test_model_file_that_is_not_a_json_object_is_exit_2(workspace, tmp_path, cap
         assert f"{model}: " in err and err.count(str(model)) == 1, err
 
 
+def test_model_file_with_a_bad_payload_is_exit_2_and_names_the_field(workspace, tmp_path, capsys):
+    doc = json.loads((workspace["models"] / "mc.json").read_text(encoding="utf-8"))
+    doc["payload"]["weights"][0].pop()
+    for name, payload in (("empty", {}), ("short_row", doc["payload"])):
+        model = tmp_path / f"{name}.json"
+        model.write_text(json.dumps({**doc, "payload": payload}), encoding="utf-8")
+        rc = main(["tag", "--scheme", "mc", "--model", str(model), "--in", str(workspace["data"] / "gold_tags.jsonl"),
+                   "--out", str(tmp_path / "out.jsonl")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        field = "scheme" if name == "empty" else "weights"
+        assert f"{model}: payload field {field!r}" in err and err.count(str(model)) == 1, err
+
+
+@pytest.mark.parametrize(
+    "body",
+    [b"[1, 2]", b'{"n_sessions": 3', b'{"n_sessions": "x"}', b'{"n_sessions": 2.5}', b'{"seed": "\xff"}',
+     b'{"utterances_per_turn": [1, 2, 3]}', b'{"rules": [{"keyword": "kw"}]}'],
+    ids=["list", "truncated", "string-field", "float-for-int", "not-utf8", "long-pair", "rule-without-fields"],
+)
+def test_bad_synth_config_is_exit_2_and_names_the_file(tmp_path, capsys, body):
+    config = tmp_path / "synth.json"
+    config.write_bytes(body)
+    rc = main(["synth", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: {config}: " in err and err.count(str(config)) == 1, err
+
+
+@pytest.mark.parametrize(
+    "body",
+    [b"[1, 2]", b'{"folds": 5', b'{"folds": "x"}', b'{"k_grid": [16, "32"]}', b'{"max_df": "\xff"}'],
+    ids=["list", "truncated", "string-field", "string-in-list", "not-utf8"],
+)
+def test_bad_pipeline_config_is_exit_2_and_names_the_file(workspace, tmp_path, capsys, body):
+    config = tmp_path / "pipeline.json"
+    config.write_bytes(body)
+    rc = main(["evaluate", "--set", "tfidf", "--in", str(workspace["data"] / "corpus.jsonl"), "--config", str(config),
+               "--no-segmentation", "--report", str(tmp_path / "r.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: {config}: " in err and err.count(str(config)) == 1, err
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     code = "import sys, cbtcode.cli; print('scipy.stats' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(cbtcode.__file__).parents[1])}
@@ -596,6 +640,29 @@ class TestExitCodes:
         rc = main(["featurize", "--set", "tfidf", "--in", str(corpus), "--out", str(tmp_path / "m.mtx")])
         assert rc == 2
         assert f"{corpus}, line 1:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index", ["7", 2.9, True, -1, None], ids=["string", "float", "bool", "negative", "null"])
+    @pytest.mark.parametrize("command", ["tag", "featurize"])
+    def test_tagged_utterance_index_that_is_not_a_count_is_exit_2_and_named_once(
+        self, workspace, tmp_path, capsys, command, index
+    ):
+        token = {"text": "hi", "start_s": 0.0, "end_s": 0.2}
+        utterances = [
+            {"speaker": "therapist", "index": 0, "tokens": [token], "da": None, "mc": None},
+            {"speaker": "patient", "index": index, "tokens": [token], "da": None, "mc": None},
+        ]
+        record = {"format_version": 1, "id": "s1", "scores": None, "utterances": utterances}
+        corpus = tmp_path / "bad_index.jsonl"
+        corpus.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
+        if command == "tag":
+            argv = ["tag", "--scheme", "mc", "--model", str(workspace["models"] / "mc.json")]
+        else:
+            argv = ["featurize", "--set", "tfidf"]
+        rc = main([*argv, "--in", str(corpus), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{corpus}, line 2: utterance 1: index must be a non-negative integer, got {index!r}" in err
+        assert err.count(str(corpus)) == 1
 
     @pytest.mark.parametrize("value", ["x", 4.7, True], ids=["string", "float", "bool"])
     @pytest.mark.parametrize("command", ["segment", "featurize"])

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from cbtcode.corpus import Token, Turn
+from cbtcode.corpus import Tokens, Turn
 from cbtcode.errors import ValidationError
 from cbtcode.segmenter import (
     BOUNDARY,
     BOUNDARY_LABELS,
     INSIDE,
-    Fragment,
     boundary_f1,
     boundary_features,
     make_boundary_training_data,
@@ -17,17 +16,19 @@ from cbtcode.segmenter import (
     train_boundary_model,
 )
 from cbtcode.tagger import ChainCRF
-from helpers import enumerate_chain, random_session
+from helpers import enumerate_chain, joined, random_session
 
 
 def turn_with_gaps(gaps, speaker="therapist"):
     """One token per gap boundary; gaps[i] separates token i and i+1."""
-    tokens = [Token("w0", 0.0, 0.5)]
+    texts, starts, ends = ["w0"], [0.0], [0.5]
     clock = 0.5
     for i, g in enumerate(gaps):
-        tokens.append(Token(f"w{i + 1}", clock + g, clock + g + 0.5))
+        texts.append(f"w{i + 1}")
+        starts.append(clock + g)
+        ends.append(clock + g + 0.5)
         clock = clock + g + 0.5
-    return Turn(speaker=speaker, tokens=tuple(tokens))
+    return Turn(speaker=speaker, tokens=Tokens(texts, starts, ends))
 
 
 class TestPauseSplit:
@@ -40,7 +41,7 @@ class TestPauseSplit:
         assert len(frags) == 1
 
     def test_single_token_turn(self):
-        turn = Turn("patient", (Token("hi", 0.0, 0.2),))
+        turn = Turn("patient", Tokens(("hi",), (0.0,), (0.2,)))
         frags = pause_split(turn)
         assert len(frags) == 1
         assert frags[0].tokens == turn.tokens
@@ -52,7 +53,7 @@ class TestPauseSplit:
             gaps = rng.uniform(0.0, 4.0, size=int(rng.integers(0, 10))).tolist()
             turn = turn_with_gaps(gaps)
             frags = pause_split(turn, 2.0)
-            rebuilt = tuple(t for f in frags for t in f.tokens)
+            rebuilt = joined(f.tokens for f in frags)
             assert rebuilt == turn.tokens
 
     def test_threshold_monotone(self):
@@ -114,12 +115,13 @@ def crafted_boundary_model(boundary_words=("stop",)):
 
 
 def make_fragment(words, speaker="therapist"):
-    tokens = []
+    starts, ends = [], []
     clock = 0.0
     for w in words:
-        tokens.append(Token(w, clock, clock + 0.3))
+        starts.append(clock)
+        ends.append(clock + 0.3)
         clock += 0.4
-    return Fragment(tuple(tokens), speaker, 0)
+    return Turn(speaker, Tokens(words, starts, ends))
 
 
 class TestSegment:
@@ -136,8 +138,8 @@ class TestSegment:
         frag = make_fragment(["a", "stop", "c", "d", "stop"])
         utts = segment(frag, model)
         assert [len(u.tokens) for u in utts] == [2, 3]
-        assert [t.text for t in utts[0].tokens] == ["a", "stop"]
-        assert [t.text for t in utts[1].tokens] == ["c", "d", "stop"]
+        assert list(utts[0].tokens.texts) == ["a", "stop"]
+        assert list(utts[1].tokens.texts) == ["c", "d", "stop"]
 
     def test_utterances_concatenate_to_fragment(self):
         rng = np.random.default_rng(2)
@@ -149,7 +151,7 @@ class TestSegment:
             ]
             frag = make_fragment(words)
             utts = segment(frag, model)
-            rebuilt = tuple(t for u in utts for t in u.tokens)
+            rebuilt = joined(u.tokens for u in utts)
             assert rebuilt == frag.tokens
 
     def test_viterbi_matches_exhaustive_search(self):
@@ -176,8 +178,8 @@ class TestSegment:
         for i in range(20):
             session = random_session(rng, f"s{i}")
             utts = segment_session(session, model, threshold=2.0)
-            rebuilt = tuple(t for u in utts for t in u.tokens)
-            original = tuple(t for turn in session.turns for t in turn.tokens)
+            rebuilt = joined(u.tokens for u in utts)
+            original = joined(turn.tokens for turn in session.turns)
             assert rebuilt == original
             assert [u.index_in_session for u in utts] == list(range(len(utts)))
 

@@ -6,7 +6,9 @@ from cbtcode.errors import ValidationError
 from cbtcode.evaluate import cv_pooled_counts, make_folds, pooled_f1
 from cbtcode.features import anova_f_scores
 from cbtcode.pipeline import build_feature_matrix
+from cbtcode.serialize import read_tagged_corpus, write_tagged_corpus
 from cbtcode.synth import DEFAULT_MC_TEMPLATES, SignalRule, SynthConfig, generate_corpus
+from helpers import joined
 
 
 def small_config(**overrides):
@@ -41,12 +43,21 @@ class TestGeneration:
         back = parse_corpus(path)
         assert back == list(result.sessions)
 
+    def test_tagged_corpus_roundtrips_byte_for_byte(self, tmp_path):
+        result = generate_corpus(small_config())
+        gold, again = tmp_path / "gold_tags.jsonl", tmp_path / "again.jsonl"
+        write_tagged_corpus(result.tagged, gold)
+        back = read_tagged_corpus(gold)
+        assert back == list(result.tagged)
+        write_tagged_corpus(back, again)
+        assert again.read_bytes() == gold.read_bytes()
+
     def test_gold_tags_align_with_sessions(self):
         result = generate_corpus(small_config())
         for session, tagged in zip(result.sessions, result.tagged):
             assert session.id == tagged.id
-            turn_tokens = [t for turn in session.turns for t in turn.tokens]
-            utt_tokens = [t for tu in tagged.utterances for t in tu.utterance.tokens]
+            turn_tokens = joined(turn.tokens for turn in session.turns)
+            utt_tokens = joined(u.tokens for u in tagged.utterances)
             assert turn_tokens == utt_tokens
             assert all(tu.da is not None and tu.mc is not None for tu in tagged.utterances)
 
@@ -70,12 +81,10 @@ class TestGeneration:
         big_gap = 0
         for session, tagged in zip(result.sessions, result.tagged):
             for turn in session.turns:
-                gaps = [
-                    b.start_s - a.end_s for a, b in zip(turn.tokens, turn.tokens[1:])
-                ]
+                gaps = [b - a for a, b in zip(turn.tokens.end_s, turn.tokens.start_s[1:])]
                 big_gap += sum(g > 2.0 for g in gaps)
             multi += sum(len(s.tokens) for s in session.turns) < len(
-                [t for turn in session.turns for t in turn.tokens]
+                [w for turn in session.turns for w in turn.tokens.texts]
             )
         n_turns = sum(len(s.turns) for s in result.sessions)
         n_utts = sum(len(t.utterances) for t in result.tagged)
@@ -100,15 +109,15 @@ class TestPlantedSignal:
             label = binarize_scores(session.scores)[rule.code]
             in_tag = out_tag = 0
             for tu in tagged.utterances:
-                if tu.utterance.speaker != "therapist":
+                if tu.speaker != "therapist":
                     continue
-                count = sum(t.text == rule.keyword for t in tu.utterance.tokens)
+                count = sum(w == rule.keyword for w in tu.tokens.texts)
                 if tu.mc == rule.tag:
                     in_tag += count
                 else:
                     out_tag += count
             has_tag_utts = any(
-                tu.mc == rule.tag and tu.utterance.speaker == "therapist"
+                tu.mc == rule.tag and tu.speaker == "therapist"
                 for tu in tagged.utterances
             )
             if in_tag + out_tag == 0 or not has_tag_utts:

@@ -1,14 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cbtcode.corpus import Token
+from cbtcode.corpus import Tokens
 from cbtcode.errors import ValidationError
-from cbtcode.segmenter import Utterance
 from cbtcode.tagger import (
     DA_TAG_SET,
     MC_TAG_SET,
     ChainCRF,
-    TaggedUtterance,
+    Utterance,
     UtteranceClassifier,
     multinomial_training_objective,
     tag_da,
@@ -20,7 +21,7 @@ from helpers import enumerate_chain
 
 
 def make_utterance(words, speaker="therapist", index=0):
-    tokens = tuple(Token(w, i * 0.5, i * 0.5 + 0.3) for i, w in enumerate(words))
+    tokens = Tokens(words, [i * 0.5 for i in range(len(words))], [i * 0.5 + 0.3 for i in range(len(words))])
     return Utterance(tokens=tokens, speaker=speaker, index_in_session=index)
 
 
@@ -42,9 +43,9 @@ class TestTagSets:
     def test_tagged_utterance_validates_tags(self):
         u = make_utterance(["hi"])
         with pytest.raises(ValidationError):
-            TaggedUtterance(u, da="NotATag")
+            replace(u, da="NotATag")
         with pytest.raises(ValidationError):
-            TaggedUtterance(u, mc="Question")  # da label under mc scheme
+            replace(u, mc="Question")  # da label under mc scheme
 
 
 def da_toy_model(rng):
@@ -96,7 +97,7 @@ class TestTagDa:
                 )
                 for i in range(n)
             ]
-            feats = [utterance_features([t.text for t in u.tokens]) for u in utts]
+            feats = [utterance_features(u.tokens.texts) for u in utts]
             E = model.emission_matrix(feats)
             _, _, _, _, best_path = enumerate_chain(E, model.transitions)
             got = [model.labels.index(tu.da) for tu in tag_da(utts, model)]
