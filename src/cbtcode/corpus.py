@@ -98,6 +98,11 @@ class Tokens:
         return [{"text": t, "start_s": s, "end_s": e} for t, s, e in zip(self.texts, self.start_s, self.end_s)]
 
 
+def check_speaker(speaker: str) -> None:
+    if speaker not in ROLES:
+        raise ValidationError(f"unknown speaker role {speaker!r}; expected one of {ROLES}")
+
+
 @dataclass(frozen=True)
 class Turn:
     """One speaker's uninterrupted sequence of tokens."""
@@ -106,8 +111,7 @@ class Turn:
     tokens: Tokens
 
     def __post_init__(self) -> None:
-        if self.speaker not in ROLES:
-            raise ValidationError(f"unknown speaker role {self.speaker!r}; expected one of {ROLES}")
+        check_speaker(self.speaker)
         if not self.tokens:
             raise ValidationError("turn has no tokens")
 
@@ -166,7 +170,9 @@ class CodeLabels:
 
 
 def check_session_id(sid: str) -> None:
-    """Ids are written one per line (matrix `#row` lines), so no line break."""
+    """Ids are strings written one per line (matrix `#row` lines), so no line break."""
+    if not isinstance(sid, str):
+        raise ValidationError(f"session id must be a string, got {sid!r}")
     if "\n" in sid or "\r" in sid:
         raise ValidationError(f"session id {sid!r} contains a line break")
 
@@ -259,11 +265,14 @@ def session_from_record(rec: dict, where: str = "record") -> Session:
             if not isinstance(trec, dict) or not isinstance(trec.get("tokens"), list) or "speaker" not in trec:
                 raise ParseError(f"turn {ti}: expected object with speaker and a list of tokens")
             tokens = tokens_from_records(trec["tokens"], f"turn {ti}")
-            turns.append(Turn(speaker=trec["speaker"], tokens=tokens))
+            try:
+                turns.append(Turn(speaker=trec["speaker"], tokens=tokens))
+            except ValidationError as exc:
+                raise type(exc)(f"turn {ti}: {exc}") from None
         scores = None
         if rec.get("scores") is not None:
             scores = CodeScores.from_dict(rec["scores"])
-        return Session(id=str(rec["id"]), turns=tuple(turns), scores=scores)
+        return Session(id=rec["id"], turns=tuple(turns), scores=scores)
     except ValidationError as exc:
         raise type(exc)(f"{where}: {exc}") from None
 

@@ -124,22 +124,24 @@ class FoldFit(NamedTuple):
 
 def fit_folds_and_count(tasks: Sequence[FoldTask], svm_c: float) -> list[FoldFit]:
     """Fit selection, scaler, and SVM on each task's training rows and count
-    on its test rows.  The SVMs of each lockstep batch are solved together,
-    and only one batch's scaled training rows are held at a time."""
+    on its test rows.  The SVMs whose training matrices share a shape are
+    solved together, in the batches `train_svms` makes, and only one batch's
+    scaled training rows are held at a time."""
+    masks = [
+        top_k_mask(anova_f_scores(t.X[t.train_rows], t.y[t.train_rows]), t.selectable, t.k_features) for t in tasks
+    ]
     fits: dict[int, FoldFit] = {}
-    for batch in lockstep_batches([len(t.train_rows) for t in tasks]):
+    for batch in lockstep_batches([(len(t.train_rows), int(mask.sum())) for t, mask in zip(tasks, masks)]):
         problems = []
-        selections = []
-        for t in (tasks[k] for k in batch):
+        scalers = []
+        for t, mask in ((tasks[k], masks[k]) for k in batch):
             y_train = t.y[t.train_rows]
-            f_scores = anova_f_scores(t.X[t.train_rows], y_train)
-            mask = top_k_mask(f_scores, t.selectable, t.k_features)
             scaler = fit_scaler(t.X[np.ix_(t.train_rows, np.flatnonzero(mask))])
             X_train = apply_scaler(t.X[np.ix_(t.train_rows, np.flatnonzero(mask))], scaler)
             problems.append(SvmProblem(X_train, y_train, C=svm_c, weights=class_weights(y_train)))
-            selections.append((mask, scaler))
-        for k, (mask, scaler), model in zip(batch, selections, train_svms(problems)):
-            t = tasks[k]
+            scalers.append(scaler)
+        for k, scaler, model in zip(batch, scalers, train_svms(problems)):
+            t, mask = tasks[k], masks[k]
             pred = predict_many(model, apply_scaler(t.X[np.ix_(t.test_rows, np.flatnonzero(mask))], scaler))
             truth = t.y[t.test_rows]
             counts = FoldCounts(

@@ -89,17 +89,13 @@ def tagged_session_from_record(rec: dict, where: str) -> TaggedSession:
             index = urec.get("index", ui)
             if type(index) is not int or index < 0:
                 raise ParseError(f"utterance {ui}: index must be a non-negative integer, got {index!r}")
-            utts.append(
-                Utterance(
-                    tokens=tokens_from_records(urec["tokens"], f"utterance {ui}"),
-                    speaker=urec["speaker"],
-                    index_in_session=index,
-                    da=urec.get("da"),
-                    mc=urec.get("mc"),
-                )
-            )
+            tokens = tokens_from_records(urec["tokens"], f"utterance {ui}")
+            try:
+                utts.append(Utterance(tokens, urec["speaker"], index, da=urec.get("da"), mc=urec.get("mc")))
+            except ValidationError as exc:
+                raise type(exc)(f"utterance {ui}: {exc}") from None
         scores = CodeScores.from_dict(rec["scores"]) if rec.get("scores") is not None else None
-        return TaggedSession(id=str(rec["id"]), utterances=tuple(utts), scores=scores)
+        return TaggedSession(id=rec["id"], utterances=tuple(utts), scores=scores)
     except ValidationError as exc:
         raise type(exc)(f"{where}: {exc}") from None
 

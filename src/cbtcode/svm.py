@@ -1,18 +1,19 @@
 """Class-weighted linear SVM for the binary code tasks.
 
 Primal problem: minimize (1/2)||w||^2 + C * sum_i weight(y_i) * hinge_i with
-an unregularized intercept.  Solved in the dual by sequential minimal
-optimization with second-order pair selection, accelerated by an exact
-solve on the settled free set; the intercept is recovered by exact 1-D
-minimization of the primal, and convergence is declared on the relative
-duality gap.  Problems of the same size are solved in lockstep batches that
-share each iteration's numpy calls.
+an unregularized intercept.  Solved in the dual by a primal-dual
+interior-point method (Mehrotra predictor-corrector), whose Newton systems
+go through d x d matrices when there are fewer features d than samples n;
+its iteration count hardly depends on how degenerate the problem is.  The
+intercept is recovered by exact 1-D minimization of the primal, and
+convergence is declared on the relative duality gap.  Problems of the same
+shape are solved in batches that share each iteration's numpy calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Hashable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,25 +63,27 @@ def hinge_objective(
     return 0.5 * float(np.dot(w, w)) + float(np.dot(sample_c, np.maximum(0.0, 1.0 - margins)))
 
 
-def _optimal_bias(u: np.ndarray, y: np.ndarray, sample_c: np.ndarray) -> float:
-    """Exact minimizer of the piecewise-linear weighted hinge loss in b.
+def _optimal_bias(u: np.ndarray, ys: np.ndarray, sample_c: np.ndarray, pos_c: np.ndarray) -> np.ndarray:
+    """Exact minimizer of the piecewise-linear weighted hinge loss in b, per row.
 
-    u = X @ w.  The loss slope in b is non-decreasing; the optimum sits at
-    the breakpoint where it crosses zero (midpoint of the flat stretch if it
-    touches zero exactly).
+    u = X @ w; pos_c is the row's positive-class total of sample_c.  The slope
+    in b starts at -pos_c and grows by sample_c[i] at each breakpoint (in
+    ascending order, ties in index order, summed left to right).  The optimum
+    is the breakpoint where it turns positive, the midpoint of the flat
+    stretch after one where it is exactly zero (unless that one is last),
+    and otherwise the last breakpoint.
     """
-    breakpoints = y - u  # where sample i's hinge activates/deactivates
-    order = np.argsort(breakpoints, kind="stable")
-    slope = -float(sample_c[y > 0].sum())
-    for pos, i in enumerate(order):
-        slope += float(sample_c[i])
-        if slope > 0.0:
-            return float(breakpoints[i])
-        if slope == 0.0:
-            if pos + 1 < len(order):
-                return float(0.5 * (breakpoints[i] + breakpoints[order[pos + 1]]))
-            return float(breakpoints[i])
-    return float(breakpoints[order[-1]])
+    breakpoints = ys - u  # where sample i's hinge activates/deactivates
+    order = np.argsort(breakpoints, axis=1, kind="stable")
+    points = np.take_along_axis(breakpoints, order, axis=1)
+    slope = np.cumsum(np.column_stack([-pos_c, np.take_along_axis(sample_c, order, axis=1)]), axis=1)[:, 1:]
+    n = points.shape[1]
+    rows = np.arange(len(points))
+    crossed = slope >= 0.0
+    at = np.where(crossed.any(axis=1), crossed.argmax(axis=1), n - 1)
+    flat = (slope[rows, at] == 0.0) & (at + 1 < n)
+    here = points[rows, at]
+    return np.where(flat, 0.5 * (here + points[rows, np.minimum(at + 1, n - 1)]), here)
 
 
 class SvmProblem(NamedTuple):
@@ -94,67 +97,20 @@ class SvmProblem(NamedTuple):
     max_iter: int = 1_000_000
 
 
-# Problems solved in one lockstep batch.  Per-iteration numpy overhead is
-# shared by the batch; beyond ~20 problems the gain levels off while the
-# stacked Gram matrices keep growing.
+# Problems solved in one batch.  Per-iteration numpy overhead is shared by
+# the batch; beyond ~20 problems the gain levels off while the stacked
+# matrices keep growing.
 _BATCH = 20
-_EPS_BOUND = 1e-12
-
-
-def _newton_jump(
-    alpha: np.ndarray, K: np.ndarray, ys: np.ndarray, sample_c: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Exactly solve the QP restricted to the current free set.
-
-    SMO's tail convergence is linear; once the active set has settled
-    this one solve lands on that set's optimum.  The move is only a
-    candidate: the caller keeps it solely when it shrinks the gap.
-    """
-    free = (alpha > _EPS_BOUND) & (alpha < sample_c - _EPS_BOUND)
-    nf = int(free.sum())
-    if nf == 0:
-        return None
-    F = np.flatnonzero(free)
-    B = np.flatnonzero(~free)
-    ay_b = alpha[B] * ys[B]
-    q_fb = ys[F] * (K[np.ix_(F, B)] @ ay_b) if len(B) else np.zeros(nf)
-    q_ff = ys[F, None] * K[np.ix_(F, F)] * ys[None, F]
-    target = -float(np.dot(ys[B], alpha[B])) if len(B) else 0.0
-    system = np.zeros((nf + 1, nf + 1))
-    system[:nf, :nf] = q_ff
-    system[:nf, nf] = ys[F]
-    system[nf, :nf] = ys[F]
-    rhs = np.concatenate([1.0 - q_fb, [target]])
-    # A whisper of ridge keeps rank-deficient Gram blocks solvable; the
-    # residual check below is against the unperturbed system.
-    ridged = system.copy()
-    ridged[np.arange(nf), np.arange(nf)] += 1e-9
-    try:
-        sol = np.linalg.solve(ridged, rhs)
-    except np.linalg.LinAlgError:
-        try:
-            sol, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-        except np.linalg.LinAlgError:
-            return None
-    # A singular system can yield a least-squares point that is not a
-    # solution at all; it would violate the dual equality constraint and
-    # invalidate the gap bound, so insist on a near-exact solve.
-    residual = system @ sol - rhs
-    scale = 1.0 + float(np.abs(rhs).max())
-    if float(np.abs(residual).max()) > 1e-7 * scale:
-        return None
-    new_f = sol[:nf]
-    if np.any(new_f < -1e-9) or np.any(new_f > sample_c[F] + 1e-9):
-        return None
-    trial = alpha.copy()
-    trial[F] = np.clip(new_f, 0.0, sample_c[F])
-    if abs(float(np.dot(ys, trial))) > 1e-8:
-        return None
-    return trial, K @ (trial * ys)
+# An interior-point step goes at most this fraction of the way to the
+# boundary of the box and of the nonnegative multipliers.
+_TO_BOUNDARY = 0.99
+# A problem's exact duality gap is tested once its complementarity, which
+# bounds it, is within this factor of tol.
+_SCREEN = 100.0
 
 
 class _Fit:
-    """One validated problem and, once its solve stops, its dual solution."""
+    """One validated problem and, once its solve stops, its solution."""
 
     def __init__(self, problem: SvmProblem):
         X = np.asarray(problem.X, dtype=float)
@@ -166,6 +122,8 @@ class _Fit:
         weights = problem.weights if problem.weights is not None else class_weights(yb)
         if yb.all() or not yb.any():
             raise ValidationError("both classes must be present to train")
+        if not all(0.0 < v < np.inf for v in (problem.C, weights.low, weights.high)):
+            raise ValidationError(f"C and the class weights must be positive and finite, got {problem.C}, {weights}")
         self.X = X
         self.C = problem.C
         self.weights = weights
@@ -173,146 +131,198 @@ class _Fit:
         self.max_iter = problem.max_iter
         self.ys = np.where(yb, 1.0, -1.0)
         self.sample_c = problem.C * np.where(yb, weights.high, weights.low)
-
-    def gap(self, alpha: np.ndarray, u: np.ndarray) -> tuple[float, float, float, bool]:
-        """Duality gap, primal value and optimal bias at the dual point alpha
-        (u = X @ w), and whether the relative gap meets tol."""
-        ys, sample_c = self.ys, self.sample_c
-        dual = float(alpha.sum()) - 0.5 * float(np.dot(alpha * ys, u))
-        bias = _optimal_bias(u, ys, sample_c)
-        margins = ys * (u + bias)
-        primal = 0.5 * float(np.dot(alpha * ys, u)) + float(
-            np.dot(sample_c, np.maximum(0.0, 1.0 - margins))
-        )
-        gap = primal - dual
-        return gap, primal, bias, gap <= self.tol * max(1.0, abs(primal))
+        self.pos_c = float(self.sample_c[yb].sum())
+        # A strictly interior start on y'alpha = 0: each class's box scaled
+        # so that both classes sum to half the smaller class total (c/2
+        # under `class_weights`, whose class totals are equal).
+        neg_c = float(self.sample_c[~yb].sum())
+        half = 0.5 * min(self.pos_c, neg_c)
+        self.alpha0 = self.sample_c * np.where(yb, half / self.pos_c, half / neg_c)
 
     def model(self) -> LinearModel:
-        gap, primal, bias, converged = self.gap(self.alpha, self.u)
-        if not converged and self.n_iter >= self.max_iter:
+        if not self.converged and self.n_iter >= self.max_iter:
             raise NumericalError(
                 f"SVM solver hit max_iter={self.max_iter} with relative duality gap "
-                f"{gap / max(1.0, abs(primal)):.3e} > {self.tol:.0e}"
+                f"{self.gap / max(1.0, abs(self.primal)):.3e} > {self.tol:.0e}"
             )
         return LinearModel(
-            weights=self.X.T @ (self.alpha * self.ys),
-            bias=float(bias),
+            weights=self.w,
+            bias=self.bias,
             C=float(self.C),
             weight_low=float(self.weights.low),
             weight_high=float(self.weights.high),
             n_iter=self.n_iter,
-            gap=float(gap),
-            converged=bool(converged),
+            gap=self.gap,
+            converged=self.converged,
         )
 
 
-def _solve_lockstep(fits: list[_Fit]) -> None:
-    """SMO on problems of one size n, with one shared iteration counter.
+def _mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise matrix-vector products of a stack: A[r] @ v[r]."""
+    return (A @ v[:, :, None])[:, :, 0]
 
-    Every numpy call of an iteration serves all problems still running, and
-    each problem follows exactly the iterates it would follow alone: the
-    same pair selection (ties to the first index), the same arithmetic in
-    the same order, and every max(64, n) iterations its own duality-gap
-    check and candidate Newton jump.  A problem leaves the batch when its
-    gap meets tol, when no violating pair remains, or at its max_iter.
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a * b).sum(axis=1)
+
+
+def _complementarity(V: np.ndarray) -> np.ndarray:
+    """alpha'z + s'xi of each row of an iterate stack V = [alpha, s, z, xi]."""
+    return (V[:, 0] * V[:, 2] + V[:, 1] * V[:, 3]).sum(axis=1)
+
+
+def _max_step(V: np.ndarray, dV: np.ndarray) -> np.ndarray:
+    """Per row, the longest step t <= 1 that keeps V + t dV positive,
+    shortened to `_TO_BOUNDARY` of the distance when a bound binds."""
+    return np.minimum(1.0, _TO_BOUNDARY * np.where(dV < 0.0, -V / dV, np.inf).min(axis=(1, 2)))[:, None, None]
+
+
+# A step that overflows or divides by zero is caught as a stall.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _newton_step(
+    X: np.ndarray, Q: np.ndarray | None, ys: np.ndarray, u: np.ndarray, V: np.ndarray, nu: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One Mehrotra predictor-corrector step per row of the iterate (V, nu),
+    and which rows stalled: their complementarity did not fall (a non-finite
+    step included), so they keep their point."""
+    alpha, s, z, xi = V.swapaxes(0, 1)
+    XT = X.transpose(0, 2, 1)
+    # Each row's two Newton systems (Q + D) da + y dnu = r, y'da = -y'alpha
+    # share one matrix.
+    D = z / alpha + xi / s
+    eye = np.arange(min(X.shape[1:]))  # the diagonal of G (d x d) or of M (n x n)
+    if Q is None:
+        # Sherman-Morrison-Woodbury: (D + Z Z')^-1 through the d x d matrix
+        # G = I + Z' D^-1 Z with Z = diag(y) X; Q itself is never formed.
+        inv_d = 1.0 / D
+        G = XT @ (X * inv_d[:, :, None])
+        G[:, eye, eye] += 1.0
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            t = rhs * inv_d[:, :, None]
+            return t - (inv_d * ys)[:, :, None] * (X @ np.linalg.solve(G, XT @ (ys[:, :, None] * t)))
+
+    else:
+        M = Q.copy()
+        M[:, eye, eye] += D
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            return np.linalg.solve(M, rhs)
+
+    base = 1.0 - ys * u - ys * nu[:, None]  # the dual residual's negation, less z - xi
+    aff, toward_y = np.moveaxis(solve(np.stack([base, ys], axis=2)), 2, 0)
+    feas = _rowdot(ys, alpha)
+    y_toward_y = _rowdot(ys, toward_y)
+
+    def direction(p: np.ndarray, t_z, t_xi) -> tuple[np.ndarray, np.ndarray]:
+        """(dV, dnu) from p = (Q + D)^-1 r: the step that also meets
+        y'(alpha + da) = 0 and drives alpha*z to t_z and s*xi to t_xi."""
+        dnu = (_rowdot(ys, p) + feas) / y_toward_y
+        da = p - dnu[:, None] * toward_y
+        return np.stack([da, -da, t_z / alpha - z - z / alpha * da, t_xi / s - xi + xi / s * da], axis=1), dnu
+
+    comp = _complementarity(V)
+    # Predictor: the pure Newton (affine-scaling) direction, to choose the centring.
+    dV, _ = direction(aff, 0.0, 0.0)
+    ratio = _complementarity(V + _max_step(V, dV) * dV) / comp
+    sigma_mu = (ratio**3 * comp / (2 * alpha.shape[1]))[:, None]
+    # Corrector: centre on sigma * mu and cancel the predictor's second-order term.
+    t_z = sigma_mu - dV[:, 0] * dV[:, 2]
+    t_xi = sigma_mu - dV[:, 1] * dV[:, 3]
+    dV, dnu = direction(solve((base + t_z / alpha - t_xi / s)[:, :, None])[:, :, 0], t_z, t_xi)
+    t = _max_step(V, dV)
+    new_V = V + t * dV
+    stalled = ~(_complementarity(new_V) < comp)
+    return np.where(stalled[:, None, None], V, new_V), np.where(stalled, nu, nu + t[:, 0, 0] * dnu), stalled
+
+
+def _solve_batch(fits: list[_Fit]) -> None:
+    """The primal-dual interior-point method on problems of one shape (n, d).
+
+    The dual is min (1/2) a'Qa - 1'a subject to y'a = 0 and a + s = c with
+    a, s > 0, where Q = Z Z' and Z = diag(y) X; the iterate stacks alpha,
+    s and the multipliers z of alpha >= 0 and xi of s >= 0 as V, with nu
+    the multiplier of y'a = 0.  Every numpy call of an iteration serves all
+    problems still running, and each problem follows exactly the iterates
+    it would follow alone.  A problem leaves the batch once the relative
+    duality gap of its iterate meets tol, at its max_iter, or when it
+    stalls: its step no longer lowers the complementarity, or that is
+    already below the rounding of the objective.
     """
-    K = np.stack([fit.X @ fit.X.T for fit in fits])  # rows stay put as problems leave
-    check_every = max(64, K.shape[1])
-    live = np.arange(len(fits))
-    ar = np.arange(len(fits))
-    diag = np.diagonal(K, axis1=1, axis2=2).copy()
+    X = np.stack([fit.X for fit in fits])
+    n, d = X.shape[1:]
     ys = np.stack([fit.ys for fit in fits])
     sample_c = np.stack([fit.sample_c for fit in fits])
-    cap = sample_c - _EPS_BOUND
+    pos_c = np.array([fit.pos_c for fit in fits])
+    tol = np.array([fit.tol for fit in fits])
     max_iter = np.array([fit.max_iter for fit in fits])
-    pos = ys > 0
-    alpha = np.zeros_like(ys)
-    u = np.zeros_like(ys)  # equals X @ w throughout
-    v = ys - u  # equals -y * dual_gradient throughout
-    done = np.array([fit.gap(alpha[k], u[k])[3] for k, fit in enumerate(fits)]) | (max_iter <= 0)
-    n_iter = 0
+    # The Newton systems go through the smaller matrix: d x d when there are
+    # fewer features than samples, otherwise n x n with Q.  Either route
+    # alone is several times slower on some folds (n x n on 240 x 128, d x d
+    # on 48 x 128).
+    Q = None if d < n else ys[:, :, None] * (X @ X.transpose(0, 2, 1)) * ys[:, None, :]
+    alpha = np.stack([fit.alpha0 for fit in fits])
+    grad = ys * _mv(X, _mv(X.transpose(0, 2, 1), alpha * ys)) - 1.0  # the dual gradient Qa - 1
+    # Multipliers that zero the dual residual Qa - 1 + y nu - z + xi at nu = 0.
+    V = np.stack([alpha, sample_c - alpha, np.maximum(grad, 0.0) + 1.0, np.maximum(-grad, 0.0) + 1.0], axis=1)
+    nu = np.zeros(len(fits))
+    live = np.arange(len(fits))
+    n_iter = np.zeros(len(fits), dtype=int)
+    stalled = np.zeros(len(fits), dtype=bool)
     while True:
-        free_cap = alpha < cap
-        free_floor = alpha > _EPS_BOUND
-        up = np.where(pos, free_cap, free_floor)
-        low = np.where(pos, free_floor, free_cap)
-        v_up = np.where(up, v, -np.inf)
-        i = v_up.argmax(axis=1)
-        v_i = v_up[ar, i]
-        # An empty up (low) set makes v_i -inf (its minimum +inf).
-        done |= v_i - np.where(low, v, np.inf).min(axis=1) <= 1e-12
-        if done.any():
+        alpha = V[:, 0]
+        w = _mv(X.transpose(0, 2, 1), alpha * ys)
+        u = _mv(X, w)
+        ay_u = _rowdot(alpha * ys, u)
+        dual = alpha.sum(axis=1) - 0.5 * ay_u
+        comp = _complementarity(V)
+        stalled |= comp <= np.finfo(float).eps * np.maximum(1.0, np.abs(dual))
+        at_end = stalled | (n_iter >= max_iter)
+        # The complementarity bounds the duality gap of these feasible
+        # iterates, so a row's exact gap counts only once its bound is near
+        # tol; it is computed for the whole batch when any row needs it.
+        screened = at_end | (comp <= _SCREEN * tol * np.maximum(1.0, np.abs(dual)))
+        if screened.any():
+            bias = _optimal_bias(u, ys, sample_c, pos_c)
+            primal = 0.5 * ay_u + _rowdot(sample_c, np.maximum(0.0, 1.0 - ys * (u + bias[:, None])))
+            gap = primal - dual
+            converged = screened & (gap <= tol * np.maximum(1.0, np.abs(primal)))
+            done = converged | at_end
             for r in np.flatnonzero(done):
                 fit = fits[live[r]]
-                fit.alpha, fit.u, fit.n_iter = alpha[r].copy(), u[r].copy(), n_iter
+                fit.w, fit.bias, fit.n_iter = w[r].copy(), float(bias[r]), int(n_iter[r])
+                fit.gap, fit.primal, fit.converged = float(gap[r]), float(primal[r]), bool(converged[r])
             keep = ~done
             if not keep.any():
                 return
-            live, alpha, u, v, diag, ys, sample_c, cap, max_iter, pos, low, i, v_i = (
-                a[keep] for a in (live, alpha, u, v, diag, ys, sample_c, cap, max_iter, pos, low, i, v_i)
+            live, X, ys, sample_c, pos_c, tol, max_iter, n_iter, u, V, nu = (
+                a[keep] for a in (live, X, ys, sample_c, pos_c, tol, max_iter, n_iter, u, V, nu)
             )
-            ar = np.arange(len(live))
-        # Second-order pair selection: maximize the analytic objective decrease.
-        K_i = K[live, i]
-        diag_i = diag[ar, i]
-        cand = low & (v < v_i[:, None])
-        b = v_i[:, None] - v
-        a = np.maximum(diag_i[:, None] + diag - 2.0 * K_i, 1e-12)
-        j = np.where(cand, b * b / a, -np.inf).argmax(axis=1)
-        violation = v_i - v[ar, j]
-        eta = diag_i + diag[ar, j] - 2.0 * K_i[ar, j]
-        curved = eta > 1e-12
-        lam_star = np.where(curved, violation / np.where(curved, eta, 1.0), np.inf)
-        alpha_i, alpha_j = alpha[ar, i], alpha[ar, j]
-        ys_i, ys_j = ys[ar, i], ys[ar, j]
-        lam_i = np.where(ys_i > 0, sample_c[ar, i] - alpha_i, alpha_i)
-        lam_j = np.where(ys_j > 0, alpha_j, sample_c[ar, j] - alpha_j)
-        lam = np.minimum(np.minimum(lam_star, lam_i), lam_j)
-        alpha[ar, i] = alpha_i + ys_i * lam
-        alpha[ar, j] = alpha_j - ys_j * lam
-        step = lam[:, None] * (K[live, :, i] - K[live, :, j])
-        u += step
-        v -= step
-        n_iter += 1
-        done = max_iter <= n_iter
-        if n_iter % check_every == 0:
-            for r, k in enumerate(live):
-                fit = fits[k]
-                gap, _, _, converged = fit.gap(alpha[r], u[r])
-                if not converged:
-                    jump = _newton_jump(alpha[r], K[k], fit.ys, fit.sample_c)
-                    if jump is not None:
-                        trial, u_trial = jump
-                        trial_gap, _, _, converged = fit.gap(trial, u_trial)
-                        if trial_gap < gap:
-                            alpha[r] = trial
-                            u[r] = u_trial
-                            v[r] = fit.ys - u_trial
-                        else:
-                            converged = False
-                done[r] |= converged
+            Q = None if Q is None else Q[keep]
+        V, nu, stalled = _newton_step(X, Q, ys, u, V, nu)
+        n_iter += ~stalled
 
 
-def lockstep_batches(sizes: Sequence[int]) -> list[list[int]]:
-    """The batches `train_svms` solves together: problem indices grouped by
-    size n in input order, at most _BATCH to a batch."""
-    by_size: dict[int, list[int]] = {}
+def lockstep_batches(sizes: Sequence[Hashable]) -> list[list[int]]:
+    """Problem indices grouped by X shape (n, d) in input order, at most
+    _BATCH to a group: the batches in which `train_svms` solves them."""
+    by_size: dict[Hashable, list[int]] = {}
     for k, n in enumerate(sizes):
         by_size.setdefault(n, []).append(k)
     return [group[at : at + _BATCH] for group in by_size.values() for at in range(0, len(group), _BATCH)]
 
 
 def train_svms(problems: Sequence[SvmProblem]) -> list[LinearModel]:
-    """Train one weighted linear SVM per problem, in lockstep batches.
+    """Train one weighted linear SVM per problem, in batches of one X shape.
 
-    Problems of the same size share each batch's numpy calls; every model
-    equals, bit for bit, the one the problem gives when solved alone.  If
-    any problem hits its max_iter unconverged, the first such problem in
-    order raises NumericalError.
+    Every model equals, bit for bit, the one the problem gives when solved
+    alone.  If any problem hits its max_iter unconverged, the first such
+    problem in order raises NumericalError; a problem whose solve stalls
+    first returns its model with converged=False.
     """
     fits = [_Fit(p) for p in problems]
-    for batch in lockstep_batches([len(fit.ys) for fit in fits]):
-        _solve_lockstep([fits[k] for k in batch])
+    for batch in lockstep_batches([fit.X.shape for fit in fits]):
+        _solve_batch([fits[k] for k in batch])
     return [fit.model() for fit in fits]
 
 

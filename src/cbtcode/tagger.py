@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .chain import forward_backward, viterbi
-from .corpus import CodeScores, Tokens, check_session_id
+from .corpus import CodeScores, Tokens, check_session_id, check_speaker
 from .errors import ValidationError
 from .optimize import OptResult, minimize_lbfgs
 
@@ -91,6 +91,7 @@ class Utterance:
     mc: str | None = None
 
     def __post_init__(self) -> None:
+        check_speaker(self.speaker)
         if not self.tokens:
             raise ValidationError("utterance has no tokens")
         if self.da is not None and self.da not in DA_TAG_SET.labels:

@@ -65,7 +65,7 @@ def brute_tfidf(docs: list[tuple[str, list[str]]], max_df: float, min_df: float)
 
 
 # ---------------------------------------------------------------------------
-# Weighted-hinge subgradient oracle (independent of the SMO solver)
+# Weighted-hinge subgradient oracle (independent of the SVM solver)
 
 
 def subgradient_hinge_oracle(
@@ -108,9 +108,8 @@ def subgradient_hinge_oracle(
     return f_best
 
 # ---------------------------------------------------------------------------
-# One-problem SMO reference: the solver loop as it ran one fit at a time
-# before `train_svms` batched it.  The batched solver must reproduce it bit
-# for bit.
+# One-problem SMO: the solver `train_svms` used before its interior-point
+# method, kept as an independent objective oracle for it.
 
 
 def _reference_bias(u: np.ndarray, y: np.ndarray, sample_c: np.ndarray) -> float:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cbtcode.corpus import CODES, Tokens, Turn, parse_corpus, read_scores_table
+from cbtcode.corpus import CODES, ROLES, Tokens, Turn, parse_corpus, read_scores_table
 from cbtcode.errors import CbtCodeError, ValidationError
 from cbtcode.features import FeatureMatrix
 from cbtcode.segmenter import make_boundary_training_data, segment, train_boundary_model
@@ -111,8 +111,9 @@ def mutate(record, path, value, delete):
 
 
 def assert_rejected_cleanly(read, path, per_line_only):
+    """What `read` returns when it accepts the file."""
     try:
-        read(path)
+        return read(path)
     except CbtCodeError as exc:
         message = str(exc)
         line = r", line \d+" if per_line_only else r"(, line \d+)?"
@@ -128,6 +129,8 @@ def assert_rejected_cleanly(read, path, per_line_only):
     position=st.integers(0, 2),
 )
 @example(edits=[(("turns", 0, "tokens", 0, "start_s"), 10**400, False)], position=0)  # too large for a float
+@example(edits=[(("id",), [1], False)], position=0)
+@example(edits=[(("turns", 1, "speaker"), "bob", False)], position=1)
 def test_parse_corpus_mutated_record(tmp_path, edits, position):
     record = VALID_RECORD
     for path, value, delete in edits:
@@ -136,7 +139,10 @@ def test_parse_corpus_mutated_record(tmp_path, edits, position):
     lines.insert(position, json.dumps(record))
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert_rejected_cleanly(parse_corpus, corpus, per_line_only=True)
+    sessions = assert_rejected_cleanly(parse_corpus, corpus, per_line_only=True)
+    if sessions is not None:  # accepted as written: ids and speakers are not rewritten
+        assert [s.id for s in sessions] == [json.loads(line)["id"] for line in lines]
+        assert all(t.speaker in ROLES for s in sessions for t in s.turns)
 
 
 @FUZZ
@@ -269,6 +275,8 @@ TAGGED_PATHS = [p for p in paths(VALID_TAGGED_RECORD) if p]
 @example(edits=[(("utterances", 0, "index"), True, False)], position=1)
 @example(edits=[(("utterances", 0, "tokens", 1, "start_s"), -0.5, False)], position=2)
 @example(edits=[(("utterances", 0, "tokens"), {"text": "x"}, False)], position=0)
+@example(edits=[(("id",), 7, False)], position=1)
+@example(edits=[(("utterances", 1, "speaker"), ["x"], False)], position=2)
 def test_read_tagged_corpus_mutated_record(tmp_path, edits, position):
     record = VALID_TAGGED_RECORD
     for path, value, delete in edits:
@@ -277,7 +285,10 @@ def test_read_tagged_corpus_mutated_record(tmp_path, edits, position):
     lines.insert(position, json.dumps(record))
     corpus = tmp_path / "tagged.jsonl"
     corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert_rejected_cleanly(read_tagged_corpus, corpus, per_line_only=True)
+    sessions = assert_rejected_cleanly(read_tagged_corpus, corpus, per_line_only=True)
+    if sessions is not None:  # accepted as written: ids and speakers are not rewritten
+        assert [s.id for s in sessions] == [json.loads(line)["id"] for line in lines]
+        assert all(u.speaker in ROLES for s in sessions for u in s.utterances)
 
 
 @FUZZ

@@ -664,6 +664,82 @@ class TestExitCodes:
         assert f"{corpus}, line 2: utterance 1: index must be a non-negative integer, got {index!r}" in err
         assert err.count(str(corpus)) == 1
 
+    def test_train_svm_with_zero_c_is_exit_2(self, tmp_path, capsys):
+        matrix = tmp_path / "m.mtx"
+        matrix.write_text(
+            "#format_version 1\n#kind feature_matrix\n#shape 2 1\n#row s1\n#row s2\n#col 1 a\n0 0 1.0\n1 0 -1.0\n",
+            encoding="utf-8",
+        )
+        labels = tmp_path / "labels.csv"
+        rows = ["id," + ",".join(CODES), "s1," + ",".join(["6"] * 11), "s2," + ",".join(["0"] * 11)]
+        labels.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        argv = ["train", "--what", "svm", "--code", "total", "--features", str(matrix), "--labels", str(labels)]
+        assert main([*argv, "--c", "0", "--out", str(tmp_path / "svm.json")]) == 2
+        assert "C and the class weights must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("id", [1], "session id must be a string, got [1]"),
+            ("id", 7, "session id must be a string, got 7"),
+            ("speaker", "bob", "utterance 1: unknown speaker role 'bob'"),
+            ("speaker", ["x"], "utterance 1: unknown speaker role ['x']"),
+        ],
+        ids=["list-id", "number-id", "unknown-speaker", "list-speaker"],
+    )
+    @pytest.mark.parametrize("command", ["tag", "featurize"])
+    def test_tagged_record_with_a_bad_id_or_speaker_is_exit_2_and_named_once(
+        self, workspace, tmp_path, capsys, command, field, value, message
+    ):
+        token = {"text": "hi", "start_s": 0.0, "end_s": 0.2}
+        utterances = [
+            {"speaker": "therapist", "index": 0, "tokens": [token], "da": None, "mc": None},
+            {"speaker": "patient", "index": 1, "tokens": [token], "da": None, "mc": None},
+        ]
+        record = {"format_version": 1, "id": "s1", "scores": None, "utterances": utterances}
+        if field == "id":
+            record["id"] = value
+        else:
+            utterances[1]["speaker"] = value
+        corpus = tmp_path / "bad_record.jsonl"
+        corpus.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
+        if command == "tag":
+            argv = ["tag", "--scheme", "mc", "--model", str(workspace["models"] / "mc.json")]
+        else:
+            argv = ["featurize", "--set", "tfidf"]
+        rc = main([*argv, "--in", str(corpus), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{corpus}, line 2: {message}" in err
+        assert err.count(str(corpus)) == 1
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("id", [1], "session id must be a string, got [1]"),
+            ("speaker", "bob", "turn 1: unknown speaker role 'bob'"),
+        ],
+        ids=["list-id", "unknown-speaker"],
+    )
+    def test_turn_record_with_a_bad_id_or_speaker_is_exit_2_and_named_once(
+        self, workspace, tmp_path, capsys, field, value, message
+    ):
+        token = {"text": "hi", "start_s": 0.0, "end_s": 0.2}
+        turns = [{"speaker": "therapist", "tokens": [token]}, {"speaker": "patient", "tokens": [token]}]
+        record = {"format_version": 1, "id": "s1", "scores": None, "turns": turns}
+        if field == "id":
+            record["id"] = value
+        else:
+            turns[1]["speaker"] = value
+        corpus = tmp_path / "bad_turns.jsonl"
+        corpus.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
+        rc = main(["tag", "--scheme", "mc", "--model", str(workspace["models"] / "mc.json"),
+                   "--in", str(corpus), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{corpus}, line 2: {message}" in err
+        assert err.count(str(corpus)) == 1
+
     @pytest.mark.parametrize("value", ["x", 4.7, True], ids=["string", "float", "bool"])
     @pytest.mark.parametrize("command", ["segment", "featurize"])
     def test_malformed_score_is_exit_2_and_named_once(self, tmp_path, capsys, command, value):

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+import cbtcode.evaluate
 import cbtcode.svm
+from cbtcode.corpus import binarize_scores
 from cbtcode.errors import NumericalError, ValidationError
+from cbtcode.evaluate import fit_folds_and_count, select_k_tasks
+from cbtcode.pipeline import build_feature_matrix
 from cbtcode.svm import (
     ClassWeights,
     LinearModel,
@@ -14,8 +18,10 @@ from cbtcode.svm import (
     predict_many,
     train_svm,
     train_svms,
+    _optimal_bias,
 )
-from helpers import smo_one_problem, subgradient_hinge_oracle
+from cbtcode.synth import SynthConfig, generate_corpus
+from helpers import _reference_bias, smo_one_problem, subgradient_hinge_oracle
 
 
 class TestClassWeights:
@@ -151,6 +157,15 @@ class TestTrainSvm:
         with pytest.raises(ValidationError):
             train_svm(np.ones((3, 2)), [True, True, True])
 
+    @pytest.mark.parametrize(
+        "C, weights",
+        [(0.0, None), (-1.0, None), (np.inf, None), (1.0, ClassWeights(1.0, 0.0)), (1.0, ClassWeights(np.nan, 1.0))],
+    )
+    def test_nonpositive_or_infinite_c_and_weights_rejected(self, C, weights):
+        X = np.array([[-1.0], [1.0]])
+        with pytest.raises(ValidationError, match="C and the class weights must be positive and finite"):
+            train_svm(X, [False, True], C, weights)
+
 
 def fold_like_problem(rng, n, d, C=1.0, weights=None, tol=1e-6, max_iter=1_000_000):
     """Standardized features with a weak planted signal, as in a CV training fold."""
@@ -179,64 +194,178 @@ def mixed_problems():
     ]
     problems += [
         fold_like_problem(rng, 48, 16, C=1e-9),  # converges at the initial gap
-        # The positive (negative) class's box is below the 1e-12 free-set
-        # bound, so the up (low) set is empty from the start.
+        # One class's box is far below the other's, so the start is extreme;
+        # tol=1e-30 cannot be met, so these three run until they stall.
         fold_like_problem(rng, 48, 16, weights=ClassWeights(1.0, 1e-13), tol=1e-30),
         fold_like_problem(rng, 30, 16, weights=ClassWeights(1e-13, 1.0), tol=1e-30),
-        fold_like_problem(rng, 47, 64, tol=1e-30),  # runs until no violating pair is left
+        fold_like_problem(rng, 47, 64, tol=1e-30),
     ]
     return problems
+
+
+def primal(p, w, b):
+    """The problem's weighted primal objective at (w, b)."""
+    weights = p.weights if p.weights is not None else class_weights(p.y)
+    ys = np.where(p.y, 1.0, -1.0)
+    return hinge_objective(p.X, ys, p.C * np.where(p.y, weights.high, weights.low), w, b)
 
 
 class TestTrainSvms:
     def test_batch_equals_one_fit_at_a_time(self):
         problems = mixed_problems()
+        checked = 0
         for p, batched in zip(problems, train_svms(problems)):
             alone = train_svm(p.X, p.y, p.C, p.weights, tol=p.tol, max_iter=p.max_iter)
+            assert batched.weights.tobytes() == alone.weights.tobytes()
+            assert (batched.bias, batched.n_iter, batched.gap, batched.converged) == (
+                alone.bias, alone.n_iter, alone.gap, alone.converged
+            )
+            # SMO, solved independently, is the objective oracle: two
+            # solutions within tol of the optimum are within 2 tol of each other.
             weights = p.weights if p.weights is not None else class_weights(p.y)
-            w, bias, n_iter, gap, converged = smo_one_problem(p.X, p.y, p.C, weights, p.tol, p.max_iter)
-            for model in (batched, alone):
-                assert model.weights.tobytes() == w.tobytes()
-                assert (model.bias, model.n_iter, model.gap, model.converged) == (bias, n_iter, gap, converged)
+            w, bias, _, _, smo_converged = smo_one_problem(p.X, p.y, p.C, weights, p.tol, p.max_iter)
+            if batched.converged and smo_converged:
+                mine, oracle = primal(p, batched.weights, batched.bias), primal(p, w, bias)
+                assert abs(mine - oracle) <= 2 * p.tol * max(1.0, abs(oracle))
+                checked += 1
+        assert checked >= 50
 
-    def test_mixed_problems_cover_every_way_a_solve_stops(self, monkeypatch):
+    def test_mixed_problems_cover_every_way_a_solve_stops(self):
         problems = mixed_problems()
         models = train_svms(problems)
-        initial, empty_up, empty_low, no_pair = models[-4:]
+        initial, *stalled = models[-4:]
         assert initial.n_iter == 0 and initial.converged
-        assert empty_up.n_iter == 0 and not empty_up.converged
-        assert empty_low.n_iter == 0 and not empty_low.converged
-        assert no_pair.n_iter > 0 and not no_pair.converged
-        # A solve ends through an accepted Newton jump when it converges on a
-        # gap check and takes longer once jumps are refused.
-        monkeypatch.setattr(cbtcode.svm, "_newton_jump", lambda *args: None)
-        without_jumps = train_svms(problems)
-        jump_ended = [
-            m
-            for p, m, w in zip(problems, models, without_jumps)
-            if m.converged and m.n_iter > 0 and m.n_iter % max(64, len(p.y)) == 0 and w.n_iter > m.n_iter
-        ]
-        assert len(jump_ended) >= 5
+        assert all(m.converged and 0 < m.n_iter <= 50 for m in models[:-4])
+        # A stalled solve ends unconverged without raising, long before max_iter.
+        assert all(not m.converged and 0 < m.n_iter <= 50 for m in stalled)
         assert len({len(p.y) for p in problems}) >= 4 and len({p.X.shape[1] for p in problems}) >= 4
         assert sum(len(p.y) == 48 for p in problems) > 20  # more than one batch of one size
 
     def test_max_iter_exhaustion_raises_the_first_failure_in_order(self):
         rng = np.random.default_rng(13)
         fine = fold_like_problem(rng, 48, 16)
-        first = fold_like_problem(rng, 30, 64, max_iter=7)
-        second = fold_like_problem(rng, 48, 64, max_iter=5)
+        first = fold_like_problem(rng, 30, 64, max_iter=3)
+        second = fold_like_problem(rng, 48, 16, max_iter=2)
         with pytest.raises(NumericalError) as alone:
             train_svm(first.X, first.y, first.C, first.weights, tol=first.tol, max_iter=first.max_iter)
         # `second` shares a batch with `fine`, solved before the batch of `first`.
         with pytest.raises(NumericalError) as batched:
             train_svms([fine, first, second])
         assert str(batched.value) == str(alone.value)
-        assert "max_iter=7" in str(batched.value)
+        assert "max_iter=3" in str(batched.value)
+
+    def test_a_problem_stops_on_its_own_test_only(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        p = fold_like_problem(rng, 48, 16)
+        k = train_svm(p.X, p.y).n_iter  # its gap meets tol at iteration k
+        # A batch mate of the same shape leaves at iteration k.  With the
+        # screen shut, `p` itself stops only when it stalls, later.
+        mate = fold_like_problem(rng, 48, 16, max_iter=k)
+        monkeypatch.setattr(cbtcode.svm, "_SCREEN", 0.0)
+        alone, batched = cbtcode.svm._Fit(p), cbtcode.svm._Fit(p)
+        cbtcode.svm._solve_batch([alone])
+        cbtcode.svm._solve_batch([batched, cbtcode.svm._Fit(mate)])
+        assert alone.converged and alone.n_iter > k
+        assert (batched.n_iter, batched.gap, batched.bias) == (alone.n_iter, alone.gap, alone.bias)
+        assert batched.w.tobytes() == alone.w.tobytes()
 
     def test_empty_list_gives_no_models(self):
         assert train_svms([]) == []
 
 
+def duplicate_column_problem(C):
+    """A 240 x 16 Gaussian matrix with 6 of its columns repeated: rank 16 of 22."""
+    rng = np.random.default_rng(0)
+    A = rng.normal(size=(240, 16))
+    y = A[:, 0] + 0.3 * rng.normal(size=240) > 0
+    return SvmProblem(np.hstack([A, A[:, :6]]), y, C, class_weights(y))
+
+
+def reference_fold_problem():
+    """The SVM problem of one K-selection fold of the reference workload (300
+    planted-signal sessions, seed 11, tfidf, K=64, fold 1): its 64 scaled
+    columns hold only 53 distinct ones, and SMO took 194,640 iterations."""
+    result = generate_corpus(SynthConfig(n_sessions=300, seed=11))
+    matrix = build_feature_matrix(result.tagged, "tfidf")
+    scores = {s.id: s.scores for s in result.sessions}
+    total = {sid: binarize_scores(scores[sid]).total for sid in matrix.session_ids}
+    selectable = np.asarray(matrix.selectable, dtype=bool)
+    ks, tasks = select_k_tasks(matrix.X, matrix.session_ids, selectable, total, (16, 32, 64, 128), 5, 0)
+    captured = []
+
+    def spy(problems):
+        captured.extend(problems)
+        return train_svms(problems)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cbtcode.evaluate, "train_svms", spy)
+        fit_folds_and_count([tasks[ks.index(64) * 5 + 1]], 1.0)
+    return captured[0]
+
+
+class TestDegenerateProblems:
+    """Rank-deficient problems, on which SMO's Newton jump was singular and a
+    solve could run to max_iter, converge in a bounded number of iterations."""
+
+    @pytest.mark.parametrize("C", [1e-3, 1.0, 1e3])
+    def test_duplicate_columns_converge(self, C):
+        p = duplicate_column_problem(C)
+        assert np.linalg.matrix_rank(p.X) == 16
+        model = train_svms([p])[0]
+        assert model.converged and model.n_iter <= 50
+
+    def test_reference_fold_with_duplicate_columns_converges(self):
+        p = reference_fold_problem()
+        assert p.X.shape == (240, 64)
+        assert len(np.unique(p.X.round(12), axis=1).T) == 53
+        model = train_svms([p])[0]
+        assert model.converged and model.n_iter <= 50
+
+
+class TestOptimalBias:
+    """The batched `_optimal_bias` against a brute-force search and the
+    one-problem loop it replaced."""
+
+    @staticmethod
+    def loss(u, ys, sample_c, b):
+        return float(np.dot(sample_c, np.maximum(0.0, 1.0 - ys * (u + b))))
+
+    def check(self, u, ys, sample_c):
+        pos_c = np.array([float(c[y > 0].sum()) for c, y in zip(sample_c, ys)])
+        biases = _optimal_bias(u, ys, sample_c, pos_c)
+        for row, b in enumerate(biases):
+            args = u[row], ys[row], sample_c[row]
+            assert b == _reference_bias(*args)
+            points = np.sort(ys[row] - u[row])
+            candidates = np.concatenate([points, 0.5 * (points[1:] + points[:-1])])
+            best = min(self.loss(*args, c) for c in candidates)
+            assert self.loss(*args, b) <= best + 1e-12 * max(1.0, abs(best))
+
+    def test_random_inputs(self):
+        rng = np.random.default_rng(8)
+        for n in (2, 3, 7, 48):
+            ys = np.where(rng.random((20, n)) < 0.5, 1.0, -1.0)
+            ys[:, 0], ys[:, 1] = 1.0, -1.0
+            self.check(rng.normal(size=(20, n)), ys, rng.uniform(0.1, 3.0, size=(20, n)))
+
+    def test_exact_ties(self):
+        rng = np.random.default_rng(9)
+        n = 10
+        # Balanced classes with equal weights: the slope is exactly zero
+        # half-way, so the optimum is the middle of a flat stretch; repeated
+        # breakpoints tie in index order.
+        ys = np.tile(np.repeat([1.0, -1.0], n // 2), (20, 1))
+        u = rng.integers(-2, 3, size=(20, n)).astype(float)
+        self.check(u, ys, np.ones((20, n)))
+        # A zero-weight negative class and a positive sample with the largest
+        # breakpoint: the slope first reaches zero at the last breakpoint,
+        # which is then the optimum.
+        c = np.where(ys > 0, 1.0, 0.0)
+        pos_c = c.sum(axis=1)
+        u[:, 0] = -10.0
+        self.check(u, ys, c)
+        last = np.sort(ys - u, axis=1)[:, -1]
+        assert np.array_equal(_optimal_bias(u, ys, c, pos_c), last)
 class TestPredict:
     def model_with(self, w, b):
         return LinearModel(
