@@ -27,6 +27,7 @@ from .segmenter import (  # noqa: E402
     pause_split,
     segment,
     segment_session,
+    segment_sessions,
     train_boundary_model,
 )
 from .tagger import (  # noqa: E402
@@ -39,7 +40,9 @@ from .tagger import (  # noqa: E402
     UtteranceClassifier,
     crf_loglik_grad,
     tag_da,
+    tag_da_sessions,
     tag_mc,
+    tag_mc_sessions,
     train_chain_crf,
     train_utterance_classifier,
 )

@@ -26,6 +26,21 @@ def _check_inputs(emissions, transitions, batched: bool = False) -> tuple[np.nda
     return E, T
 
 
+def _check_batch(emissions, transitions, lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(emissions as a padded batch, transitions, lengths): one (n, k) sequence
+    when lengths is None, else a (batch, max_len, k) array and its lengths."""
+    if lengths is None:
+        E, T = _check_inputs(emissions, transitions)
+        return E[None], T, np.array([E.shape[0]])
+    E, T = _check_inputs(emissions, transitions, batched=True)
+    n = np.asarray(lengths)
+    if n.shape != E.shape[:1] or not np.issubdtype(n.dtype, np.integer):
+        raise ValidationError(f"lengths must be {E.shape[0]} integers, got {lengths!r}")
+    if n.min() < 1 or n.max() > E.shape[1]:
+        raise ValidationError(f"lengths must lie in [1, {E.shape[1]}]")
+    return E, T, n
+
+
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     m = np.max(a, axis=axis, keepdims=True)
     return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(a - m), axis=axis))
@@ -43,17 +58,7 @@ def forward_backward(emissions, transitions, lengths=None):
     (batch, max_len-1, k, k), all zero past each sequence's end.  Emissions
     past a sequence's end are ignored.
     """
-    single = lengths is None
-    if single:
-        E, T = _check_inputs(emissions, transitions)
-        E, n = E[None], np.array([E.shape[0]])
-    else:
-        E, T = _check_inputs(emissions, transitions, batched=True)
-        n = np.asarray(lengths)
-        if n.shape != E.shape[:1] or not np.issubdtype(n.dtype, np.integer):
-            raise ValidationError(f"lengths must be {E.shape[0]} integers, got {lengths!r}")
-        if n.min() < 1 or n.max() > E.shape[1]:
-            raise ValidationError(f"lengths must lie in [1, {E.shape[1]}]")
+    E, T, n = _check_batch(emissions, transitions, lengths)
     b, max_len, k = E.shape
     live = np.arange(max_len)[None, :] < n[:, None]  # (b, max_len)
 
@@ -83,28 +88,44 @@ def forward_backward(emissions, transitions, lengths=None):
         ),
         0.0,
     )
-    if single:
+    if lengths is None:
         return float(log_z[0]), marginals[0], pairwise[0]
     return log_z, marginals, pairwise
 
 
-def viterbi(emissions, transitions) -> list[int]:
-    """Highest-scoring tag sequence; ties resolved toward the lowest tag index."""
-    E, T = _check_inputs(emissions, transitions)
-    n, k = E.shape
+def viterbi(emissions, transitions, lengths=None):
+    """Highest-scoring tag sequence; ties resolved toward the lowest tag index.
 
-    delta = E[0].copy()
-    backptr = np.empty((n - 1, k), dtype=np.intp) if n > 1 else None
-    for t in range(1, n):
-        cand = delta[:, None] + T
-        backptr[t - 1] = np.argmax(cand, axis=0)  # first max = lowest prev tag
-        delta = E[t] + np.max(cand, axis=0)
+    For one (n, k) emission matrix, returns the path as a list of n tags.  For
+    a (batch, max_len, k) array with the length of each sequence, returns a
+    (batch, max_len) integer array holding each sequence's path, 0 past its
+    end.  Emissions past a sequence's end are ignored.
+    """
+    E, T, n = _check_batch(emissions, transitions, lengths)
+    b, max_len, k = E.shape
+    live = np.arange(max_len)[None, :] < n[:, None]  # (b, max_len)
 
-    path = [int(np.argmax(delta))]
-    for t in range(n - 2, -1, -1):
-        path.append(int(backptr[t][path[-1]]))
-    path.reverse()
-    return path
+    # Past its end a sequence carries delta forward unchanged, so the final
+    # delta holds each sequence's best score per last tag.
+    delta = E[:, 0]
+    backptr = np.empty((b, max(max_len - 1, 0), k), dtype=np.intp)
+    for t in range(1, max_len):
+        cand = delta[:, :, None] + T
+        backptr[:, t - 1] = np.argmax(cand, axis=1)  # first max = lowest prev tag
+        delta = np.where(live[:, t, None], E[:, t] + np.max(cand, axis=1), delta)
+
+    rows = np.arange(b)
+    paths = np.empty((b, max_len), dtype=np.intp)
+    tag = np.argmax(delta, axis=1)
+    for t in range(max_len - 1, 0, -1):
+        paths[:, t] = tag
+        # A sequence that ends before t keeps its final tag until its end.
+        tag = np.where(live[:, t], backptr[rows, t - 1, tag], tag)
+    paths[:, 0] = tag
+    paths[~live] = 0
+    if lengths is None:
+        return paths[0].tolist()
+    return paths
 
 
 def sequence_score(emissions, transitions, path) -> float:

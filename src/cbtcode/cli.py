@@ -122,22 +122,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", "--set", dest="feature_set", choices=FEATURE_SETS, help="feature set name")
     p.add_argument("--in", dest="input", help="corpus (turn-level) or tagged corpus JSONL")
     p.add_argument("--labels", help="labels CSV keyed by session id")
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--k-grid", default="16,32,64,128")
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--max-df", type=float, default=0.95)
-    p.add_argument("--min-df", type=float, default=0.05)
-    p.add_argument("--word-denominator", choices=("therapist", "session"), default="therapist")
+    # These flags default to None: one passed overrides --config, which
+    # overrides the PipelineConfig defaults given in the help.
+    p.add_argument("--folds", type=int, help="default 5")
+    p.add_argument("--seed", type=int, help="default 0")
+    p.add_argument("--k-grid", help="default 16,32,64,128")
+    p.add_argument("--c", type=float, help="SVM C, default 1.0")
+    p.add_argument("--max-df", type=float, help="default 0.95")
+    p.add_argument("--min-df", type=float, help="default 0.05")
+    p.add_argument("--word-denominator", choices=("therapist", "session"), help="default therapist")
     p.add_argument("--report", required=True, help="report JSON output")
     p.add_argument("--table", help="plain-text table output")
     p.add_argument("--out-dir", help="directory for intermediate artifacts (end-to-end mode)")
     p.add_argument("--boundary-model")
     p.add_argument("--da-model")
     p.add_argument("--mc-model")
-    p.add_argument("--pause", type=float, default=2.0)
-    p.add_argument("--no-segmentation", action="store_true")
-    p.add_argument("--config", help="pipeline config JSON (flags override it)")
+    p.add_argument("--pause", type=float, help="pause threshold in seconds, default 2.0")
+    p.add_argument("--no-segmentation", action="store_const", const=False, dest="segmentation")
+    p.add_argument("--config", help="pipeline config JSON (flags passed override it)")
 
     p = sub.add_parser("compare", help="combined 5x2cv F test between two feature sets")
     p.add_argument("--a", dest="set_a", choices=FEATURE_SETS, required=True)
@@ -307,33 +309,37 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _evaluate_config(args) -> PipelineConfig:
+    """The --config file (or the defaults) with every flag the user passed applied."""
+    config_path = _resolved_config_path(args)
+    config = PipelineConfig.from_file(config_path) if config_path else PipelineConfig()
+    passed = {
+        "feature_set": args.feature_set,
+        "pause_threshold": args.pause,
+        "segmentation": args.segmentation,
+        "max_df": args.max_df,
+        "min_df": args.min_df,
+        "k_grid": None if args.k_grid is None else _parse_k_grid(args.k_grid),
+        "svm_c": args.c,
+        "folds": args.folds,
+        "seed": args.seed if args.seed is not None else args.global_seed,
+        "word_denominator": args.word_denominator,
+    }
+    return replace(config, **{name: value for name, value in passed.items() if value is not None})
+
+
 def _cmd_evaluate(args) -> int:
-    k_grid = _parse_k_grid(args.k_grid)
-    seed = _resolved_seed(args)
+    config = _evaluate_config(args)
+    protocol = (config.folds, config.seed, config.k_grid, config.svm_c)
     if args.matrix:
         matrix = read_matrix(args.matrix)
         scores = _scores_for(matrix.session_ids, args.labels, args.input)
-        report = run_protocol(matrix, scores, args.folds, seed, k_grid, args.c)
+        report = run_protocol(matrix, scores, *protocol)
     else:
         if not args.feature_set or not args.input:
             raise ValidationError("evaluate needs --matrix, or --set with --in")
         kind = sniff_corpus_kind(args.input)
         if kind == "turns":
-            config_path = _resolved_config_path(args)
-            config = PipelineConfig.from_file(config_path) if config_path else PipelineConfig()
-            config = replace(
-                config,
-                feature_set=args.feature_set,
-                pause_threshold=args.pause,
-                segmentation=not args.no_segmentation,
-                max_df=args.max_df,
-                min_df=args.min_df,
-                k_grid=k_grid,
-                svm_c=args.c,
-                folds=args.folds,
-                seed=seed,
-                word_denominator=args.word_denominator,
-            )
             models = PipelineModels(boundary=args.boundary_model, da=args.da_model, mc=args.mc_model)
             out_dir = args.out_dir or str(Path(args.report).parent / "artifacts")
             table_scores = read_scores_table(args.labels) if args.labels else None
@@ -345,9 +351,10 @@ def _cmd_evaluate(args) -> int:
             print(f"report -> {args.report} (artifacts in {out_dir})")
             return 0
         sessions = read_tagged_corpus(args.input)
-        matrix = build_feature_matrix(sessions, args.feature_set, args.max_df, args.min_df, args.word_denominator)
+        matrix = build_feature_matrix(sessions, config.feature_set, config.max_df, config.min_df,
+                                      config.word_denominator)
         scores = _scores_for(matrix.session_ids, args.labels, args.input)
-        report = run_protocol(matrix, scores, args.folds, seed, k_grid, args.c)
+        report = run_protocol(matrix, scores, *protocol)
     save_report(report, args.report)
     if args.table:
         Path(args.table).write_text(report.format_table(), encoding="utf-8")

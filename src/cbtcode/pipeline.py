@@ -26,17 +26,17 @@ from .features import (
     tag_count_features,
     tfidf_matrix,
 )
-from .segmenter import DEFAULT_PAUSE_THRESHOLD, BoundaryModel, segment_session
+from .segmenter import DEFAULT_PAUSE_THRESHOLD, BoundaryModel, segment_sessions
 from .tagger import (
     TAG_SETS,
     ChainCRF,
     TaggedSession,
     Utterance,
     UtteranceClassifier,
-    tag_da,
-    tag_mc,
+    tag_da_sessions,
+    tag_mc_sessions,
 )
-from .util import corpus_fingerprint, ordered_map, read_config
+from .util import corpus_fingerprint, read_config
 
 FEATURE_SETS = ("tfidf", "da", "mc", "tfidf+da", "tfidf+mc", "da-tfidf", "mc-tfidf")
 
@@ -69,7 +69,7 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.feature_set not in FEATURE_SETS:
             raise ValidationError(f"unknown feature set {self.feature_set!r}; expected one of {FEATURE_SETS}")
-        if self.pause_threshold <= 0:
+        if not self.pause_threshold > 0:  # NaN too
             raise ValidationError("pause_threshold must be positive")
         if self.folds < 2:
             raise ValidationError("folds must be at least 2")
@@ -130,12 +130,8 @@ def segment_corpus(
     threshold: float = DEFAULT_PAUSE_THRESHOLD,
 ) -> list[TaggedSession]:
     """Segment every session into (untagged) utterances."""
-
-    def one(session: Session) -> TaggedSession:
-        utts = segment_session(session, model, threshold)
-        return TaggedSession(id=session.id, utterances=tuple(utts), scores=session.scores)
-
-    return ordered_map(one, sessions)
+    segmented = segment_sessions(sessions, model, threshold)
+    return [TaggedSession(id=s.id, utterances=tuple(u), scores=s.scores) for s, u in zip(sessions, segmented)]
 
 
 def tag_corpus(
@@ -146,14 +142,9 @@ def tag_corpus(
     """Tag every session's utterances with one scheme, keeping other tags."""
     if scheme not in TAG_SETS:
         raise ValidationError(f"unknown tag scheme {scheme!r}")
-
-    tag = tag_da if scheme == "da" else tag_mc
-
-    def one(session: TaggedSession) -> TaggedSession:
-        utts = tuple(tag(session.utterances, model))
-        return TaggedSession(id=session.id, utterances=utts, scores=session.scores)
-
-    return ordered_map(one, sessions)
+    tag = tag_da_sessions if scheme == "da" else tag_mc_sessions
+    tagged = tag([s.utterances for s in sessions], model)
+    return [TaggedSession(id=s.id, utterances=tuple(u), scores=s.scores) for s, u in zip(sessions, tagged)]
 
 
 def build_feature_matrix(

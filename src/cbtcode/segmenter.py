@@ -14,6 +14,8 @@ import operator
 import warnings
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .corpus import Session, Turn
 from .errors import ValidationError
 from .tagger import ChainCRF, LabeledSequence, Utterance, train_chain_crf
@@ -34,7 +36,7 @@ BoundaryModel = ChainCRF
 
 def pause_split(turn: Turn, threshold: float = DEFAULT_PAUSE_THRESHOLD) -> list[Turn]:
     """Split a turn between tokens whose gap exceeds threshold (strictly)."""
-    if threshold <= 0:
+    if not threshold > 0:  # NaN too
         raise ValidationError(f"pause threshold must be positive, got {threshold}")
     tokens = turn.tokens
     gaps = map(operator.sub, itertools.islice(tokens.start_s, 1, None), tokens.end_s)
@@ -57,15 +59,21 @@ def _position_bucket(i: int) -> str:
     return "21+"
 
 
-def boundary_features(words: Sequence[str]) -> list[list[str]]:
+_POSITION_FEATURES = tuple("pos=" + _position_bucket(i) for i in range(22))
+
+
+def boundary_features(words: Sequence[str]) -> list[tuple[str, ...]]:
     """Window features for each token of a fragment (case stripped)."""
     low = [w.lower() for w in words]
-    feats = []
-    for i, w in enumerate(low):
-        prev = low[i - 1] if i > 0 else "<bos>"
-        nxt = low[i + 1] if i + 1 < len(low) else "<eos>"
-        feats.append(["bias", "cur=" + w, "prev=" + prev, "next=" + nxt, "pos=" + _position_bucket(i)])
-    return feats
+    return list(
+        zip(
+            itertools.repeat("bias"),
+            ["cur=" + w for w in low],
+            ["prev=<bos>", *("prev=" + w for w in low[:-1])],
+            [*("next=" + w for w in low[1:]), "next=<eos>"],
+            [_POSITION_FEATURES[min(i, 21)] for i in range(len(low))],
+        )
+    )
 
 
 def make_boundary_training_data(
@@ -131,17 +139,60 @@ def train_boundary_model(
     )
 
 
-def segment(fragment: Turn, model: BoundaryModel, start_index: int = 0) -> list[Utterance]:
-    """Split a pause-free fragment into utterances at Viterbi-decoded BOUNDARY tokens."""
+# Fragments per Viterbi batch; fragments are batched in order of length, so
+# each batch pads little.
+_CHUNK = 64
+
+
+def _utterance_ends(fragments: Sequence[Turn], model: BoundaryModel) -> list[list[int]]:
+    """Each fragment's utterance end offsets, decoded in length-sorted batches."""
     if model.scheme != "boundary":
         raise ValidationError(f"model tags scheme {model.scheme!r}, expected 'boundary'")
-    path = model.decode(boundary_features(fragment.tokens.texts))
-    boundary_idx = model.labels.index(BOUNDARY)
-    ends = [i + 1 for i, lab in enumerate(path[:-1]) if lab == boundary_idx] + [len(path)]
+    boundary = model.labels.index(BOUNDARY)
+    order = sorted(range(len(fragments)), key=lambda i: len(fragments[i].tokens))
+    ends: list[list[int]] = [[] for _ in fragments]
+    for c in range(0, len(order), _CHUNK):
+        chunk = order[c : c + _CHUNK]
+        paths = model.decode_many(boundary_features(fragments[i].tokens.texts) for i in chunk)
+        for i, path in zip(chunk, paths):
+            ends[i] = [*(np.flatnonzero(path[:-1] == boundary) + 1).tolist(), len(path)]
+    return ends
+
+
+def _split(fragment: Turn, ends: Sequence[int], start_index: int) -> list[Utterance]:
     return [
         Utterance(tokens=fragment.tokens[a:b], speaker=fragment.speaker, index_in_session=start_index + n)
         for n, (a, b) in enumerate(zip([0, *ends], ends))
     ]
+
+
+def segment(fragment: Turn, model: BoundaryModel, start_index: int = 0) -> list[Utterance]:
+    """Split a pause-free fragment into utterances at Viterbi-decoded BOUNDARY tokens."""
+    return _split(fragment, _utterance_ends([fragment], model)[0], start_index)
+
+
+def segment_sessions(
+    sessions: Sequence[Session],
+    model: BoundaryModel | None,
+    threshold: float = DEFAULT_PAUSE_THRESHOLD,
+) -> list[list[Utterance]]:
+    """Pause-split every turn, then segment each fragment; the fragments of all
+    sessions are decoded together.
+
+    With model=None, segmentation is disabled and each pause-split fragment
+    becomes a single utterance.
+    """
+    fragments = [[f for turn in s.turns for f in pause_split(turn, threshold)] for s in sessions]
+    if model is None:
+        return [[Utterance(f.tokens, f.speaker, index_in_session=i) for i, f in enumerate(frags)] for frags in fragments]
+    ends = iter(_utterance_ends([f for frags in fragments for f in frags], model))
+    out: list[list[Utterance]] = []
+    for frags in fragments:
+        utterances: list[Utterance] = []
+        for fragment in frags:
+            utterances.extend(_split(fragment, next(ends), len(utterances)))
+        out.append(utterances)
+    return out
 
 
 def segment_session(
@@ -149,19 +200,8 @@ def segment_session(
     model: BoundaryModel | None,
     threshold: float = DEFAULT_PAUSE_THRESHOLD,
 ) -> list[Utterance]:
-    """Pause-split every turn, then segment each fragment.
-
-    With model=None, segmentation is disabled and each pause-split fragment
-    becomes a single utterance.
-    """
-    utterances: list[Utterance] = []
-    for turn in session.turns:
-        for fragment in pause_split(turn, threshold):
-            if model is None:
-                utterances.append(Utterance(fragment.tokens, fragment.speaker, index_in_session=len(utterances)))
-            else:
-                utterances.extend(segment(fragment, model, start_index=len(utterances)))
-    return utterances
+    """segment_sessions of one session."""
+    return segment_sessions([session], model, threshold)[0]
 
 
 def boundary_f1(

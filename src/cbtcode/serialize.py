@@ -328,9 +328,9 @@ def write_matrix(matrix: FeatureMatrix, path: str | Path) -> None:
             fh.write(f"#row {sid}\n")
         for sel, name in zip(matrix.selectable, matrix.names):
             fh.write(f"#col {int(sel)} {name}\n")
-        rows, cols = np.nonzero(matrix.X)
-        for r, c in zip(rows, cols):
-            fh.write(f"{r} {c} {float(matrix.X[r, c])!r}\n")
+        for r, row in enumerate(matrix.X):  # one row's triplets at a time bounds the memory
+            cols = np.flatnonzero(row)
+            fh.writelines(f"{r} {c} {v!r}\n" for c, v in zip(cols.tolist(), row[cols].astype(float).tolist()))
 
 
 def read_matrix(path: str | Path) -> FeatureMatrix:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
@@ -142,20 +143,59 @@ class ChainCRF:
         return {name: i for i, name in enumerate(self.feature_names)}
 
     def emission_matrix(self, feats_per_pos: FeatureSeq) -> np.ndarray:
-        idx = self._feature_index
-        k = len(self.labels)
-        E = np.zeros((len(feats_per_pos), k))
-        for t, feats in enumerate(feats_per_pos):
-            for f in feats:
-                j = idx.get(f)
-                if j is not None:
-                    E[t] += self.weights[j]
-        return E
+        """(positions, n_labels) emission scores of one sequence."""
+        ids, counts, _ = feature_ids([feats_per_pos], self._feature_index)
+        return gather_rows(self.weights, ids, counts, np.zeros(len(self.labels)))
+
+    def decode_many(self, sequences: Iterable[FeatureSeq]) -> list[np.ndarray]:
+        """The Viterbi path of each sequence, all decoded in one padded batch.
+
+        The sequences are read once, in order, so a generator streams them.
+        """
+        ids, counts, lengths = feature_ids(sequences, self._feature_index)
+        E = gather_rows(self.weights, ids, counts, np.zeros(len(self.labels)))
+        paths = np.zeros((len(lengths), int(lengths.max(initial=0))), dtype=np.intp)
+        live = lengths > 0  # viterbi takes no empty sequence
+        if live.any():
+            padded = np.zeros((int(live.sum()), paths.shape[1], len(self.labels)))
+            padded[np.arange(paths.shape[1]) < lengths[live, None]] = E
+            paths[live] = viterbi(padded, self.transitions, lengths[live])
+        return [path[:n] for path, n in zip(paths, lengths.tolist())]
 
     def decode(self, feats_per_pos: FeatureSeq) -> list[int]:
-        if not feats_per_pos:
-            return []
-        return viterbi(self.emission_matrix(feats_per_pos), self.transitions)
+        return self.decode_many([feats_per_pos])[0].tolist()
+
+
+def feature_ids(
+    sequences: Iterable[FeatureSeq], index: Mapping[str, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Feature ids of sequences of feature rows, as compact flat arrays.
+
+    Returns the id of every feature in order (-1 for a feature missing from
+    index), the number of features in each row and the number of rows in
+    each sequence.
+    """
+    ids, counts, lengths = array("i"), array("i"), array("i")  # C ints: 4 bytes each
+    get, unknown = index.get, itertools.repeat(-1)
+    for rows in sequences:
+        lengths.append(len(rows))
+        counts.extend(map(len, rows))
+        ids.extend(map(get, itertools.chain.from_iterable(rows), unknown))
+    return np.frombuffer(ids, np.intc), np.frombuffer(counts, np.intc), np.frombuffer(lengths, np.intc)
+
+
+def gather_rows(weights: np.ndarray, ids: np.ndarray, counts: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Per row: start plus the weight rows of its ids, added one slot at a time
+    in feature order and skipping the unknown id -1, so each row is
+    bit-identical to a loop of `s += weights[j]` over its known features."""
+    out = np.tile(start, (len(counts), 1))
+    first = np.cumsum(counts) - counts
+    for slot in range(int(counts.max(initial=0))):
+        rows = np.flatnonzero(counts > slot)
+        j = ids[first[rows] + slot]
+        known = j >= 0
+        out[rows[known]] += weights[j[known]]
+    return out
 
 
 def _incidence(feature_rows: Sequence[Iterable[str]], feature_index: Mapping[str, int]) -> sparse.csr_array:
@@ -287,15 +327,21 @@ def crf_loglik_grad(model: ChainCRF, data: Sequence[LabeledSequence]) -> tuple[f
     return -nll, -grad
 
 
-def tag_da(utterances: Sequence[Utterance], model: ChainCRF) -> list[Utterance]:
-    """The session's utterances with their dialog acts set by Viterbi."""
+def tag_da_sessions(sessions: Sequence[Sequence[Utterance]], model: ChainCRF) -> list[list[Utterance]]:
+    """Each session's utterances with their dialog acts set by Viterbi, every
+    session decoded in one batch."""
     if model.scheme != "da":
         raise ValidationError(f"model tags scheme {model.scheme!r}, expected 'da'")
-    if not utterances:
-        return []
-    feats = [utterance_features(u.tokens.texts) for u in utterances]
-    path = model.decode(feats)
-    return [replace(u, da=model.labels[i]) for u, i in zip(utterances, path)]
+    paths = model.decode_many([utterance_features(u.tokens.texts) for u in utts] for utts in sessions)
+    return [
+        [replace(u, da=model.labels[i]) for u, i in zip(utts, path.tolist())]
+        for utts, path in zip(sessions, paths)
+    ]
+
+
+def tag_da(utterances: Sequence[Utterance], model: ChainCRF) -> list[Utterance]:
+    """The session's utterances with their dialog acts set by Viterbi."""
+    return tag_da_sessions([utterances], model)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +367,13 @@ class UtteranceClassifier:
     def _feature_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.feature_names)}
 
+    def score_matrix(self, utterances: Iterable[Sequence[str]]) -> np.ndarray:
+        """(utterances, n_labels) scores of the utterances' words, in order."""
+        ids, counts, _ = feature_ids(([utterance_features(words)] for words in utterances), self._feature_index)
+        return gather_rows(self.weights, ids, counts, self.bias)
+
     def scores(self, words: Sequence[str]) -> np.ndarray:
-        s = self.bias.copy()
-        idx = self._feature_index
-        for f in utterance_features(words):
-            j = idx.get(f)
-            if j is not None:
-                s += self.weights[j]
-        return s
+        return self.score_matrix([words])[0]
 
     def predict(self, words: Sequence[str]) -> str:
         return self.labels[int(np.argmax(self.scores(words)))]
@@ -405,11 +450,21 @@ def train_utterance_classifier(
     )
 
 
-def tag_mc(utterances: Sequence[Utterance], model: UtteranceClassifier) -> list[Utterance]:
-    """The utterances with their MI skill codes set, each independently."""
+def tag_mc_sessions(
+    sessions: Sequence[Sequence[Utterance]], model: UtteranceClassifier
+) -> list[list[Utterance]]:
+    """Each session's utterances with their MI skill codes set, each
+    independently, all scored in one gather."""
     if model.scheme != "mc":
         raise ValidationError(f"model tags scheme {model.scheme!r}, expected 'mc'")
-    return [replace(u, mc=model.predict(u.tokens.texts)) for u in utterances]
+    scores = model.score_matrix(u.tokens.texts for utts in sessions for u in utts)
+    tags = iter(np.argmax(scores, axis=1).tolist())
+    return [[replace(u, mc=model.labels[next(tags)]) for u in utts] for utts in sessions]
+
+
+def tag_mc(utterances: Sequence[Utterance], model: UtteranceClassifier) -> list[Utterance]:
+    """The utterances with their MI skill codes set, each independently."""
+    return tag_mc_sessions([utterances], model)[0]
 
 
 # ---------------------------------------------------------------------------

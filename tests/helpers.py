@@ -43,6 +43,38 @@ def enumerate_chain(E: np.ndarray, T: np.ndarray):
     return log_z, marg, pair, scores[best], list(seqs[best])
 
 
+def reference_viterbi(E: np.ndarray, T: np.ndarray) -> list[int]:
+    """One sequence, one position at a time: the decoder `chain.viterbi` had
+    before it took padded batches, kept to pin the batched one's paths."""
+    n, k = E.shape
+    delta = E[0].copy()
+    backptr = np.empty((n - 1, k), dtype=np.intp) if n > 1 else None
+    for t in range(1, n):
+        cand = delta[:, None] + T
+        backptr[t - 1] = np.argmax(cand, axis=0)
+        delta = E[t] + np.max(cand, axis=0)
+    path = [int(np.argmax(delta))]
+    for t in range(n - 2, -1, -1):
+        path.append(int(backptr[t][path[-1]]))
+    path.reverse()
+    return path
+
+
+def reference_emissions(feature_names, weights: np.ndarray, feats_per_pos, start=None) -> np.ndarray:
+    """Per position, start (zeros by default) plus the weight row of each
+    known feature, added one feature at a time: the loop the taggers ran
+    before their batched gather."""
+    index = {name: i for i, name in enumerate(feature_names)}
+    k = weights.shape[1]
+    E = np.zeros((len(feats_per_pos), k)) if start is None else np.tile(start, (len(feats_per_pos), 1))
+    for t, feats in enumerate(feats_per_pos):
+        for f in feats:
+            j = index.get(f)
+            if j is not None:
+                E[t] += weights[j]
+    return E
+
+
 # ---------------------------------------------------------------------------
 # tf-idf brute-force oracle (pure python)
 

@@ -54,8 +54,9 @@ def test_criterion_01_sequence_core_matches_enumeration():
             worst = max(worst, float(np.abs(pair - ep).max()))
         path = viterbi(E, T)
         assert path == best_path
-    # The same kernel on ragged padded batches, the form CRF training uses;
-    # the padding holds noise that must not leak into any sequence's result.
+    # The same kernels on ragged padded batches, the form CRF training and
+    # decoding use; the padding holds noise that must not leak into any
+    # sequence's result.
     n_batched = 0
     for _ in range(200):
         k = int(rng.integers(2, 5))
@@ -63,8 +64,11 @@ def test_criterion_01_sequence_core_matches_enumeration():
         lengths = rng.integers(1, 7, size=int(rng.integers(1, 9)))
         E = rng.normal(size=(len(lengths), int(lengths.max()) + int(rng.integers(0, 2)), k)) * 2.0
         log_z, marg, pair = forward_backward(E, T, lengths)
+        paths = viterbi(E, T, lengths)
         for i, n in enumerate(lengths):
-            ez, em, ep, _, _ = enumerate_chain(E[i, :n], T)
+            ez, em, ep, _, best_path = enumerate_chain(E[i, :n], T)
+            assert paths[i, :n].tolist() == best_path
+            assert not paths[i, n:].any()
             worst = max(
                 worst,
                 abs(log_z[i] - ez),

@@ -66,11 +66,12 @@ class TestForwardBackward:
 
     def test_batch_lengths_rejected_when_malformed(self):
         E = np.zeros((2, 3, 2))
-        for lengths in ([1], [0, 3], [1, 4], [1.0, 2.0]):
-            with pytest.raises(ValidationError, match="lengths"):
-                forward_backward(E, np.zeros((2, 2)), lengths)
-        with pytest.raises(ValidationError, match="emissions"):
-            forward_backward(np.zeros((3, 2)), np.zeros((2, 2)), [3])
+        for kernel in (forward_backward, viterbi):
+            for lengths in ([1], [0, 3], [1, 4], [1.0, 2.0]):
+                with pytest.raises(ValidationError, match="lengths"):
+                    kernel(E, np.zeros((2, 2)), lengths)
+            with pytest.raises(ValidationError, match="emissions"):
+                kernel(np.zeros((3, 2)), np.zeros((2, 2)), [3])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError):
@@ -85,6 +86,7 @@ class TestViterbi:
 
     def test_all_equal_scores_takes_lowest_index(self):
         assert viterbi(np.zeros((4, 3)), np.zeros((3, 3))) == [0, 0, 0, 0]
+        assert not viterbi(np.zeros((3, 5, 4)), np.zeros((4, 4)), np.array([5, 1, 3])).any()
 
     def test_matches_enumeration_score(self):
         rng = np.random.default_rng(4)

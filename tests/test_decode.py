@@ -1,0 +1,220 @@
+"""Batched decoding against the one-at-a-time references in helpers.py.
+
+`chain.viterbi` decodes padded batches, and every model scores its inputs
+through one in-order gather of weight rows.  Paths must equal the
+per-sequence decoder's, and emissions and scores must equal the
+per-feature loop's bit for bit.
+"""
+
+import math
+
+import numpy as np
+
+import cbtcode.segmenter as segmenter
+import cbtcode.tagger as tagger
+from cbtcode.chain import viterbi
+from cbtcode.corpus import Session, Tokens
+from cbtcode.pipeline import segment_corpus, tag_corpus
+from cbtcode.segmenter import BOUNDARY, BOUNDARY_LABELS, boundary_features, pause_split
+from cbtcode.tagger import (
+    DA_TAG_SET,
+    MC_TAG_SET,
+    ChainCRF,
+    TaggedSession,
+    Utterance,
+    UtteranceClassifier,
+    utterance_features,
+)
+from helpers import random_session, reference_emissions, reference_viterbi
+
+WORDS = ["so", "what", "yes", "ok", "well", "tell", "me", "more", "unseen", "other"]
+
+
+def random_chain(rng, names, labels, scheme):
+    k = len(labels)
+    return ChainCRF(
+        scheme=scheme,
+        labels=labels,
+        feature_names=tuple(names),
+        weights=rng.normal(size=(len(names), k)),
+        transitions=rng.normal(size=(k, k)),
+        l2=0.0,
+    )
+
+
+def random_words(rng, n):
+    return [WORDS[int(i)] for i in rng.integers(0, len(WORDS), size=n)]
+
+
+def make_utterance(words, index=0):
+    tokens = Tokens(words, [i * 0.5 for i in range(len(words))], [i * 0.5 + 0.3 for i in range(len(words))])
+    return Utterance(tokens=tokens, speaker="therapist", index_in_session=index)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBatchedViterbi:
+    def test_ragged_noise_padded_batches_match_one_at_a_time(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            k = int(rng.integers(2, 6))
+            T = rng.normal(size=(k, k))
+            lengths = rng.integers(1, 12, size=int(rng.integers(1, 9)))
+            E = rng.normal(size=(len(lengths), int(lengths.max()) + int(rng.integers(0, 3)), k)) * 3.0
+            paths = viterbi(E, T, lengths)
+            assert paths.shape == E.shape[:2]
+            for i, n in enumerate(lengths):
+                assert paths[i, :n].tolist() == reference_viterbi(E[i, :n], T)
+                assert not paths[i, n:].any()
+
+    def test_single_sequence_is_the_batch_of_one(self):
+        rng = np.random.default_rng(12)
+        E, T = rng.normal(size=(7, 3)), rng.normal(size=(3, 3))
+        assert viterbi(E, T) == viterbi(E[None], T, [7])[0].tolist() == reference_viterbi(E, T)
+
+
+class TestGather:
+    def test_chain_emissions_are_bit_identical_with_unknown_and_repeated_features(self):
+        rng = np.random.default_rng(13)
+        names = sorted({f for w in WORDS[:-2] for f in utterance_features([w, w])})
+        model = random_chain(rng, names, DA_TAG_SET.labels, "da")
+        for _ in range(30):
+            feats = [utterance_features(random_words(rng, int(rng.integers(1, 9)))) for _ in range(6)]
+            feats[1] = ["w=so", "nope", "w=so", "bias", "w=so"]  # repeated and unknown features
+            feats[2] = ["nope", "never"]  # nothing known
+            feats[3] = []
+            want = reference_emissions(model.feature_names, model.weights, feats)
+            assert same_bits(model.emission_matrix(feats), want)
+
+    def test_classifier_scores_are_bit_identical(self):
+        rng = np.random.default_rng(14)
+        names = sorted({f for w in WORDS[:-2] for f in utterance_features([w, w, w])})
+        k = len(MC_TAG_SET.labels)
+        bias = rng.normal(size=k)
+        bias[2] = -0.0  # kept as -0.0 where no known feature is added
+        model = UtteranceClassifier("mc", MC_TAG_SET.labels, tuple(names), rng.normal(size=(len(names), k)), bias, 0.0)
+        utterances = [random_words(rng, int(rng.integers(1, 12))) for _ in range(40)] + [["so", "so", "so", "so"]]
+        got = model.score_matrix(utterances)
+        for words, row in zip(utterances, got):
+            want = reference_emissions(names, model.weights, [utterance_features(words)], start=bias)[0]
+            assert same_bits(row, want)
+            assert same_bits(model.scores(words), want)
+            assert model.predict(words) == model.labels[int(np.argmax(want))]
+        bare = UtteranceClassifier("mc", MC_TAG_SET.labels, ("w=x",), np.ones((1, k)), bias, 0.0)
+        assert same_bits(bare.scores(["so"]), bias)
+        assert bare.score_matrix([]).shape == (0, k)
+
+    def test_decode_many_matches_per_sequence_decoding(self):
+        rng = np.random.default_rng(15)
+        names = sorted({f for w in WORDS[:-2] for row in boundary_features([w, w]) for f in row})
+        model = random_chain(rng, names, BOUNDARY_LABELS, "boundary")
+        fragments = [random_words(rng, int(n)) for n in rng.integers(0, 30, size=25)]
+        fragments[3] = []
+        paths = model.decode_many(boundary_features(words) for words in fragments)
+        assert len(paths) == len(fragments)
+        for words, path in zip(fragments, paths):
+            feats = boundary_features(words)
+            want = reference_viterbi(reference_emissions(names, model.weights, feats), model.transitions) if words else []
+            assert path.tolist() == want == model.decode(feats)
+        assert model.decode_many([]) == []
+
+
+def da_model(rng):
+    names = sorted({f for w in WORDS[:-2] for f in utterance_features([w, w])})
+    return random_chain(rng, names, DA_TAG_SET.labels, "da")
+
+
+def mc_model(rng):
+    names = sorted({f for w in WORDS[:-2] for f in utterance_features([w, w])})
+    k = len(MC_TAG_SET.labels)
+    return UtteranceClassifier("mc", MC_TAG_SET.labels, tuple(names), rng.normal(size=(len(names), k)),
+                               rng.normal(size=k), 0.0)
+
+
+def utterance_sessions(rng):
+    sessions = []
+    for s, n in enumerate([3, 0, 1, 7, 0, 4]):  # two sessions with no utterances
+        utts = tuple(make_utterance(random_words(rng, int(rng.integers(1, 8))), i) for i in range(n))
+        sessions.append(TaggedSession(id=f"s{s}", utterances=utts))
+    return sessions
+
+
+class TestCorpusStages:
+    def test_tag_corpus_da_matches_per_session_decoding(self):
+        rng = np.random.default_rng(16)
+        model = da_model(rng)
+        sessions = utterance_sessions(rng)
+        tagged = tag_corpus(sessions, "da", model)
+        assert [s.id for s in tagged] == [s.id for s in sessions]
+        for session, out in zip(sessions, tagged):
+            feats = [utterance_features(u.tokens.texts) for u in session.utterances]
+            want = reference_viterbi(reference_emissions(model.feature_names, model.weights, feats),
+                                     model.transitions) if feats else []
+            assert [model.labels.index(u.da) for u in out.utterances] == want
+            assert [u.tokens for u in out.utterances] == [u.tokens for u in session.utterances]
+        assert tag_corpus([], "da", model) == []
+
+    def test_tag_corpus_mc_matches_per_utterance_scores(self):
+        rng = np.random.default_rng(17)
+        model = mc_model(rng)
+        sessions = utterance_sessions(rng)
+        for session, out in zip(sessions, tag_corpus(sessions, "mc", model)):
+            for u, tagged in zip(session.utterances, out.utterances, strict=True):
+                want = reference_emissions(model.feature_names, model.weights, [utterance_features(u.tokens.texts)],
+                                           start=model.bias)[0]
+                assert tagged.mc == model.labels[int(np.argmax(want))]
+        assert tag_corpus([], "mc", model) == []
+
+    def reference_segmentation(self, sessions, model):
+        """Each session's utterance token runs, one fragment decoded at a time."""
+        boundary = model.labels.index(BOUNDARY)
+        out = []
+        for session in sessions:
+            runs = []
+            for fragment in (f for turn in session.turns for f in pause_split(turn)):
+                E = reference_emissions(model.feature_names, model.weights, boundary_features(fragment.tokens.texts))
+                path = reference_viterbi(E, model.transitions)
+                ends = [i + 1 for i, tag in enumerate(path[:-1]) if tag == boundary] + [len(path)]
+                runs += [fragment.tokens[a:b] for a, b in zip([0, *ends], ends)]
+            out.append(runs)
+        return out
+
+    def boundary_model(self, rng):
+        names = sorted({f"{p}={w}" for p in ("cur", "prev", "next") for w in WORDS} | {"bias", "pos=0", "pos=3-5"})
+        names = [f"{p}=w{i}" for p in ("cur", "prev", "next") for i in range(50)] + names
+        return random_chain(rng, sorted(set(names)), BOUNDARY_LABELS, "boundary")
+
+    def test_segment_corpus_matches_per_fragment_decoding(self):
+        rng = np.random.default_rng(18)
+        model = self.boundary_model(rng)
+        sessions = [random_session(rng, f"s{i}") for i in range(12)]
+        sessions.insert(4, Session(id="empty", turns=()))
+        segmented = segment_corpus(sessions, model)
+        for session, out, runs in zip(sessions, segmented, self.reference_segmentation(sessions, model), strict=True):
+            assert out.id == session.id
+            assert [u.tokens for u in out.utterances] == runs
+            assert [u.index_in_session for u in out.utterances] == list(range(len(runs)))
+        assert segment_corpus([], model) == []
+
+    def test_segment_corpus_calls_viterbi_once_per_chunk(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        model = self.boundary_model(rng)
+        sessions = [random_session(rng, f"s{i}") for i in range(15)]
+        expected = segment_corpus(sessions, model)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return viterbi(*args, **kwargs)
+
+        monkeypatch.setattr(tagger, "viterbi", counting)
+        n_fragments = sum(len(pause_split(turn)) for s in sessions for turn in s.turns)
+        for chunk in (4, 7, segmenter._CHUNK):
+            calls.clear()
+            monkeypatch.setattr(segmenter, "_CHUNK", chunk)
+            assert segment_corpus(sessions, model) == expected
+            assert len(calls) == math.ceil(n_fragments / chunk)
+            assert sum(calls) == n_fragments

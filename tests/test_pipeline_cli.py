@@ -434,6 +434,63 @@ def test_pipeline_config_with_threads_field_still_loads(tmp_path):
         PipelineConfig.from_payload({"workers": 2})
 
 
+def _evaluate_with_config(workspace, tmp_path, config, *flags):
+    """End-to-end evaluate of the workspace corpus under a pipeline config file;
+    returns the manifest's config and the report."""
+    data, models = workspace["data"], workspace["models"]
+    path = tmp_path / "pipeline.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    report = tmp_path / "report.json"
+    rc = main(["evaluate", "--set", "tfidf", "--in", str(data / "corpus.jsonl"), "--config", str(path),
+               "--boundary-model", str(models / "boundary.json"), "--report", str(report),
+               "--out-dir", str(tmp_path / "artifacts"), *flags])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "artifacts" / "run_manifest.json").read_text(encoding="utf-8"))
+    return manifest["payload"]["config"], json.loads(report.read_text(encoding="utf-8"))["payload"]
+
+
+def test_evaluate_config_values_reach_the_run(workspace, tmp_path):
+    config = {"folds": 3, "pause_threshold": 3.5, "k_grid": [16], "seed": 4}
+    recorded, report = _evaluate_with_config(workspace, tmp_path, config)
+    assert {name: recorded[name] for name in config} == config
+    assert (report["n_folds"], report["chosen_k"], report["seed"]) == (3, 16, 4)
+
+
+def test_evaluate_flags_passed_override_the_config(workspace, tmp_path):
+    config = {"folds": 3, "pause_threshold": 3.5, "k_grid": [16], "seed": 4, "max_df": 0.9}
+    recorded, report = _evaluate_with_config(
+        workspace, tmp_path, config, "--folds", "2", "--k-grid", "8", "--seed", "6", "--no-segmentation"
+    )
+    assert (recorded["folds"], recorded["k_grid"], recorded["seed"], recorded["segmentation"]) == (2, [8], 6, False)
+    assert (recorded["pause_threshold"], recorded["max_df"]) == (3.5, 0.9)
+    assert (report["n_folds"], report["chosen_k"], report["seed"]) == (2, 8, 6)
+
+
+def test_nan_pause_is_exit_2_and_inf_is_accepted(workspace, tmp_path, capsys):
+    data, models = workspace["data"], workspace["models"]
+    common = ["--model", str(models / "boundary.json"), "--in", str(data / "corpus.jsonl")]
+    assert main(["segment", *common, "--pause", "nan", "--out", str(tmp_path / "nan.jsonl")]) == 2
+    assert "pause threshold must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "nan.jsonl").exists()
+    assert main(["segment", *common, "--pause", "inf", "--out", str(tmp_path / "inf.jsonl")]) == 0
+    rc = main(["evaluate", "--set", "tfidf", "--in", str(data / "corpus.jsonl"), "--pause", "nan",
+               "--no-segmentation", "--report", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert "pause_threshold must be positive" in capsys.readouterr().err
+    with pytest.raises(cbtcode.errors.ValidationError, match="pause_threshold"):
+        PipelineConfig(pause_threshold=float("nan"))
+
+
+def test_nan_pause_in_a_pipeline_config_is_exit_2(workspace, tmp_path, capsys):
+    config = tmp_path / "pipeline.json"
+    config.write_text('{"pause_threshold": NaN}', encoding="utf-8")  # Python's json reads NaN
+    rc = main(["evaluate", "--set", "tfidf", "--in", str(workspace["data"] / "corpus.jsonl"), "--config", str(config),
+               "--no-segmentation", "--report", str(tmp_path / "r.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: {config}: " in err and "pause_threshold" in err, err
+
+
 def test_session_ids_with_spaces_and_non_ascii_survive_featurize_and_evaluate(workspace, tmp_path):
     data = workspace["data"]
     prefix = "séance ü "  # a shared prefix keeps the sorted order, hence the folds

@@ -69,6 +69,12 @@ class TestPauseSplit:
         with pytest.raises(ValidationError):
             pause_split(turn_with_gaps([1.0]), 0.0)
 
+    def test_nan_threshold_rejected_and_infinite_never_splits(self):
+        turn = turn_with_gaps([2.5, 100.0])
+        with pytest.raises(ValidationError, match="positive"):
+            pause_split(turn, float("nan"))
+        assert pause_split(turn, float("inf")) == [turn]
+
 
 class TestBoundaryTrainingData:
     def test_stated_example(self):
