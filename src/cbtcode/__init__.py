@@ -10,9 +10,12 @@ __version__ = "0.1.0"
 
 from .corpus import (  # noqa: E402
     CODES,
+    DA_TAG_SET,
+    MC_TAG_SET,
     CodeLabels,
     CodeScores,
     Session,
+    TagSet,
     Tokens,
     Turn,
     binarize_scores,
@@ -31,12 +34,7 @@ from .segmenter import (  # noqa: E402
     train_boundary_model,
 )
 from .tagger import (  # noqa: E402
-    DA_TAG_SET,
-    MC_TAG_SET,
     ChainCRF,
-    TaggedSession,
-    TagSet,
-    Utterance,
     UtteranceClassifier,
     crf_loglik_grad,
     tag_da,

@@ -12,10 +12,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .corpus import CODES, parse_corpus, read_scores_table, write_corpus, write_scores_table
+from .corpus import CODES, binarize_scores, parse_corpus, read_scores_table, write_corpus, write_scores_table
 from .errors import CbtCodeError, MissingArtifactError, ValidationError
 from .evaluate import five_by_two_cv_f_test, run_protocol
+from .features import anova_f_scores, apply_scaler, fit_scaler, top_k_mask
 from .pipeline import (
     FEATURE_SETS,
     PipelineConfig,
@@ -23,9 +26,7 @@ from .pipeline import (
     build_feature_matrix,
     run_end_to_end,
     segment_corpus,
-    session_to_utterances,
     tag_corpus,
-    utterances_to_session,
 )
 from .segmenter import make_boundary_training_data, train_boundary_model
 from .serialize import (
@@ -199,21 +200,14 @@ def _cmd_segment(args) -> int:
             raise MissingArtifactError("segment needs --model (or pass --disable)")
         model = load_chain_crf(args.model, expect_scheme="boundary")
     segmented = segment_corpus(sessions, model, args.pause)
-    write_corpus([utterances_to_session(s) for s in segmented], args.out)
-    n_utts = sum(len(s.utterances) for s in segmented)
+    write_corpus(segmented, args.out)
+    n_utts = sum(len(s.turns) for s in segmented)
     print(f"segmented {len(segmented)} sessions into {n_utts} utterances -> {args.out}")
     return 0
 
 
-def _read_utterance_corpus(path: str):
-    kind = sniff_corpus_kind(path)
-    if kind == "utterances":
-        return read_tagged_corpus(path)
-    return [session_to_utterances(s) for s in parse_corpus(path)]
-
-
 def _cmd_tag(args) -> int:
-    sessions = _read_utterance_corpus(args.input)
+    sessions = parse_corpus(args.input, sniff_corpus_kind(args.input))
     if args.scheme == "da":
         model = load_chain_crf(args.model, expect_scheme="da")
     else:
@@ -238,11 +232,7 @@ def _scores_for(session_ids, labels_path, scores_from_path):
     if labels_path:
         return read_scores_table(labels_path)
     if scores_from_path:
-        kind = sniff_corpus_kind(scores_from_path)
-        if kind == "turns":
-            sessions = parse_corpus(scores_from_path)
-        else:
-            sessions = read_tagged_corpus(scores_from_path)
+        sessions = parse_corpus(scores_from_path, sniff_corpus_kind(scores_from_path))
         return {s.id: s.scores for s in sessions if s.scores is not None}
     raise ValidationError("no label source: pass --labels or an input with embedded scores")
 
@@ -253,10 +243,6 @@ def _cmd_train(args) -> int:
             raise ValidationError("train --what svm needs --features and --code")
         matrix = read_matrix(args.features)
         scores = _scores_for(matrix.session_ids, args.labels, args.scores_from or args.input)
-        from .corpus import binarize_scores
-        from .features import anova_f_scores, apply_scaler, fit_scaler, top_k_mask
-        import numpy as np
-
         missing = sorted(sid for sid in matrix.session_ids if sid not in scores)
         if missing:
             raise ValidationError(f"missing labels for sessions: {missing}")

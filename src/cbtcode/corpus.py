@@ -1,9 +1,11 @@
 """Transcript and label data model, file ingestion, and score binarization.
 
-A corpus is a list of sessions; each session is an ordered list of talk
-turns; each turn is a single speaker's ordered, timestamped words.  Sessions
-optionally carry one 0..6 score per behavioral code, which binarize_scores
-turns into low/high labels (per-code anchor 4, total threshold 40).
+A corpus is a list of sessions; each session is an ordered list of turns;
+each turn is a single speaker's ordered, timestamped words.  A segmented
+session is the same kind of value: its turns are its utterances, which may
+carry a dialog-act (DA) and an MI skill-code (MC) tag.  Sessions optionally
+carry one 0..6 score per behavioral code, which binarize_scores turns into
+low/high labels (per-code anchor 4, total threshold 40).
 """
 
 from __future__ import annotations
@@ -91,29 +93,71 @@ class Tokens:
     def __getitem__(self, index: slice) -> "Tokens":
         if not isinstance(index, slice):
             raise TypeError("Tokens supports slicing only; index texts, start_s or end_s")
-        return Tokens(self.texts[index], self.start_s[index], self.end_s[index])
+        columns = (self.texts[index], self.start_s[index], self.end_s[index])
+        if (index.step or 1) < 0:  # reversed, the starts decrease: check again
+            return Tokens(*columns)
+        # Each rule concerns one token or the order of starts, which a forward
+        # slice keeps, so a slice of a checked run is checked already.
+        out = object.__new__(Tokens)
+        for name, column in zip(("texts", "start_s", "end_s"), columns):
+            object.__setattr__(out, name, column)
+        return out
 
     def records(self) -> list[dict]:
         """The {"text", "start_s", "end_s"} JSON records of the tokens."""
         return [{"text": t, "start_s": s, "end_s": e} for t, s, e in zip(self.texts, self.start_s, self.end_s)]
 
 
-def check_speaker(speaker: str) -> None:
-    if speaker not in ROLES:
-        raise ValidationError(f"unknown speaker role {speaker!r}; expected one of {ROLES}")
+@dataclass(frozen=True)
+class TagSet:
+    """A named, ordered utterance label scheme."""
+
+    name: str
+    labels: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if len(set(self.labels)) != len(self.labels):
+            raise ValidationError(f"tag set {self.name!r} has duplicate labels")
+        if not self.labels:
+            raise ValidationError(f"tag set {self.name!r} is empty")
+
+    def index(self, label: str) -> int:
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise ValidationError(f"unknown {self.name} tag {label!r}") from None
+
+
+DA_TAG_SET = TagSet(
+    "da",
+    ("Question", "Statement", "Agreement", "Other", "Appreciation", "Incomplete", "Backchannel"),
+)
+# Reflections are a single class RE (simple/complex variants are not separated).
+MC_TAG_SET = TagSet("mc", ("FA", "GI", "RE", "QUC", "QUO", "MIA", "MIN"))
+TAG_SETS: dict[str, TagSet] = {"da": DA_TAG_SET, "mc": MC_TAG_SET}
 
 
 @dataclass(frozen=True)
 class Turn:
-    """One speaker's uninterrupted sequence of tokens."""
+    """One speaker's uninterrupted sequence of tokens.  In a segmented
+    session a turn is one utterance, with its (optional) DA and MC tags."""
 
     speaker: str
     tokens: Tokens
+    da: str | None = None
+    mc: str | None = None
 
     def __post_init__(self) -> None:
-        check_speaker(self.speaker)
+        if self.speaker not in ROLES:
+            raise ValidationError(f"unknown speaker role {self.speaker!r}; expected one of {ROLES}")
         if not self.tokens:
             raise ValidationError("turn has no tokens")
+        for tag_set, tag in ((DA_TAG_SET, self.da), (MC_TAG_SET, self.mc)):
+            if tag is not None:
+                tag_set.index(tag)  # raises for a tag outside the set
+
+    def tag(self, scheme: str) -> str | None:
+        return self.da if scheme == "da" else self.mc
 
 
 @dataclass(frozen=True)
@@ -169,26 +213,26 @@ class CodeLabels:
         return d
 
 
-def check_session_id(sid: str) -> None:
-    """Ids are strings written one per line (matrix `#row` lines), so no line break."""
-    if not isinstance(sid, str):
-        raise ValidationError(f"session id must be a string, got {sid!r}")
-    if "\n" in sid or "\r" in sid:
-        raise ValidationError(f"session id {sid!r} contains a line break")
-
-
 @dataclass(frozen=True)
 class Session:
-    """One recorded session: an id, ordered turns, and optional scores."""
+    """One recorded session: an id, ordered turns (or utterances), and
+    optional scores.  Ids are non-empty strings written one per line
+    (matrix `#row` lines), so they hold no line break."""
 
     id: str
     turns: tuple[Turn, ...]
     scores: CodeScores | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.id, str):
+            raise ValidationError(f"session id must be a string, got {self.id!r}")
         if not self.id:
             raise ValidationError("session id must be non-empty")
-        check_session_id(self.id)
+        if "\n" in self.id or "\r" in self.id:
+            raise ValidationError(f"session id {self.id!r} contains a line break")
+
+    def therapist_turns(self) -> list[Turn]:
+        return [t for t in self.turns if t.speaker == THERAPIST]
 
 
 def total_ctrs(scores: CodeScores) -> int:
@@ -250,25 +294,41 @@ def _raise_record_fault(recs: list, where: str) -> None:
             raise ParseError(f"{where}, token {ti}: token time too large") from None
 
 
-def session_from_record(rec: dict, where: str = "record") -> Session:
-    """Build a Session from a parsed JSON record; every error message starts with `where`."""
+def session_from_record(rec: dict, where: str = "record", form: str = "turns") -> Session:
+    """Build a Session from a parsed JSON record of either corpus form:
+    "turns", or "utterances" (a segmented corpus, whose utterances carry an
+    `index` and optional `da`/`mc` tags).  Every error message starts with
+    `where`."""
+    utterances = form == "utterances"
+    item = form[:-1]
     try:
-        if "id" not in rec:
-            raise ParseError("missing session id")
-        if rec.get("format_version") != FORMAT_VERSION:
-            raise ParseError(f"missing or unsupported format_version (expected {FORMAT_VERSION})")
+        if utterances:
+            if rec.get("format_version") != FORMAT_VERSION:
+                raise ParseError("missing or unsupported format_version")
+            if "id" not in rec or not isinstance(rec.get(form), list):
+                raise ParseError("tagged session record needs an id and a list of utterances")
+        else:
+            if "id" not in rec:
+                raise ParseError("missing session id")
+            if rec.get("format_version") != FORMAT_VERSION:
+                raise ParseError(f"missing or unsupported format_version (expected {FORMAT_VERSION})")
+            if not isinstance(rec.get(form, []), list):
+                raise ParseError("turns must be a list")
         turns = []
-        turn_records = rec.get("turns", [])
-        if not isinstance(turn_records, list):
-            raise ParseError("turns must be a list")
-        for ti, trec in enumerate(turn_records):
-            if not isinstance(trec, dict) or not isinstance(trec.get("tokens"), list) or "speaker" not in trec:
-                raise ParseError(f"turn {ti}: expected object with speaker and a list of tokens")
-            tokens = tokens_from_records(trec["tokens"], f"turn {ti}")
+        for i, trec in enumerate(rec.get(form, [])):
+            if not isinstance(trec, dict) or "speaker" not in trec or not isinstance(trec.get("tokens"), list):
+                raise ParseError(f"{item} {i}: expected object with speaker and a list of tokens")
+            index = trec.get("index", i) if utterances else i  # a turn has no index
+            if type(index) is not int or index < 0:
+                raise ParseError(f"{item} {i}: index must be a non-negative integer, got {index!r}")
+            tokens = tokens_from_records(trec["tokens"], f"{item} {i}")
+            tags = (trec.get("da"), trec.get("mc")) if utterances else ()
             try:
-                turns.append(Turn(speaker=trec["speaker"], tokens=tokens))
+                if not tokens and trec["speaker"] in ROLES:  # Turn's own check, named for the form
+                    raise ValidationError(f"{item} has no tokens")
+                turns.append(Turn(trec["speaker"], tokens, *tags))
             except ValidationError as exc:
-                raise type(exc)(f"turn {ti}: {exc}") from None
+                raise type(exc)(f"{item} {i}: {exc}") from None
         scores = None
         if rec.get("scores") is not None:
             scores = CodeScores.from_dict(rec["scores"])
@@ -277,17 +337,20 @@ def session_from_record(rec: dict, where: str = "record") -> Session:
         raise type(exc)(f"{where}: {exc}") from None
 
 
-def session_to_record(session: Session) -> dict:
+def session_to_record(session: Session, form: str = "turns") -> dict:
+    """The JSON record of a session in either corpus form; the utterance form
+    writes each utterance's position as its `index`."""
+    if form == "turns":
+        items = [{"speaker": t.speaker, "tokens": t.tokens.records()} for t in session.turns]
+    else:
+        items = [
+            {"speaker": t.speaker, "index": i, "tokens": t.tokens.records(), "da": t.da, "mc": t.mc}
+            for i, t in enumerate(session.turns)
+        ]
     return {
         "format_version": FORMAT_VERSION,
         "id": session.id,
-        "turns": [
-            {
-                "speaker": turn.speaker,
-                "tokens": turn.tokens.records(),
-            }
-            for turn in session.turns
-        ],
+        form: items,
         "scores": session.scores.to_dict() if session.scores is not None else None,
     }
 
@@ -336,15 +399,16 @@ def read_json_file(path: Path, what: str) -> dict:
     return doc
 
 
-def parse_corpus(path: str | Path) -> list[Session]:
-    """Read a JSONL transcript corpus; raises ParseError/ValidationError on bad input."""
+def parse_corpus(path: str | Path, form: str = "turns") -> list[Session]:
+    """Read a JSONL corpus in either form ("turns" or "utterances", see
+    session_from_record); raises ParseError/ValidationError on bad input."""
     path = Path(path)
     if not path.exists():
-        raise MissingArtifactError(f"corpus file not found: {path}")
+        raise MissingArtifactError(f"{'corpus file' if form == 'turns' else 'tagged corpus'} not found: {path}")
     sessions: list[Session] = []
     seen: set[str] = set()
     for where, rec in read_jsonl(path):
-        session = session_from_record(rec, where=where)
+        session = session_from_record(rec, where, form)
         if session.id in seen:
             raise ValidationError(f"{where}: duplicate session id {session.id!r}")
         seen.add(session.id)
@@ -352,12 +416,12 @@ def parse_corpus(path: str | Path) -> list[Session]:
     return sessions
 
 
-def write_corpus(sessions: Iterable[Session], path: str | Path) -> None:
+def write_corpus(sessions: Iterable[Session], path: str | Path, form: str = "turns") -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for session in sessions:
-            fh.write(json.dumps(session_to_record(session), sort_keys=True, allow_nan=False))
+            fh.write(json.dumps(session_to_record(session, form), sort_keys=True, allow_nan=False))
             fh.write("\n")
 
 

@@ -9,7 +9,7 @@ fitted inside each training fold only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import fdtrc  # the F upper tail behind scipy.stats.f.sf, without scipy.stats' ~1 s import
@@ -100,9 +100,6 @@ def pooled_f1(per_fold_counts: Sequence[tuple[int, int, int]]) -> float:
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
     return 2 * precision * recall / (precision + recall)
-
-
-FoldSpy = Callable[..., None]
 
 
 class FoldTask(NamedTuple):
@@ -333,7 +330,6 @@ def run_protocol(
     seed: int,
     k_grid: Sequence[int],
     svm_c: float = 1.0,
-    spy: FoldSpy | None = None,
 ) -> EvalReport:
     """Full evaluation: choose K on the total-score labels, then run every
     code task with per-fold selection, scaling, and SVM training.
@@ -366,16 +362,6 @@ def run_protocol(
 
     per_code: dict[str, CodeResult] = {}
     for code in list(CODES) + ["total"]:
-        if spy is not None:
-            for fi, (task, fit) in enumerate(zip(tasks[code], fits[code])):
-                spy(
-                    code=code,
-                    fold=fi,
-                    train_ids=tuple(ids[r] for r in task.train_rows),
-                    test_ids=tuple(ids[r] for r in task.test_rows),
-                    mask=fit.mask,
-                    scaler=fit.scaler,
-                )
         counts = [fit.counts for fit in fits[code]]
         f1_high = pooled_f1([(c.tp, c.fp, c.fn) for c in counts])
         f1_low = pooled_f1([(c.tn, c.fn, c.fp) for c in counts])
@@ -458,16 +444,15 @@ def five_by_two_cv_f_test(
     *,
     code: str = "total",
     seed: int = 0,
-    k_grid: Sequence[int] = (),
-    selection_folds: int = 5,
+    k_grid: Sequence[int],
     svm_c: float = 1.0,
 ) -> FiveByTwoResult:
     """5 replications of 2-fold CV comparing two feature pipelines.
 
     p_ij is the error-rate difference (A minus B) on fold j of replication
     i; replication i seeds its split with seed + i.  Each pipeline's K is
-    chosen once on the full corpus (total-score labels) and its selection is
-    refitted inside every training half.
+    chosen once from k_grid by 5-fold CV on the full corpus (total-score
+    labels) and its selection is refitted inside every training half.
     """
     if matrix_a.session_ids != matrix_b.session_ids:
         raise ValidationError("the two feature matrices cover different sessions")
@@ -479,8 +464,7 @@ def five_by_two_cv_f_test(
     selectables = [np.asarray(m.selectable, dtype=bool) for m in (matrix_a, matrix_b)]
     grids, selection = [], []
     for matrix, selectable in zip((matrix_a, matrix_b), selectables):
-        grid = k_grid if k_grid else (min(64, matrix.X.shape[1]),)
-        ks, tasks = select_k_tasks(matrix.X, ids, selectable, labels["total"], grid, selection_folds, seed)
+        ks, tasks = select_k_tasks(matrix.X, ids, selectable, labels["total"], k_grid, 5, seed)
         grids.append(ks)
         selection.append(tasks)
     selection_fits = fit_folds_and_count(selection[0] + selection[1], svm_c)

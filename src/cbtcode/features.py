@@ -19,8 +19,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .corpus import TagSet, Turn
 from .errors import ValidationError
-from .tagger import TagSet, Utterance
 from .util import corpus_fingerprint
 
 PROVENANCES = ("tfidf", "tag_counts", "augmented_tfidf", "concat")
@@ -151,7 +151,7 @@ def tag_block_space(scheme: TagSet, fingerprint: str, n_docs: int) -> FeatureSpa
 
 
 def tag_count_features(
-    tagged: Sequence[Utterance],
+    tagged: Sequence[Turn],
     scheme: TagSet,
     *,
     total_words: int | None = None,
@@ -189,7 +189,7 @@ def tag_count_features(
     return out
 
 
-def augment_tokens(tagged: Sequence[Utterance], scheme: TagSet) -> list[str]:
+def augment_tokens(tagged: Sequence[Turn], scheme: TagSet) -> list[str]:
     """Rewrite each token as word|TAG using its utterance's tag, order preserved."""
     out: list[str] = []
     for u in tagged:

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CodeScores, Session, Turn, parse_corpus, write_corpus
+from .corpus import TAG_SETS, CodeScores, Session, parse_corpus, write_corpus
 from .errors import MissingArtifactError, ValidationError
 from .evaluate import EvalReport, run_protocol
 from .features import (
@@ -27,15 +27,15 @@ from .features import (
     tfidf_matrix,
 )
 from .segmenter import DEFAULT_PAUSE_THRESHOLD, BoundaryModel, segment_sessions
-from .tagger import (
-    TAG_SETS,
-    ChainCRF,
-    TaggedSession,
-    Utterance,
-    UtteranceClassifier,
-    tag_da_sessions,
-    tag_mc_sessions,
+from .serialize import (
+    load_chain_crf,
+    load_utterance_classifier,
+    save_artifact,
+    save_report,
+    write_matrix,
+    write_tagged_corpus,
 )
+from .tagger import ChainCRF, UtteranceClassifier, tag_da_sessions, tag_mc_sessions
 from .util import corpus_fingerprint, read_config
 
 FEATURE_SETS = ("tfidf", "da", "mc", "tfidf+da", "tfidf+mc", "da-tfidf", "mc-tfidf")
@@ -106,49 +106,31 @@ def required_scheme(feature_set: str) -> str | None:
     return _SET_SCHEME[feature_set]
 
 
-def utterances_to_session(tagged: TaggedSession) -> Session:
-    """Materialize utterances as one turn each (segmented corpus form)."""
-    return Session(
-        id=tagged.id,
-        turns=tuple(Turn(speaker=u.speaker, tokens=u.tokens) for u in tagged.utterances),
-        scores=tagged.scores,
-    )
-
-
-def session_to_utterances(session: Session) -> TaggedSession:
-    """Read a segmented corpus record back as untagged utterances."""
-    utts = tuple(
-        Utterance(tokens=turn.tokens, speaker=turn.speaker, index_in_session=i)
-        for i, turn in enumerate(session.turns)
-    )
-    return TaggedSession(id=session.id, utterances=utts, scores=session.scores)
-
-
 def segment_corpus(
     sessions: Sequence[Session],
     model: BoundaryModel | None,
     threshold: float = DEFAULT_PAUSE_THRESHOLD,
-) -> list[TaggedSession]:
-    """Segment every session into (untagged) utterances."""
+) -> list[Session]:
+    """Segment every session into (untagged) utterances, which become its turns."""
     segmented = segment_sessions(sessions, model, threshold)
-    return [TaggedSession(id=s.id, utterances=tuple(u), scores=s.scores) for s, u in zip(sessions, segmented)]
+    return [Session(s.id, tuple(u), s.scores) for s, u in zip(sessions, segmented)]
 
 
 def tag_corpus(
-    sessions: Sequence[TaggedSession],
+    sessions: Sequence[Session],
     scheme: str,
     model: ChainCRF | UtteranceClassifier,
-) -> list[TaggedSession]:
+) -> list[Session]:
     """Tag every session's utterances with one scheme, keeping other tags."""
     if scheme not in TAG_SETS:
         raise ValidationError(f"unknown tag scheme {scheme!r}")
     tag = tag_da_sessions if scheme == "da" else tag_mc_sessions
-    tagged = tag([s.utterances for s in sessions], model)
-    return [TaggedSession(id=s.id, utterances=tuple(u), scores=s.scores) for s, u in zip(sessions, tagged)]
+    tagged = tag([s.turns for s in sessions], model)
+    return [Session(s.id, tuple(u), s.scores) for s, u in zip(sessions, tagged)]
 
 
 def build_feature_matrix(
-    sessions: Sequence[TaggedSession],
+    sessions: Sequence[Session],
     feature_set: str,
     max_df: float = 0.95,
     min_df: float = 0.05,
@@ -165,7 +147,7 @@ def build_feature_matrix(
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate session ids in corpus")
     fingerprint = corpus_fingerprint(ids)
-    therapist = [s.therapist_utterances() for s in sessions]
+    therapist = [s.therapist_turns() for s in sessions]
     scheme = TAG_SETS[scheme_name] if scheme_name else None
     augmented = feature_set in ("da-tfidf", "mc-tfidf")
 
@@ -183,7 +165,7 @@ def build_feature_matrix(
             tag_count_features(
                 utts,
                 scheme,
-                total_words=sum(len(u.tokens) for u in s.utterances)
+                total_words=sum(len(u.tokens) for u in s.turns)
                 if word_denominator == "session"
                 else None,
             )
@@ -218,8 +200,6 @@ class PipelineModels:
 
 
 def _load_boundary(models: PipelineModels) -> BoundaryModel:
-    from .serialize import load_chain_crf
-
     if models.boundary is None:
         raise MissingArtifactError(
             "segmentation is enabled but no boundary model was given (--boundary-model)"
@@ -228,8 +208,6 @@ def _load_boundary(models: PipelineModels) -> BoundaryModel:
 
 
 def _load_tagger(scheme: str, models: PipelineModels):
-    from .serialize import load_chain_crf, load_utterance_classifier
-
     path = models.da if scheme == "da" else models.mc
     if path is None:
         raise MissingArtifactError(
@@ -254,8 +232,6 @@ def run_end_to_end(
     protocol parameters, so feature sets that ignore utterance boundaries
     produce identical reports with segmentation on or off.
     """
-    from .serialize import save_artifact, save_report, write_matrix, write_tagged_corpus
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sessions = parse_corpus(corpus_path)
@@ -263,7 +239,7 @@ def run_end_to_end(
     boundary = _load_boundary(models) if config.segmentation else None
     segmented = segment_corpus(sessions, boundary, config.pause_threshold)
     segmented_path = out_dir / "corpus_segmented.jsonl"
-    write_corpus([utterances_to_session(s) for s in segmented], segmented_path)
+    write_corpus(segmented, segmented_path)
 
     scheme = required_scheme(config.feature_set)
     if scheme is not None:

@@ -2,9 +2,9 @@
 
 Turns are first split wherever the pause between consecutive words exceeds
 the threshold (strictly; default 2.0 s).  Each resulting fragment, itself a
-Turn, is then segmented into utterances by a trainable two-label sequence model
-(INSIDE/BOUNDARY) decoded with Viterbi; an utterance ends at every BOUNDARY
-token and at the fragment's final token.
+Turn, is then segmented into utterances, also Turns, by a trainable
+two-label sequence model (INSIDE/BOUNDARY) decoded with Viterbi; an
+utterance ends at every BOUNDARY token and at the fragment's final token.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import Session, Turn
 from .errors import ValidationError
-from .tagger import ChainCRF, LabeledSequence, Utterance, train_chain_crf
+from .tagger import ChainCRF, LabeledSequence, train_chain_crf
 
 DEFAULT_PAUSE_THRESHOLD = 2.0
 
@@ -159,47 +159,38 @@ def _utterance_ends(fragments: Sequence[Turn], model: BoundaryModel) -> list[lis
     return ends
 
 
-def _split(fragment: Turn, ends: Sequence[int], start_index: int) -> list[Utterance]:
-    return [
-        Utterance(tokens=fragment.tokens[a:b], speaker=fragment.speaker, index_in_session=start_index + n)
-        for n, (a, b) in enumerate(zip([0, *ends], ends))
-    ]
+def _split(fragment: Turn, ends: Sequence[int]) -> list[Turn]:
+    return [Turn(fragment.speaker, fragment.tokens[a:b]) for a, b in zip([0, *ends], ends)]
 
 
-def segment(fragment: Turn, model: BoundaryModel, start_index: int = 0) -> list[Utterance]:
+def segment(fragment: Turn, model: BoundaryModel) -> list[Turn]:
     """Split a pause-free fragment into utterances at Viterbi-decoded BOUNDARY tokens."""
-    return _split(fragment, _utterance_ends([fragment], model)[0], start_index)
+    return _split(fragment, _utterance_ends([fragment], model)[0])
 
 
 def segment_sessions(
     sessions: Sequence[Session],
     model: BoundaryModel | None,
     threshold: float = DEFAULT_PAUSE_THRESHOLD,
-) -> list[list[Utterance]]:
-    """Pause-split every turn, then segment each fragment; the fragments of all
-    sessions are decoded together.
+) -> list[list[Turn]]:
+    """Each session's utterances: pause-split every turn, then segment each
+    fragment; the fragments of all sessions are decoded together.
 
     With model=None, segmentation is disabled and each pause-split fragment
     becomes a single utterance.
     """
     fragments = [[f for turn in s.turns for f in pause_split(turn, threshold)] for s in sessions]
     if model is None:
-        return [[Utterance(f.tokens, f.speaker, index_in_session=i) for i, f in enumerate(frags)] for frags in fragments]
+        return fragments
     ends = iter(_utterance_ends([f for frags in fragments for f in frags], model))
-    out: list[list[Utterance]] = []
-    for frags in fragments:
-        utterances: list[Utterance] = []
-        for fragment in frags:
-            utterances.extend(_split(fragment, next(ends), len(utterances)))
-        out.append(utterances)
-    return out
+    return [[u for fragment in frags for u in _split(fragment, next(ends))] for frags in fragments]
 
 
 def segment_session(
     session: Session,
     model: BoundaryModel | None,
     threshold: float = DEFAULT_PAUSE_THRESHOLD,
-) -> list[Utterance]:
+) -> list[Turn]:
     """segment_sessions of one session."""
     return segment_sessions([session], model, threshold)[0]
 

@@ -17,13 +17,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .corpus import CodeScores, read_json_file, read_jsonl, read_lines, tokens_from_records
+from .corpus import TAG_SETS, Session, parse_corpus, read_json_file, read_jsonl, read_lines, write_corpus
 from .errors import MissingArtifactError, ParseError, ValidationError
 from .evaluate import EvalReport, FiveByTwoResult
 from .features import FeatureMatrix
 from .segmenter import BOUNDARY_LABELS
 from .svm import LinearModel
-from .tagger import TAG_SETS, ChainCRF, TaggedSession, Utterance, UtteranceClassifier
+from .tagger import ChainCRF, UtteranceClassifier
 
 FORMAT_VERSION = 1
 
@@ -54,74 +54,15 @@ def load_artifact(path: str | Path, kind: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Tagged corpus (utterance-level) JSONL
+# Tagged corpus (utterance form) JSONL
 
 
-def tagged_session_to_record(session: TaggedSession) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "id": session.id,
-        "scores": session.scores.to_dict() if session.scores is not None else None,
-        "utterances": [
-            {
-                "speaker": u.speaker,
-                "index": u.index_in_session,
-                "tokens": u.tokens.records(),
-                "da": u.da,
-                "mc": u.mc,
-            }
-            for u in session.utterances
-        ],
-    }
+def write_tagged_corpus(sessions: Sequence[Session], path: str | Path) -> None:
+    write_corpus(sessions, path, "utterances")
 
 
-def tagged_session_from_record(rec: dict, where: str) -> TaggedSession:
-    """Build a TaggedSession from a parsed JSON record; every error message starts with `where`."""
-    try:
-        if rec.get("format_version") != FORMAT_VERSION:
-            raise ParseError("missing or unsupported format_version")
-        if "id" not in rec or not isinstance(rec.get("utterances"), list):
-            raise ParseError("tagged session record needs an id and a list of utterances")
-        utts = []
-        for ui, urec in enumerate(rec["utterances"]):
-            if not isinstance(urec, dict) or "speaker" not in urec or not isinstance(urec.get("tokens"), list):
-                raise ParseError(f"utterance {ui}: expected object with speaker and a list of tokens")
-            index = urec.get("index", ui)
-            if type(index) is not int or index < 0:
-                raise ParseError(f"utterance {ui}: index must be a non-negative integer, got {index!r}")
-            tokens = tokens_from_records(urec["tokens"], f"utterance {ui}")
-            try:
-                utts.append(Utterance(tokens, urec["speaker"], index, da=urec.get("da"), mc=urec.get("mc")))
-            except ValidationError as exc:
-                raise type(exc)(f"utterance {ui}: {exc}") from None
-        scores = CodeScores.from_dict(rec["scores"]) if rec.get("scores") is not None else None
-        return TaggedSession(id=rec["id"], utterances=tuple(utts), scores=scores)
-    except ValidationError as exc:
-        raise type(exc)(f"{where}: {exc}") from None
-
-
-def write_tagged_corpus(sessions: Sequence[TaggedSession], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in sessions:
-            fh.write(json.dumps(tagged_session_to_record(s), sort_keys=True, allow_nan=False))
-            fh.write("\n")
-
-
-def read_tagged_corpus(path: str | Path) -> list[TaggedSession]:
-    path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(f"tagged corpus not found: {path}")
-    out: list[TaggedSession] = []
-    seen: set[str] = set()
-    for where, rec in read_jsonl(path):
-        session = tagged_session_from_record(rec, where=where)
-        if session.id in seen:
-            raise ValidationError(f"{where}: duplicate session id {session.id!r}")
-        seen.add(session.id)
-        out.append(session)
-    return out
+def read_tagged_corpus(path: str | Path) -> list[Session]:
+    return parse_corpus(path, "utterances")
 
 
 def sniff_corpus_kind(path: str | Path) -> str:

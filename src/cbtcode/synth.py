@@ -18,9 +18,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .corpus import CODES, CodeScores, Session, Tokens, Turn
+from .corpus import CODES, DA_TAG_SET, MC_TAG_SET, CodeScores, Session, Tokens, Turn
 from .errors import ValidationError
-from .tagger import DA_TAG_SET, MC_TAG_SET, TaggedSession, Utterance
 from .util import read_config
 
 DEFAULT_DA_TEMPLATES: dict[str, tuple[str, ...]] = {
@@ -172,7 +171,7 @@ class SynthConfig:
 @dataclass(frozen=True)
 class SynthResult:
     sessions: tuple[Session, ...]
-    tagged: tuple[TaggedSession, ...]
+    tagged: tuple[Session, ...]  # the same sessions segmented into gold-tagged utterances
     boundary_lines: tuple[str, ...]
     config: SynthConfig
 
@@ -231,7 +230,7 @@ def generate_corpus(config: SynthConfig) -> SynthResult:
     mc_neutral = np.array([_MC_BASE[t] for t in mc_labels])
 
     sessions: list[Session] = []
-    tagged_sessions: list[TaggedSession] = []
+    tagged_sessions: list[Session] = []
     boundary_lines: list[str] = []
 
     width = len(str(max(config.n_sessions - 1, 1)))
@@ -354,7 +353,7 @@ def generate_corpus(config: SynthConfig) -> SynthResult:
             clock += float(rng.uniform(0.4, 2.0))
 
         turns: list[Turn] = []
-        tagged_utts: list[Utterance] = []
+        tagged_utts: list[Turn] = []
         boundary_turn_lines: list[str] = []
         ui = 0
         for ti, size in enumerate(turn_sizes):
@@ -364,15 +363,13 @@ def generate_corpus(config: SynthConfig) -> SynthResult:
                 mark = "?" if utt_da[ui] == "Question" else "."
                 line_words.extend(toks.texts[:-1])
                 line_words.append(toks.texts[-1] + mark)
-                tagged_utts.append(
-                    Utterance(tokens=toks, speaker=utt_speaker[ui], index_in_session=ui, da=utt_da[ui], mc=utt_mc[ui])
-                )
+                tagged_utts.append(Turn(utt_speaker[ui], toks, da=utt_da[ui], mc=utt_mc[ui]))
                 ui += 1
             turns.append(Turn(speaker=utt_speaker[ui - 1], tokens=turn_tokens[ti]))
             boundary_turn_lines.append(" ".join(line_words))
 
         sessions.append(Session(id=sid, turns=tuple(turns), scores=scores))
-        tagged_sessions.append(TaggedSession(id=sid, utterances=tuple(tagged_utts), scores=scores))
+        tagged_sessions.append(Session(id=sid, turns=tuple(tagged_utts), scores=scores))
         boundary_lines.extend(boundary_turn_lines)
 
     return SynthResult(

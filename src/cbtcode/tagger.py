@@ -20,41 +20,13 @@ import numpy as np
 from scipy import sparse
 
 from .chain import forward_backward, viterbi
-from .corpus import CodeScores, Tokens, check_session_id, check_speaker
+from .corpus import DA_TAG_SET, MC_TAG_SET, TAG_SETS, Session, TagSet, Turn  # noqa: F401 (tag sets re-exported)
 from .errors import ValidationError
 from .optimize import OptResult, minimize_lbfgs
 
 FeatureSeq = Sequence[Sequence[str]]
 LabeledSequence = tuple[FeatureSeq, Sequence[str]]
 
-
-@dataclass(frozen=True)
-class TagSet:
-    """A named, ordered utterance label scheme."""
-
-    name: str
-    labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.labels)) != len(self.labels):
-            raise ValidationError(f"tag set {self.name!r} has duplicate labels")
-        if not self.labels:
-            raise ValidationError(f"tag set {self.name!r} is empty")
-
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValidationError(f"unknown {self.name} tag {label!r}") from None
-
-
-DA_TAG_SET = TagSet(
-    "da",
-    ("Question", "Statement", "Agreement", "Other", "Appreciation", "Incomplete", "Backchannel"),
-)
-# Reflections are a single class RE (simple/complex variants are not separated).
-MC_TAG_SET = TagSet("mc", ("FA", "GI", "RE", "QUC", "QUO", "MIA", "MIN"))
-TAG_SETS: dict[str, TagSet] = {"da": DA_TAG_SET, "mc": MC_TAG_SET}
 
 UTTERANCE_FEATURE_TEMPLATE = "unigram+bigram+length-bucket+bias"
 
@@ -78,45 +50,6 @@ def utterance_features(words: Sequence[str]) -> list[str]:
     feats.extend("w=" + w for w in low)
     feats.extend("b=" + a + " " + b for a, b in zip(low, low[1:]))
     return feats
-
-
-@dataclass(frozen=True)
-class Utterance:
-    """A segmented utterance, the unit the taggers consume, with its
-    (optional) DA and MC tags."""
-
-    tokens: Tokens
-    speaker: str
-    index_in_session: int
-    da: str | None = None
-    mc: str | None = None
-
-    def __post_init__(self) -> None:
-        check_speaker(self.speaker)
-        if not self.tokens:
-            raise ValidationError("utterance has no tokens")
-        if self.da is not None and self.da not in DA_TAG_SET.labels:
-            raise ValidationError(f"unknown da tag {self.da!r}")
-        if self.mc is not None and self.mc not in MC_TAG_SET.labels:
-            raise ValidationError(f"unknown mc tag {self.mc!r}")
-
-    def tag(self, scheme: str) -> str | None:
-        return self.da if scheme == "da" else self.mc
-
-
-@dataclass(frozen=True)
-class TaggedSession:
-    """A session in utterance form, optionally tagged and scored."""
-
-    id: str
-    utterances: tuple[Utterance, ...]
-    scores: CodeScores | None = None
-
-    def __post_init__(self) -> None:
-        check_session_id(self.id)
-
-    def therapist_utterances(self) -> list[Utterance]:
-        return [u for u in self.utterances if u.speaker == "therapist"]
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +260,7 @@ def crf_loglik_grad(model: ChainCRF, data: Sequence[LabeledSequence]) -> tuple[f
     return -nll, -grad
 
 
-def tag_da_sessions(sessions: Sequence[Sequence[Utterance]], model: ChainCRF) -> list[list[Utterance]]:
+def tag_da_sessions(sessions: Sequence[Sequence[Turn]], model: ChainCRF) -> list[list[Turn]]:
     """Each session's utterances with their dialog acts set by Viterbi, every
     session decoded in one batch."""
     if model.scheme != "da":
@@ -339,7 +272,7 @@ def tag_da_sessions(sessions: Sequence[Sequence[Utterance]], model: ChainCRF) ->
     ]
 
 
-def tag_da(utterances: Sequence[Utterance], model: ChainCRF) -> list[Utterance]:
+def tag_da(utterances: Sequence[Turn], model: ChainCRF) -> list[Turn]:
     """The session's utterances with their dialog acts set by Viterbi."""
     return tag_da_sessions([utterances], model)[0]
 
@@ -451,8 +384,8 @@ def train_utterance_classifier(
 
 
 def tag_mc_sessions(
-    sessions: Sequence[Sequence[Utterance]], model: UtteranceClassifier
-) -> list[list[Utterance]]:
+    sessions: Sequence[Sequence[Turn]], model: UtteranceClassifier
+) -> list[list[Turn]]:
     """Each session's utterances with their MI skill codes set, each
     independently, all scored in one gather."""
     if model.scheme != "mc":
@@ -462,7 +395,7 @@ def tag_mc_sessions(
     return [[replace(u, mc=model.labels[next(tags)]) for u in utts] for utts in sessions]
 
 
-def tag_mc(utterances: Sequence[Utterance], model: UtteranceClassifier) -> list[Utterance]:
+def tag_mc(utterances: Sequence[Turn], model: UtteranceClassifier) -> list[Turn]:
     """The utterances with their MI skill codes set, each independently."""
     return tag_mc_sessions([utterances], model)[0]
 
@@ -471,12 +404,12 @@ def tag_mc(utterances: Sequence[Utterance], model: UtteranceClassifier) -> list[
 # Training-data builders from gold-tagged sessions
 
 
-def da_training_sequences(sessions: Sequence[TaggedSession]) -> list[LabeledSequence]:
+def da_training_sequences(sessions: Sequence[Session]) -> list[LabeledSequence]:
     out: list[LabeledSequence] = []
     for s in sessions:
         feats = []
         labels = []
-        for u in s.utterances:
+        for u in s.turns:
             if u.da is None:
                 raise ValidationError(f"session {s.id}: utterance without a da tag")
             feats.append(utterance_features(u.tokens.texts))
@@ -486,10 +419,10 @@ def da_training_sequences(sessions: Sequence[TaggedSession]) -> list[LabeledSequ
     return out
 
 
-def mc_training_examples(sessions: Sequence[TaggedSession]) -> list[tuple[list[str], str]]:
+def mc_training_examples(sessions: Sequence[Session]) -> list[tuple[list[str], str]]:
     out: list[tuple[list[str], str]] = []
     for s in sessions:
-        for u in s.utterances:
+        for u in s.turns:
             if u.mc is None:
                 raise ValidationError(f"session {s.id}: utterance without an mc tag")
             out.append((list(u.tokens.texts), u.mc))

@@ -21,7 +21,6 @@ from cbtcode.synth import SynthConfig, generate_corpus
 from cbtcode.tagger import (
     DA_TAG_SET,
     MC_TAG_SET,
-    Utterance,
     crf_training_objective,
     da_training_sequences,
     mc_training_examples,
@@ -165,7 +164,7 @@ def test_criterion_03_tfidf_matches_bruteforce_oracle():
 
 
 def test_criterion_04_tag_blocks_match_hand_counts():
-    from cbtcode.corpus import Tokens
+    from cbtcode.corpus import Tokens, Turn
 
     rng = np.random.default_rng(11)
     worst = 0.0
@@ -179,10 +178,9 @@ def test_criterion_04_tag_blocks_match_hand_counts():
                             [j * 0.4 + 0.3 for j in range(n_words)])
             tag = scheme.labels[int(rng.integers(0, 7))]
             utts.append(
-                Utterance(
+                Turn(
                     tokens=tokens,
                     speaker="therapist",
-                    index_in_session=i,
                     da=tag if scheme is DA_TAG_SET else None,
                     mc=tag if scheme is MC_TAG_SET else None,
                 )

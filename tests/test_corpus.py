@@ -216,3 +216,20 @@ class TestRecordShape:
     def test_session_id_required(self):
         with pytest.raises(ValidationError):
             Session(id="", turns=())
+
+    def test_slice_equals_tokens_built_from_the_sliced_columns(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            tokens = random_session(rng, "sx").turns[0].tokens
+            n = len(tokens)
+            for a, b, step in [(0, n, None), (1, n - 1, None), (n // 2, None, 2), (None, None, -1), (n, 0, -2)]:
+                index = slice(a, b, step)
+                columns = (tokens.texts[index], tokens.start_s[index], tokens.end_s[index])
+                if step is not None and step < 0 and list(columns[1]) != sorted(columns[1]):
+                    with pytest.raises(ValidationError, match="time order"):
+                        tokens[index]
+                else:
+                    assert tokens[index] == Tokens(*columns)
+                    assert type(tokens[index].texts) is tuple
+        with pytest.raises(TypeError):
+            tokens[0]

@@ -13,15 +13,13 @@ import numpy as np
 import cbtcode.segmenter as segmenter
 import cbtcode.tagger as tagger
 from cbtcode.chain import viterbi
-from cbtcode.corpus import Session, Tokens
+from cbtcode.corpus import Session, Tokens, Turn, session_to_record
 from cbtcode.pipeline import segment_corpus, tag_corpus
 from cbtcode.segmenter import BOUNDARY, BOUNDARY_LABELS, boundary_features, pause_split
 from cbtcode.tagger import (
     DA_TAG_SET,
     MC_TAG_SET,
     ChainCRF,
-    TaggedSession,
-    Utterance,
     UtteranceClassifier,
     utterance_features,
 )
@@ -46,9 +44,9 @@ def random_words(rng, n):
     return [WORDS[int(i)] for i in rng.integers(0, len(WORDS), size=n)]
 
 
-def make_utterance(words, index=0):
+def make_utterance(words):
     tokens = Tokens(words, [i * 0.5 for i in range(len(words))], [i * 0.5 + 0.3 for i in range(len(words))])
-    return Utterance(tokens=tokens, speaker="therapist", index_in_session=index)
+    return Turn(speaker="therapist", tokens=tokens)
 
 
 def same_bits(a, b) -> bool:
@@ -137,8 +135,8 @@ def mc_model(rng):
 def utterance_sessions(rng):
     sessions = []
     for s, n in enumerate([3, 0, 1, 7, 0, 4]):  # two sessions with no utterances
-        utts = tuple(make_utterance(random_words(rng, int(rng.integers(1, 8))), i) for i in range(n))
-        sessions.append(TaggedSession(id=f"s{s}", utterances=utts))
+        utts = tuple(make_utterance(random_words(rng, int(rng.integers(1, 8)))) for _ in range(n))
+        sessions.append(Session(id=f"s{s}", turns=utts))
     return sessions
 
 
@@ -150,11 +148,11 @@ class TestCorpusStages:
         tagged = tag_corpus(sessions, "da", model)
         assert [s.id for s in tagged] == [s.id for s in sessions]
         for session, out in zip(sessions, tagged):
-            feats = [utterance_features(u.tokens.texts) for u in session.utterances]
+            feats = [utterance_features(u.tokens.texts) for u in session.turns]
             want = reference_viterbi(reference_emissions(model.feature_names, model.weights, feats),
                                      model.transitions) if feats else []
-            assert [model.labels.index(u.da) for u in out.utterances] == want
-            assert [u.tokens for u in out.utterances] == [u.tokens for u in session.utterances]
+            assert [model.labels.index(u.da) for u in out.turns] == want
+            assert [u.tokens for u in out.turns] == [u.tokens for u in session.turns]
         assert tag_corpus([], "da", model) == []
 
     def test_tag_corpus_mc_matches_per_utterance_scores(self):
@@ -162,7 +160,7 @@ class TestCorpusStages:
         model = mc_model(rng)
         sessions = utterance_sessions(rng)
         for session, out in zip(sessions, tag_corpus(sessions, "mc", model)):
-            for u, tagged in zip(session.utterances, out.utterances, strict=True):
+            for u, tagged in zip(session.turns, out.turns, strict=True):
                 want = reference_emissions(model.feature_names, model.weights, [utterance_features(u.tokens.texts)],
                                            start=model.bias)[0]
                 assert tagged.mc == model.labels[int(np.argmax(want))]
@@ -195,8 +193,8 @@ class TestCorpusStages:
         segmented = segment_corpus(sessions, model)
         for session, out, runs in zip(sessions, segmented, self.reference_segmentation(sessions, model), strict=True):
             assert out.id == session.id
-            assert [u.tokens for u in out.utterances] == runs
-            assert [u.index_in_session for u in out.utterances] == list(range(len(runs)))
+            assert [u.tokens for u in out.turns] == runs
+            assert [u["index"] for u in session_to_record(out, "utterances")["utterances"]] == list(range(len(runs)))
         assert segment_corpus([], model) == []
 
     def test_segment_corpus_calls_viterbi_once_per_chunk(self, monkeypatch):

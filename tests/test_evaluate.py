@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import cbtcode.evaluate
 from cbtcode.corpus import CODES, CodeScores
 from cbtcode.errors import ValidationError
 from cbtcode.evaluate import (
     combined_f_statistic,
     cv_pooled_counts,
+    fit_folds_and_count,
     five_by_two_cv_f_test,
     make_folds,
     pooled_f1,
@@ -182,6 +184,22 @@ class TestRunProtocol:
             assert 0.35 <= f1 <= 0.65, f"seed {seed}: chance F1 {f1}"
 
 
+def captured_fits(*protocol_args):
+    """Every (task, fit) that run_protocol(*protocol_args) fits, in order,
+    K-selection fits included."""
+    captured = []
+
+    def recording(tasks, svm_c):
+        fits = fit_folds_and_count(tasks, svm_c)
+        captured.extend(zip(tasks, fits))
+        return fits
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cbtcode.evaluate, "fit_folds_and_count", recording)
+        run_protocol(*protocol_args)
+    return captured
+
+
 class TestNoLeakage:
     def test_fold_fits_never_see_test_sessions(self):
         rng = np.random.default_rng(8)
@@ -192,24 +210,19 @@ class TestNoLeakage:
         matrix = build_matrix(X)
         scores = scores_for_bits(bits)
 
-        captured = {}
-
-        def spy(code, fold, train_ids, test_ids, mask, scaler):
-            assert not (set(train_ids) & set(test_ids))
-            captured[(code, fold)] = (tuple(mask), scaler.mean.copy(), tuple(train_ids), tuple(test_ids))
-
-        run_protocol(matrix, scores, 3, 0, [4], spy=spy)
+        captured = captured_fits(matrix, scores, 3, 0, [4])
+        assert captured
 
         # fitted statistics recompute exactly from the training rows alone
-        row_of = {sid: i for i, sid in enumerate(matrix.session_ids)}
-        for (code, fold), (mask, mean, train_ids, test_ids) in captured.items():
-            rows = np.array([row_of[sid] for sid in train_ids])
+        for task, fit in captured:
+            rows = task.train_rows
+            assert not (set(rows.tolist()) & set(task.test_rows.tolist()))
             y = bits[rows]
             f = anova_f_scores(X[rows], y)
             expect_mask = top_k_mask(f, np.ones(8, dtype=bool), 4)
-            assert tuple(expect_mask) == mask
+            assert np.array_equal(expect_mask, fit.mask)
             expect_mean = fit_scaler(X[np.ix_(rows, np.flatnonzero(expect_mask))]).mean
-            assert np.array_equal(expect_mean, mean)
+            assert np.array_equal(expect_mean, fit.scaler.mean)
 
     def test_corrupting_heldout_rows_leaves_fold_fit_unchanged(self):
         rng = np.random.default_rng(9)
@@ -218,26 +231,22 @@ class TestNoLeakage:
         X = rng.normal(size=(n, 6))
         scores = scores_for_bits(bits)
 
-        def capture(X_in):
-            captured = {}
-
-            def spy(code, fold, train_ids, test_ids, mask, scaler):
-                if code == "total":
-                    captured[fold] = (tuple(mask), scaler.mean.copy(), scaler.std.copy(), tuple(test_ids))
-
-            run_protocol(build_matrix(X_in), scores, 4, 3, [3], spy=spy)
-            return captured
-
-        base = capture(X)
-        fold0_test = base[0][3]
-        row_of = {f"s{i}": i for i in range(n)}
+        base = captured_fits(build_matrix(X), scores, 4, 3, [3])
+        # The first fit is K-selection fold 0, which the total task reuses.
+        corrupted_rows = set(base[0][0].test_rows.tolist())
         X_corrupt = X.copy()
-        for sid in fold0_test:
-            X_corrupt[row_of[sid]] = 1e6
-        corrupted = capture(X_corrupt)
-        assert corrupted[0][0] == base[0][0]
-        assert np.array_equal(corrupted[0][1], base[0][1])
-        assert np.array_equal(corrupted[0][2], base[0][2])
+        X_corrupt[sorted(corrupted_rows)] = 1e6
+        corrupted = captured_fits(build_matrix(X_corrupt), scores, 4, 3, [3])
+        unchanged = 0
+        for (task, fit), (task_c, fit_c) in zip(base, corrupted, strict=True):
+            assert np.array_equal(task.train_rows, task_c.train_rows)
+            if corrupted_rows & set(task.train_rows.tolist()):
+                continue
+            assert np.array_equal(fit_c.mask, fit.mask)
+            assert np.array_equal(fit_c.scaler.mean, fit.scaler.mean)
+            assert np.array_equal(fit_c.scaler.std, fit.scaler.std)
+            unchanged += 1
+        assert unchanged > 0
 
 
 class TestFiveByTwo:

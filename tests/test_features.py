@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cbtcode.corpus import Tokens
+from cbtcode.corpus import Session, Tokens, Turn
 from cbtcode.errors import ValidationError
 from cbtcode.features import (
     anova_f_scores,
@@ -22,13 +22,13 @@ from cbtcode.features import (
     transform_tfidf,
 )
 from cbtcode.pipeline import build_feature_matrix
-from cbtcode.tagger import DA_TAG_SET, MC_TAG_SET, TaggedSession, Utterance
+from cbtcode.tagger import DA_TAG_SET, MC_TAG_SET
 from helpers import brute_tfidf
 
 
-def tagged(words, mc=None, da=None, speaker="therapist", index=0):
+def tagged(words, mc=None, da=None, speaker="therapist"):
     tokens = Tokens(words, [i * 0.4 for i in range(len(words))], [i * 0.4 + 0.3 for i in range(len(words))])
-    return Utterance(tokens=tokens, speaker=speaker, index_in_session=index, da=da, mc=mc)
+    return Turn(speaker=speaker, tokens=tokens, da=da, mc=mc)
 
 
 class TestTfidfFit:
@@ -125,10 +125,10 @@ class TestTfidfTransform:
 class TestTagCounts:
     def test_hand_counted_example(self):
         utts = [
-            tagged([f"w{i}" for i in range(5)], mc="QUC", index=0),
-            tagged([f"w{i}" for i in range(3)], mc="RE", index=1),
-            tagged([f"w{i}" for i in range(2)], mc="RE", index=2),
-            tagged([f"w{i}" for i in range(10)], mc="FA", index=3),
+            tagged([f"w{i}" for i in range(5)], mc="QUC"),
+            tagged([f"w{i}" for i in range(3)], mc="RE"),
+            tagged([f"w{i}" for i in range(2)], mc="RE"),
+            tagged([f"w{i}" for i in range(10)], mc="FA"),
         ]
         block = tag_count_features(utts, MC_TAG_SET)
         # utterance proportions in (FA, GI, RE, QUC, QUO, MIA, MIN) order
@@ -136,7 +136,7 @@ class TestTagCounts:
         assert np.allclose(block[7:], [0.5, 0, 0.25, 0.25, 0, 0, 0], atol=1e-12)
 
     def test_single_tag_everywhere(self):
-        utts = [tagged(["a", "b"], mc="GI", index=i) for i in range(3)]
+        utts = [tagged(["a", "b"], mc="GI") for i in range(3)]
         block = tag_count_features(utts, MC_TAG_SET)
         gi = MC_TAG_SET.labels.index("GI")
         assert block[gi] == 1.0 and block[7 + gi] == 1.0
@@ -154,7 +154,6 @@ class TestTagCounts:
                 tagged(
                     [f"w{j}" for j in range(int(rng.integers(1, 9)))],
                     mc=MC_TAG_SET.labels[int(rng.integers(0, 7))],
-                    index=i,
                 )
                 for i in range(int(rng.integers(1, 12)))
             ]
@@ -169,7 +168,6 @@ class TestTagCounts:
                 tagged(
                     [f"w{j}" for j in range(int(rng.integers(1, 9)))],
                     mc=MC_TAG_SET.labels[int(rng.integers(0, 7))],
-                    index=i,
                 )
                 for i in range(int(rng.integers(1, 10)))
             ]
@@ -206,8 +204,8 @@ class TestAugmentation:
 
     def test_single_tag_keeps_vocabulary_size(self):
         utts = [
-            tagged(["a", "b", "a"], mc="GI", index=0),
-            tagged(["c", "b"], mc="GI", index=1),
+            tagged(["a", "b", "a"], mc="GI"),
+            tagged(["c", "b"], mc="GI"),
         ]
         out = augment_tokens(utts, MC_TAG_SET)
         base_types = {"a", "b", "c"}
@@ -220,7 +218,6 @@ class TestAugmentation:
                 tagged(
                     [f"w{int(rng.integers(0, 12))}" for _ in range(int(rng.integers(1, 8)))],
                     mc=MC_TAG_SET.labels[int(rng.integers(0, 7))],
-                    index=i,
                 )
                 for i in range(int(rng.integers(1, 10)))
             ]
@@ -234,7 +231,6 @@ class TestAugmentation:
             tagged(
                 [f"w{int(rng.integers(0, 9))}" for _ in range(int(rng.integers(1, 6)))],
                 mc=MC_TAG_SET.labels[int(rng.integers(0, 7))],
-                index=i,
             )
             for i in range(8)
         ]
@@ -265,11 +261,10 @@ class TestConcatFusion:
                     [f"w{int(rng.integers(0, 25))}" for _ in range(int(rng.integers(1, 7)))],
                     mc=MC_TAG_SET.labels[int(rng.integers(0, 7))],
                     speaker=speaker,
-                    index=j,
                 )
                 for j in range(int(rng.integers(2, 8)))
             )
-            sessions.append(TaggedSession(id=f"s{i}", utterances=utts))
+            sessions.append(Session(id=f"s{i}", turns=utts))
         return sessions
 
     def build(self, sessions, feature_set):

@@ -38,7 +38,6 @@ from cbtcode.svm import class_weights, decision_function, train_svm
 from cbtcode.tagger import (
     DA_TAG_SET,
     MC_TAG_SET,
-    Utterance,
     tag_da,
     tag_mc,
     train_chain_crf,
@@ -288,7 +287,7 @@ def test_read_tagged_corpus_mutated_record(tmp_path, edits, position):
     sessions = assert_rejected_cleanly(read_tagged_corpus, corpus, per_line_only=True)
     if sessions is not None:  # accepted as written: ids and speakers are not rewritten
         assert [s.id for s in sessions] == [json.loads(line)["id"] for line in lines]
-        assert all(u.speaker in ROLES for s in sessions for u in s.utterances)
+        assert all(u.speaker in ROLES for s in sessions for u in s.turns)
 
 
 @FUZZ
@@ -370,7 +369,7 @@ def model_doc(kind: str, tmp_path) -> dict:
 def use_model(kind, model):
     """Apply a loaded model the way the pipeline does."""
     tokens = Tokens(("so", "what", "yes"), (0.0, 0.5, 1.0), (0.4, 0.9, 1.4))
-    utts = [Utterance(tokens, "therapist", 0)]
+    utts = [Turn("therapist", tokens)]
     if kind == "svm":
         d = len(model.weights)
         assert all(len(v) == d for v in (model.feature_mask, model.scaler_mean, model.scaler_std) if v is not None)

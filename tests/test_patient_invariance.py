@@ -9,15 +9,10 @@ legitimately shift therapist DA tags; that path is exercised elsewhere.)
 import numpy as np
 import pytest
 
-from cbtcode.corpus import Tokens
+from cbtcode.corpus import Session, Tokens, Turn
 from cbtcode.pipeline import FEATURE_SETS, build_feature_matrix, tag_corpus
 from cbtcode.synth import SynthConfig, generate_corpus
-from cbtcode.tagger import (
-    TaggedSession,
-    Utterance,
-    mc_training_examples,
-    train_utterance_classifier,
-)
+from cbtcode.tagger import mc_training_examples, train_utterance_classifier
 
 
 def mutate_patient_words(sessions):
@@ -25,13 +20,13 @@ def mutate_patient_words(sessions):
     out = []
     for s in sessions:
         utts = []
-        for tu in s.utterances:
+        for tu in s.turns:
             u = tu
             if u.speaker == "patient":
                 tokens = Tokens(["xmutatedx"] * len(u.tokens), u.tokens.start_s, u.tokens.end_s)
-                u = Utterance(tokens=tokens, speaker="patient", index_in_session=u.index_in_session)
-            utts.append(Utterance(u.tokens, u.speaker, u.index_in_session, da=tu.da, mc=tu.mc))
-        out.append(TaggedSession(id=s.id, utterances=tuple(utts), scores=s.scores))
+                u = Turn(speaker="patient", tokens=tokens)
+            utts.append(Turn(u.speaker, u.tokens, da=tu.da, mc=tu.mc))
+        out.append(Session(id=s.id, turns=tuple(utts), scores=s.scores))
     return out
 
 
@@ -52,9 +47,9 @@ def test_fixed_tags_patient_words_never_affect_features(gold_corpus, feature_set
 def test_mc_pipeline_end_to_end_ignores_patient_words(gold_corpus):
     model = train_utterance_classifier(mc_training_examples(gold_corpus.tagged), l2=0.05)
     stripped = [
-        TaggedSession(
+        Session(
             id=s.id,
-            utterances=tuple(Utterance(u.tokens, u.speaker, u.index_in_session) for u in s.utterances),
+            turns=tuple(Turn(u.speaker, u.tokens) for u in s.turns),
             scores=s.scores,
         )
         for s in gold_corpus.tagged

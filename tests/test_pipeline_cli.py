@@ -739,10 +739,12 @@ class TestExitCodes:
         [
             ("id", [1], "session id must be a string, got [1]"),
             ("id", 7, "session id must be a string, got 7"),
+            ("id", "", "session id must be non-empty"),
+            ("id", 0, "session id must be a string, got 0"),
             ("speaker", "bob", "utterance 1: unknown speaker role 'bob'"),
             ("speaker", ["x"], "utterance 1: unknown speaker role ['x']"),
         ],
-        ids=["list-id", "number-id", "unknown-speaker", "list-speaker"],
+        ids=["list-id", "number-id", "empty-id", "zero-id", "unknown-speaker", "list-speaker"],
     )
     @pytest.mark.parametrize("command", ["tag", "featurize"])
     def test_tagged_record_with_a_bad_id_or_speaker_is_exit_2_and_named_once(
@@ -774,9 +776,11 @@ class TestExitCodes:
         "field, value, message",
         [
             ("id", [1], "session id must be a string, got [1]"),
+            ("id", "", "session id must be non-empty"),
+            ("id", 0, "session id must be a string, got 0"),
             ("speaker", "bob", "turn 1: unknown speaker role 'bob'"),
         ],
-        ids=["list-id", "unknown-speaker"],
+        ids=["list-id", "empty-id", "zero-id", "unknown-speaker"],
     )
     def test_turn_record_with_a_bad_id_or_speaker_is_exit_2_and_named_once(
         self, workspace, tmp_path, capsys, field, value, message

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cbtcode.corpus import Tokens, Turn
+from cbtcode.corpus import Session, Tokens, Turn, session_to_record
 from cbtcode.errors import ValidationError
 from cbtcode.segmenter import (
     BOUNDARY,
@@ -187,7 +187,8 @@ class TestSegment:
             rebuilt = joined(u.tokens for u in utts)
             original = joined(turn.tokens for turn in session.turns)
             assert rebuilt == original
-            assert [u.index_in_session for u in utts] == list(range(len(utts)))
+            record = session_to_record(Session(session.id, tuple(utts)), "utterances")
+            assert [u["index"] for u in record["utterances"]] == list(range(len(utts)))
 
 
 class TestBoundaryTraining:

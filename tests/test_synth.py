@@ -57,9 +57,9 @@ class TestGeneration:
         for session, tagged in zip(result.sessions, result.tagged):
             assert session.id == tagged.id
             turn_tokens = joined(turn.tokens for turn in session.turns)
-            utt_tokens = joined(u.tokens for u in tagged.utterances)
+            utt_tokens = joined(u.tokens for u in tagged.turns)
             assert turn_tokens == utt_tokens
-            assert all(tu.da is not None and tu.mc is not None for tu in tagged.utterances)
+            assert all(tu.da is not None and tu.mc is not None for tu in tagged.turns)
 
     def test_missing_template_rejected(self):
         templates = dict(DEFAULT_MC_TEMPLATES)
@@ -87,7 +87,7 @@ class TestGeneration:
                 [w for turn in session.turns for w in turn.tokens.texts]
             )
         n_turns = sum(len(s.turns) for s in result.sessions)
-        n_utts = sum(len(t.utterances) for t in result.tagged)
+        n_utts = sum(len(t.turns) for t in result.tagged)
         assert n_utts > n_turns  # multi-utterance turns exist
         assert big_gap > 0  # >2 s pauses exist inside turns
 
@@ -108,7 +108,7 @@ class TestPlantedSignal:
         for session, tagged in zip(result.sessions, result.tagged):
             label = binarize_scores(session.scores)[rule.code]
             in_tag = out_tag = 0
-            for tu in tagged.utterances:
+            for tu in tagged.turns:
                 if tu.speaker != "therapist":
                     continue
                 count = sum(w == rule.keyword for w in tu.tokens.texts)
@@ -118,7 +118,7 @@ class TestPlantedSignal:
                     out_tag += count
             has_tag_utts = any(
                 tu.mc == rule.tag and tu.speaker == "therapist"
-                for tu in tagged.utterances
+                for tu in tagged.turns
             )
             if in_tag + out_tag == 0 or not has_tag_utts:
                 continue

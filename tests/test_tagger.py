@@ -3,13 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cbtcode.corpus import Tokens
+from cbtcode.corpus import Tokens, Turn
 from cbtcode.errors import ValidationError
 from cbtcode.tagger import (
     DA_TAG_SET,
     MC_TAG_SET,
     ChainCRF,
-    Utterance,
     UtteranceClassifier,
     multinomial_training_objective,
     tag_da,
@@ -20,9 +19,9 @@ from cbtcode.tagger import (
 from helpers import enumerate_chain
 
 
-def make_utterance(words, speaker="therapist", index=0):
+def make_utterance(words, speaker="therapist"):
     tokens = Tokens(words, [i * 0.5 for i in range(len(words))], [i * 0.5 + 0.3 for i in range(len(words))])
-    return Utterance(tokens=tokens, speaker=speaker, index_in_session=index)
+    return Turn(speaker=speaker, tokens=tokens)
 
 
 class TestTagSets:
@@ -83,7 +82,7 @@ class TestTagDa:
         rng = np.random.default_rng(2)
         model = da_toy_model(rng)
         for n in (1, 3, 6, 9):
-            utts = [make_utterance([str(rng.choice(["hello", "yes", "ok"]))], index=i) for i in range(n)]
+            utts = [make_utterance([str(rng.choice(["hello", "yes", "ok"]))]) for i in range(n)]
             assert len(tag_da(utts, model)) == n
 
     def test_matches_bruteforce_decoding(self):
@@ -93,7 +92,7 @@ class TestTagDa:
             n = int(rng.integers(1, 7))
             utts = [
                 make_utterance(
-                    [str(rng.choice(["hello", "what", "yes", "ok", "well"]))], index=i
+                    [str(rng.choice(["hello", "what", "yes", "ok", "well"]))]
                 )
                 for i in range(n)
             ]
@@ -148,7 +147,7 @@ class TestUtteranceClassifier:
             bias=np.zeros(7),
             l2=0.0,
         )
-        utts = [make_utterance(["anything", "at", "all"], index=i) for i in range(4)]
+        utts = [make_utterance(["anything", "at", "all"]) for i in range(4)]
         assert all(tu.mc == "FA" for tu in tag_mc(utts, model))
 
     def test_gradient_matches_finite_differences(self):
@@ -189,9 +188,9 @@ class TestUtteranceClassifier:
         rng = np.random.default_rng(9)
         model = train_utterance_classifier(planted_mc_corpus(rng, 200), l2=0.05)
         utts = [
-            make_utterance(["sounds", "like", "rain"], index=0),
-            make_utterance(["did", "you", "sleep"], index=1),
-            make_utterance(["you", "must", "go"], index=2),
+            make_utterance(["sounds", "like", "rain"]),
+            make_utterance(["did", "you", "sleep"]),
+            make_utterance(["you", "must", "go"]),
         ]
         tags = [tu.mc for tu in tag_mc(utts, model)]
         tags_rev = [tu.mc for tu in tag_mc(utts[::-1], model)]
