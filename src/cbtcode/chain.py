@@ -1,4 +1,4 @@
-"""Linear-chain sequence primitives: forward-backward and Viterbi in log space.
+"""Linear-chain sequence primitives: forward-backward and Viterbi.
 
 Scores are additive: a labeling y of a length-n sequence scores
 sum_t emissions[t, y_t] + sum_{t>0} transitions[y_{t-1}, y_t].  There are no
@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
+
+_MAX_SPAN = 700.0  # below -log of the smallest normal float, 708.4
 
 
 def _check_inputs(emissions, transitions, batched: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -46,19 +48,21 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(a - m), axis=axis))
 
 
-def forward_backward(emissions, transitions, lengths=None):
-    """Exact marginal inference for one sequence or a padded batch.
+def _by_length(E: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray]:
+    """The batch sorted by length, longest first (stable).
 
-    For one (n, k) emission matrix, returns (log_partition, marginals,
-    pairwise): marginals is (n, k) with rows summing to 1 and pairwise is
-    (n-1, k, k), the joint probability of the tags at adjacent positions.
-
-    For a (batch, max_len, k) array with the length of each sequence, returns
-    log_partition (batch,), marginals (batch, max_len, k) and pairwise
-    (batch, max_len-1, k, k), all zero past each sequence's end.  Emissions
-    past a sequence's end are ignored.
+    Returns E and n in that order, the number of sequences live at each step
+    (at step t they are rows [:live[t]]), and the permutation that restores
+    the input order.
     """
-    E, T, n = _check_batch(emissions, transitions, lengths)
+    order = np.argsort(-n, kind="stable")
+    live = np.count_nonzero(n[order, None] > np.arange(E.shape[1]), axis=0)
+    return E[order], n[order], live.tolist(), np.argsort(order)
+
+
+def _forward_backward_log(E: np.ndarray, T: np.ndarray, n: np.ndarray):
+    """forward_backward of a padded batch in log space: the fallback for a
+    batch whose scaled recursion could underflow."""
     b, max_len, k = E.shape
     live = np.arange(max_len)[None, :] < n[:, None]  # (b, max_len)
 
@@ -78,16 +82,81 @@ def forward_backward(emissions, transitions, lengths=None):
 
     log_z = _logsumexp(alpha[:, -1], axis=1)
     marginals = np.where(live[:, :, None], np.exp(alpha + beta - log_z[:, None, None]), 0.0)
-    pairwise = np.where(
-        live[:, 1:, None, None],
-        np.exp(
-            alpha[:, :-1, :, None]
-            + T
-            + (E[:, 1:] + beta[:, 1:])[:, :, None, :]
-            - log_z[:, None, None, None]
-        ),
-        0.0,
-    )
+    with np.errstate(over="ignore"):  # only terms past a sequence's end overflow
+        pairwise = np.where(
+            live[:, 1:, None, None],
+            np.exp(
+                alpha[:, :-1, :, None]
+                + T
+                + (E[:, 1:] + beta[:, 1:])[:, :, None, :]
+                - log_z[:, None, None, None]
+            ),
+            0.0,
+        )
+    return log_z, marginals, pairwise
+
+
+def forward_backward(emissions, transitions, lengths=None):
+    """Exact marginal inference for one sequence or a padded batch.
+
+    For one (n, k) emission matrix, returns (log_partition, marginals,
+    pairwise): marginals is (n, k) with rows summing to 1 and pairwise is
+    (n-1, k, k), the joint probability of the tags at adjacent positions.
+
+    For a (batch, max_len, k) array with the length of each sequence, returns
+    log_partition (batch,), marginals (batch, max_len, k) and pairwise
+    (batch, max_len-1, k, k), all zero past each sequence's end.  Emissions
+    past a sequence's end are ignored.
+
+    The recursion runs in probability space over the sequences still live at
+    each step, each alpha row scaled to sum to 1 (Rabiner 1989).  A batch
+    whose score ranges could make a term of it underflow is computed in log
+    space instead.
+    """
+    E, T, n = _check_batch(emissions, transitions, lengths)
+    b, max_len, k = E.shape
+    Es, ns, live, back = _by_length(E, n)
+    steps = np.arange(max_len) < ns[:, None]
+    row_max = Es.max(axis=2)
+    t_max = T.max()
+    # Every emission factor is at least exp(-spread) and every transition
+    # factor at least exp(-(t_max - T.min())), so every alpha, beta and
+    # product term of the recursion is at least exp(-span): no term leaves
+    # the normal range while span stays below -log(tiny) = 708.4.
+    spread = np.where(steps, row_max - Es.min(axis=2), 0.0).max()
+    span = spread + 2.0 * (t_max - T.min()) + np.log(k)
+    if span > _MAX_SPAN:
+        log_z, marginals, pairwise = _forward_backward_log(E, T, n)
+    else:
+        G = np.exp(Es - row_max[:, :, None])
+        P = np.exp(T - t_max)
+        # alpha[:, t] and beta[:, t] of a live row are scaled by the
+        # normalisers c of the steps up to t and after t, so their product is
+        # the marginal.  Rows past their end stay 0 and keep c = 1.
+        alpha = np.zeros((b, max_len, k))
+        c = np.ones((b, max_len))
+        G[:, 0].sum(axis=1, out=c[:, 0])
+        np.divide(G[:, 0], c[:, 0, None], out=alpha[:, 0])
+        for t in range(1, max_len):
+            m = live[t]
+            a = alpha[:m, t - 1] @ P
+            a *= G[:m, t]
+            a.sum(axis=1, out=c[:m, t])
+            np.divide(a, c[:m, t, None], out=alpha[:m, t])
+        # h[:, t] = G[:, t] * beta[:, t] / c[:, t]: the right factor of the
+        # pairwise marginal of steps t-1 and t, and beta[:, t-1] = h[:, t] @ P.T.
+        beta = np.zeros((b, max_len, k))
+        beta[np.arange(b), ns - 1] = 1.0
+        h = np.zeros((b, max_len, k))
+        for t in range(max_len - 1, 0, -1):
+            m = live[t]
+            np.multiply(G[:m, t], beta[:m, t], out=h[:m, t])
+            h[:m, t] /= c[:m, t, None]
+            np.matmul(h[:m, t], P.T, out=beta[:m, t - 1])
+        log_z = (np.log(c).sum(axis=1) + (row_max * steps).sum(axis=1) + (ns - 1) * t_max)[back]
+        alpha, beta, h = alpha[back], beta[back], h[back]
+        marginals = alpha * beta
+        pairwise = alpha[:, :-1, :, None] * h[:, 1:, None, :] * P
     if lengths is None:
         return float(log_z[0]), marginals[0], pairwise[0]
     return log_z, marginals, pairwise
@@ -103,26 +172,28 @@ def viterbi(emissions, transitions, lengths=None):
     """
     E, T, n = _check_batch(emissions, transitions, lengths)
     b, max_len, k = E.shape
-    live = np.arange(max_len)[None, :] < n[:, None]  # (b, max_len)
+    Es, _, live, back = _by_length(E, n)
 
-    # Past its end a sequence carries delta forward unchanged, so the final
-    # delta holds each sequence's best score per last tag.
-    delta = E[:, 0]
+    # Each step updates only the live rows, so a row's delta stops at its
+    # final value, its best score per last tag.
+    delta = Es[:, 0].copy()
     backptr = np.empty((b, max(max_len - 1, 0), k), dtype=np.intp)
     for t in range(1, max_len):
-        cand = delta[:, :, None] + T
-        backptr[:, t - 1] = np.argmax(cand, axis=1)  # first max = lowest prev tag
-        delta = np.where(live[:, t, None], E[:, t] + np.max(cand, axis=1), delta)
+        m = live[t]
+        cand = delta[:m, :, None] + T
+        cand.argmax(axis=1, out=backptr[:m, t - 1])  # first max = lowest prev tag
+        np.add(Es[:m, t], cand.max(axis=1), out=delta[:m])
 
     rows = np.arange(b)
-    paths = np.empty((b, max_len), dtype=np.intp)
-    tag = np.argmax(delta, axis=1)
+    paths = np.zeros((b, max_len), dtype=np.intp)
+    tag = delta.argmax(axis=1)
     for t in range(max_len - 1, 0, -1):
-        paths[:, t] = tag
         # A sequence that ends before t keeps its final tag until its end.
-        tag = np.where(live[:, t], backptr[rows, t - 1, tag], tag)
+        m = live[t]
+        paths[:m, t] = tag[:m]
+        tag[:m] = backptr[rows[:m], t - 1, tag[:m]]
     paths[:, 0] = tag
-    paths[~live] = 0
+    paths = paths[back]
     if lengths is None:
         return paths[0].tolist()
     return paths

@@ -178,8 +178,9 @@ def crf_training_objective(
         rows.extend(feats_per_pos)
         rows.extend([()] * (max_len - len(tags)))
     A = _incidence(rows, feature_index)
+    At = A.T.tocsr()
     live = np.arange(max_len) < lengths[:, None]
-    observed_W = A.T @ ((gold[:, :, None] == np.arange(k)) & live[:, :, None]).reshape(-1, k)
+    observed_W = At @ ((gold[:, :, None] == np.arange(k)) & live[:, :, None]).reshape(-1, k)
     pairs = live[:, 1:]
     observed_T = np.bincount(
         gold[:, :-1][pairs] * k + gold[:, 1:][pairs], minlength=k * k
@@ -196,7 +197,7 @@ def crf_training_objective(
         nll = -loglik + 0.5 * l2 * float(np.dot(theta, theta))
         grad = np.concatenate(
             [
-                (A.T @ marginals.reshape(-1, k) - observed_W).reshape(-1),
+                (At @ marginals.reshape(-1, k) - observed_W).reshape(-1),
                 (pairwise.sum(axis=(0, 1)) - observed_T).reshape(-1),
             ]
         )
@@ -326,6 +327,7 @@ def multinomial_training_objective(
             raise ValidationError(f"unknown tag {lab!r}")
     gold = np.array([label_index[lab] for _, lab in examples], dtype=np.intp)
     A = _incidence([utterance_features(words) for words, _ in examples], feature_index)
+    At = A.T.tocsr()
     n, n_w, l2 = len(examples), len(feature_names) * len(labels), float(l2)
 
     def fun(theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -338,7 +340,7 @@ def multinomial_training_objective(
 
         resid = np.exp(S - log_z[:, None])
         resid[np.arange(n), gold] -= 1.0  # d nll / d score
-        gW = A.T @ resid + l2 * W
+        gW = At @ resid + l2 * W
         return nll, np.concatenate([gW.reshape(-1), resid.sum(axis=0)])
 
     return fun

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cbtcode import chain
 from cbtcode.chain import forward_backward, sequence_score, viterbi
 from cbtcode.errors import ValidationError
 from cbtcode.optimize import minimize_lbfgs
@@ -12,7 +13,7 @@ from cbtcode.tagger import (
     crf_training_objective,
     train_chain_crf,
 )
-from helpers import enumerate_chain
+from helpers import enumerate_chain, reference_viterbi
 
 
 class TestForwardBackward:
@@ -80,6 +81,115 @@ class TestForwardBackward:
             viterbi(np.array([[np.inf, 0.0]]), np.zeros((2, 2)))
 
 
+
+def ragged_batch(rng, lengths, k, noise=50.0):
+    """A padded batch of the given lengths with large noise past each end."""
+    lengths = np.asarray(lengths)
+    E = rng.normal(size=(len(lengths), int(lengths.max()) + 1, k)) * 2
+    E[np.arange(E.shape[1]) >= lengths[:, None]] = rng.normal(size=k) * noise
+    return E, lengths
+
+
+@pytest.fixture
+def scaled_only(monkeypatch):
+    """Makes the log-space fallback raise; yields the log-space kernel."""
+    log_space = chain._forward_backward_log
+
+    def fail(*args):
+        raise AssertionError("the scaled recursion fell back to log space")
+
+    monkeypatch.setattr(chain, "_forward_backward_log", fail)
+    return log_space
+
+
+class TestScaledRecursion:
+    def test_ordinary_ragged_batches_stay_on_the_scaled_path(self, scaled_only):
+        log_space = scaled_only
+        rng = np.random.default_rng(21)
+        batches = [[5, 1, 3, 1, 7, 2], [1], [4], [1, 1, 1], [2, 9, 9, 1, 6]]
+        batches += [rng.integers(1, 12, size=int(rng.integers(1, 10))) for _ in range(40)]
+        for lengths in batches:
+            k = int(rng.integers(2, 8))
+            E, n = ragged_batch(rng, lengths, k)
+            T = rng.normal(size=(k, k)) * 3
+            got = forward_backward(E, T, n)
+            want = log_space(E, T, n)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert np.abs(g - w).max() < 1e-12
+            steps = np.arange(E.shape[1]) < n[:, None]
+            assert not got[1][~steps].any() and not got[2][~steps[:, 1:]].any()
+        E = rng.normal(size=(6, 3))
+        T = rng.normal(size=(3, 3))
+        log_z, marg, pair = forward_backward(E, T)
+        want_z, want_marg, want_pair = log_space(E[None], T, np.array([6]))
+        assert abs(log_z - want_z[0]) < 1e-12
+        assert np.abs(marg - want_marg[0]).max() < 1e-12 and np.abs(pair - want_pair[0]).max() < 1e-12
+
+    def test_wide_ranges_inside_the_span_stay_exact(self, scaled_only):
+        rng = np.random.default_rng(24)
+        for _ in range(40):
+            m = int(rng.integers(2, 7))
+            k = int(rng.integers(2, 5))
+            # Emission spread up to 300 and transition range up to 150: a
+            # span of about 600, just inside the scaled recursion's.
+            E = rng.normal(size=(m, k)) - 298.0 * (rng.random(size=(m, k)) < 0.4)
+            T = rng.uniform(-75.0, 75.0, size=(k, k))
+            log_z, marg, pair = forward_backward(E, T)
+            ez, em, ep, _, _ = enumerate_chain(E, T)
+            assert abs(log_z - ez) < 1e-9
+            assert np.abs(marg - em).max() < 1e-9
+            assert np.abs(pair - ep).max() < 1e-9
+
+    def test_extreme_transitions_fall_back_to_log_space(self, monkeypatch):
+        calls = []
+        log_space = chain._forward_backward_log
+
+        def counted(E, T, n):
+            calls.append(len(n))
+            return log_space(E, T, n)
+
+        monkeypatch.setattr(chain, "_forward_backward_log", counted)
+        rng = np.random.default_rng(22)
+        # Tag 0 moves to tag 1 at +800, and every way out of tag 1 scores
+        # -800: from the second step on the chain sits in tag 1, and a
+        # probability-space step after that underflows to 0.
+        T = np.array([[0.0, 800.0], [-800.0, -800.0]])
+        E = rng.normal(size=(5, 2))
+        log_z, marg, pair = forward_backward(E, T)
+        assert calls == [1]
+        ez, em, ep, _, _ = enumerate_chain(E, T)
+        assert abs(log_z - ez) < 1e-9
+        assert np.abs(marg - em).max() < 1e-9 and np.abs(pair - ep).max() < 1e-9
+
+        # One underflowing sequence sends its whole batch to log space.
+        Eb, n = ragged_batch(rng, [2, 5, 1, 4], 2)
+        Eb[1, :5] = E
+        log_z, marg, pair = forward_backward(Eb, T, n)
+        assert calls == [1, 4]
+        for i, m in enumerate(n):
+            ez, em, ep, _, _ = enumerate_chain(Eb[i, :m], T)
+            assert abs(log_z[i] - ez) < 1e-9
+            assert np.abs(marg[i, :m] - em).max() < 1e-9
+            assert np.abs(pair[i, : m - 1] - ep).max(initial=0.0) < 1e-9
+            assert not marg[i, m:].any() and not pair[i, m - 1 :].any()
+
+        # Any transition range near 800 is past the scaled recursion's span.
+        calls.clear()
+        for _ in range(40):
+            m = int(rng.integers(1, 7))
+            k = int(rng.integers(2, 5))
+            E = rng.normal(size=(m, k)) * 2
+            T = rng.normal(size=(k, k)) * 800
+            log_z, marg, pair = forward_backward(E, T)
+            ez, em, ep, _, _ = enumerate_chain(E, T)
+            assert abs(log_z - ez) < 1e-9
+            assert np.abs(marg - em).max() < 1e-9
+            if m > 1:
+                assert np.abs(pair - ep).max() < 1e-9
+        assert calls == [1] * 40
+
+
 class TestViterbi:
     def test_length_one_argmax(self):
         assert viterbi(np.array([[0.1, 0.9, 0.3]]), np.zeros((3, 3))) == [1]
@@ -99,6 +209,19 @@ class TestViterbi:
             _, _, _, best_score, best_path = enumerate_chain(E, T)
             assert abs(sequence_score(E, T, path) - best_score) < 1e-9
             assert path == best_path
+
+
+    def test_ragged_tied_batches_match_one_at_a_time(self):
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            k = int(rng.integers(2, 5))
+            T = rng.integers(-1, 2, size=(k, k)).astype(float)
+            n = rng.integers(1, 9, size=int(rng.integers(1, 8)))
+            E = rng.integers(-2, 3, size=(len(n), int(n.max()) + 1, k)).astype(float)
+            paths = viterbi(E, T, n)
+            for i, m in enumerate(n):
+                assert paths[i, :m].tolist() == reference_viterbi(E[i, :m], T)
+                assert not paths[i, m:].any()
 
 
 def tiny_dataset():
