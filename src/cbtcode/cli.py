@@ -114,8 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores-from", help="corpus/tagged JSONL with embedded scores (svm)")
     p.add_argument("--k", type=int, help="keep the k best features by F score (svm)")
     p.add_argument("--c", type=float, default=1.0, help="SVM C")
-    p.add_argument("--l2", type=float, default=0.1, help="L2 strength (boundary/da/mc)")
-    p.add_argument("--max-sequences", type=int, help="cap on training sequences (boundary)")
+    p.add_argument("--l2", type=float, default=0.1, help="L2 strength, finite and >= 0 (boundary/da/mc)")
+    p.add_argument("--max-sequences", type=int, help="cap on training sequences, >= 1 (boundary)")
     p.add_argument("--out", required=True, help="model file")
 
     p = sub.add_parser("evaluate", help="run the cross-validated evaluation protocol")
@@ -270,11 +270,13 @@ def _cmd_train(args) -> int:
     if args.what == "boundary":
         if not args.input:
             raise ValidationError("train --what boundary needs --in (punctuated text file)")
+        if args.max_sequences is not None and args.max_sequences < 1:
+            raise ValidationError(f"--max-sequences must be at least 1, got {args.max_sequences}")
         path = Path(args.input)
         if not path.exists():
             raise MissingArtifactError(f"boundary training text not found: {path}")
         lines = [ln.split() for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
-        if args.max_sequences:
+        if args.max_sequences is not None:
             lines = lines[: args.max_sequences]
         data = make_boundary_training_data(lines)
         model = train_boundary_model(data, l2=args.l2)

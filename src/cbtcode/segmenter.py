@@ -139,24 +139,13 @@ def train_boundary_model(
     )
 
 
-# Fragments per Viterbi batch; fragments are batched in order of length, so
-# each batch pads little.
-_CHUNK = 64
-
-
 def _utterance_ends(fragments: Sequence[Turn], model: BoundaryModel) -> list[list[int]]:
-    """Each fragment's utterance end offsets, decoded in length-sorted batches."""
+    """Each fragment's utterance end offsets, all fragments decoded in one batch."""
     if model.scheme != "boundary":
         raise ValidationError(f"model tags scheme {model.scheme!r}, expected 'boundary'")
     boundary = model.labels.index(BOUNDARY)
-    order = sorted(range(len(fragments)), key=lambda i: len(fragments[i].tokens))
-    ends: list[list[int]] = [[] for _ in fragments]
-    for c in range(0, len(order), _CHUNK):
-        chunk = order[c : c + _CHUNK]
-        paths = model.decode_many(boundary_features(fragments[i].tokens.texts) for i in chunk)
-        for i, path in zip(chunk, paths):
-            ends[i] = [*(np.flatnonzero(path[:-1] == boundary) + 1).tolist(), len(path)]
-    return ends
+    paths = model.decode_many(boundary_features(f.tokens.texts) for f in fragments)
+    return [[*(np.flatnonzero(path[:-1] == boundary) + 1).tolist(), len(path)] for path in paths]
 
 
 def _split(fragment: Turn, ends: Sequence[int]) -> list[Turn]:

@@ -81,19 +81,16 @@ class ChainCRF:
         return gather_rows(self.weights, ids, counts, np.zeros(len(self.labels)))
 
     def decode_many(self, sequences: Iterable[FeatureSeq]) -> list[np.ndarray]:
-        """The Viterbi path of each sequence, all decoded in one padded batch.
+        """The Viterbi path of each sequence, all decoded in one batch.
 
         The sequences are read once, in order, so a generator streams them.
         """
         ids, counts, lengths = feature_ids(sequences, self._feature_index)
         E = gather_rows(self.weights, ids, counts, np.zeros(len(self.labels)))
-        paths = np.zeros((len(lengths), int(lengths.max(initial=0))), dtype=np.intp)
-        live = lengths > 0  # viterbi takes no empty sequence
-        if live.any():
-            padded = np.zeros((int(live.sum()), paths.shape[1], len(self.labels)))
-            padded[np.arange(paths.shape[1]) < lengths[live, None]] = E
-            paths[live] = viterbi(padded, self.transitions, lengths[live])
-        return [path[:n] for path, n in zip(paths, lengths.tolist())]
+        # viterbi takes no empty sequence; an empty one has no rows in E.
+        paths = viterbi(E, self.transitions, lengths[lengths > 0]) if len(E) else np.zeros(0, np.intp)
+        ends = np.cumsum(lengths).tolist()
+        return [paths[end - n : end] for end, n in zip(ends, lengths.tolist())]
 
     def decode(self, feats_per_pos: FeatureSeq) -> list[int]:
         return self.decode_many([feats_per_pos])[0].tolist()
@@ -162,29 +159,25 @@ def crf_training_objective(
     feature_index = {f: i for i, f in enumerate(feature_names)}
     k, n_w, l2 = len(labels), len(feature_names) * len(labels), float(l2)
     lengths = np.array([len(tags) for _, tags in data], dtype=np.intp)
-    max_len = int(lengths.max())
-    # Position t of sequence s is row s * max_len + t; padding rows are empty.
-    gold = np.zeros((len(data), max_len), dtype=np.intp)
+    gold_ids: list[int] = []
     rows: list[Sequence[str]] = []
     for si, (feats_per_pos, tags) in enumerate(data):
         if len(feats_per_pos) != len(tags):
             raise ValidationError(f"sequence {si}: features and labels differ in length")
         if not tags:
             raise ValidationError(f"sequence {si} is empty")
-        for t, tag in enumerate(tags):
+        for tag in tags:
             if tag not in label_index:
                 raise ValidationError(f"sequence {si}: unknown gold tag {tag!r}")
-            gold[si, t] = label_index[tag]
+            gold_ids.append(label_index[tag])
         rows.extend(feats_per_pos)
-        rows.extend([()] * (max_len - len(tags)))
     A = _incidence(rows, feature_index)
     At = A.T.tocsr()
-    live = np.arange(max_len) < lengths[:, None]
-    observed_W = At @ ((gold[:, :, None] == np.arange(k)) & live[:, :, None]).reshape(-1, k)
-    pairs = live[:, 1:]
-    observed_T = np.bincount(
-        gold[:, :-1][pairs] * k + gold[:, 1:][pairs], minlength=k * k
-    ).reshape(k, k)
+    gold = np.array(gold_ids, dtype=np.intp)
+    observed_W = At @ (gold[:, None] == np.arange(k))
+    has_prev = np.ones(len(gold), dtype=bool)  # every row but a sequence's first
+    has_prev[np.cumsum(lengths) - lengths] = False
+    observed_T = np.bincount(gold[:-1][has_prev[1:]] * k + gold[has_prev], minlength=k * k).reshape(k, k)
 
     def fun(theta: np.ndarray) -> tuple[float, np.ndarray]:
         W = theta[:n_w].reshape(-1, k)
@@ -192,18 +185,23 @@ def crf_training_objective(
         E = A @ W
         if not (np.all(np.isfinite(E)) and np.all(np.isfinite(T))):
             return np.inf, np.full_like(theta, np.nan)  # a line-search step too far
-        log_z, marginals, pairwise = forward_backward(E.reshape(-1, max_len, k), T, lengths)
+        log_z, marginals, pairwise = forward_backward(E, T, lengths)
         loglik = float(np.vdot(observed_W, W) + np.vdot(observed_T, T) - log_z.sum())
         nll = -loglik + 0.5 * l2 * float(np.dot(theta, theta))
         grad = np.concatenate(
             [
-                (At @ marginals.reshape(-1, k) - observed_W).reshape(-1),
-                (pairwise.sum(axis=(0, 1)) - observed_T).reshape(-1),
+                (At @ marginals - observed_W).reshape(-1),
+                (pairwise.sum(axis=0) - observed_T).reshape(-1),
             ]
         )
         return nll, grad + l2 * theta
 
     return fun
+
+
+def _check_l2(l2: float) -> None:
+    if not 0.0 <= l2 < np.inf:  # NaN too
+        raise ValidationError(f"l2 must be finite and non-negative, got {l2}")
 
 
 def train_chain_crf(
@@ -217,6 +215,7 @@ def train_chain_crf(
     feature_template: str = UTTERANCE_FEATURE_TEMPLATE,
 ) -> ChainCRF:
     """Fit a chain CRF by penalized maximum likelihood (deterministic)."""
+    _check_l2(l2)
     if isinstance(labels, TagSet):
         scheme = scheme or labels.name
         labels = labels.labels
@@ -355,6 +354,7 @@ def train_utterance_classifier(
     max_iter: int = 500,
 ) -> UtteranceClassifier:
     """Fit the multinomial utterance classifier (deterministic)."""
+    _check_l2(l2)
     if not data:
         raise ValidationError("no training utterances")
     present = {lab for _, lab in data}

@@ -45,7 +45,7 @@ def enumerate_chain(E: np.ndarray, T: np.ndarray):
 
 def reference_viterbi(E: np.ndarray, T: np.ndarray) -> list[int]:
     """One sequence, one position at a time: the decoder `chain.viterbi` had
-    before it took padded batches, kept to pin the batched one's paths."""
+    before it took batches, kept to pin the batched one's paths."""
     n, k = E.shape
     delta = E[0].copy()
     backptr = np.empty((n - 1, k), dtype=np.intp) if n > 1 else None

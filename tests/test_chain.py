@@ -66,13 +66,14 @@ class TestForwardBackward:
         assert np.abs(marg - marg2).max() < 1e-9
 
     def test_batch_lengths_rejected_when_malformed(self):
-        E = np.zeros((2, 3, 2))
+        E = np.zeros((4, 2))
         for kernel in (forward_backward, viterbi):
-            for lengths in ([1], [0, 3], [1, 4], [1.0, 2.0]):
+            # sum != rows, a zero, a negative, floats, 2-D, none at all
+            for lengths in ([1, 2], [0, 4], [-1, 5], [1.0, 3.0], [[1, 3]], []):
                 with pytest.raises(ValidationError, match="lengths"):
                     kernel(E, np.zeros((2, 2)), lengths)
             with pytest.raises(ValidationError, match="emissions"):
-                kernel(np.zeros((3, 2)), np.zeros((2, 2)), [3])
+                kernel(np.zeros((2, 3, 2)), np.zeros((2, 2)), [3, 3])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError):
@@ -82,23 +83,39 @@ class TestForwardBackward:
 
 
 
-def ragged_batch(rng, lengths, k, noise=50.0):
-    """A padded batch of the given lengths with large noise past each end."""
+def ragged_batch(rng, lengths, k):
+    """The stacked emission rows of random sequences of the given lengths."""
     lengths = np.asarray(lengths)
-    E = rng.normal(size=(len(lengths), int(lengths.max()) + 1, k)) * 2
-    E[np.arange(E.shape[1]) >= lengths[:, None]] = rng.normal(size=k) * noise
-    return E, lengths
+    return rng.normal(size=(int(lengths.sum()), k)) * 2, lengths
+
+
+def split(rows, lengths):
+    """Each sequence's slice of a stack of rows, one per position."""
+    return np.split(rows, np.cumsum(lengths)[:-1])
+
+
+def split_pairs(pairwise, lengths):
+    """Each sequence's slice of a stack of adjacent-pair rows."""
+    return np.split(pairwise, np.cumsum(np.asarray(lengths) - 1)[:-1])
 
 
 @pytest.fixture
 def scaled_only(monkeypatch):
-    """Makes the log-space fallback raise; yields the log-space kernel."""
-    log_space = chain._forward_backward_log
+    """Makes the log-space fallback raise; yields forward_backward forced
+    onto it."""
+    log_kernel = chain._forward_backward_log
 
     def fail(*args):
         raise AssertionError("the scaled recursion fell back to log space")
 
     monkeypatch.setattr(chain, "_forward_backward_log", fail)
+
+    def log_space(*args):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chain, "_MAX_SPAN", -np.inf)
+            mp.setattr(chain, "_forward_backward_log", log_kernel)
+            return forward_backward(*args)
+
     return log_space
 
 
@@ -114,17 +131,16 @@ class TestScaledRecursion:
             T = rng.normal(size=(k, k)) * 3
             got = forward_backward(E, T, n)
             want = log_space(E, T, n)
+            assert got[1].shape == (n.sum(), k) and got[2].shape == (n.sum() - len(n), k, k)
             for g, w in zip(got, want):
                 assert g.shape == w.shape
-                assert np.abs(g - w).max() < 1e-12
-            steps = np.arange(E.shape[1]) < n[:, None]
-            assert not got[1][~steps].any() and not got[2][~steps[:, 1:]].any()
+                assert np.abs(g - w).max(initial=0.0) < 1e-12  # pairwise is empty if every length is 1
         E = rng.normal(size=(6, 3))
         T = rng.normal(size=(3, 3))
         log_z, marg, pair = forward_backward(E, T)
-        want_z, want_marg, want_pair = log_space(E[None], T, np.array([6]))
-        assert abs(log_z - want_z[0]) < 1e-12
-        assert np.abs(marg - want_marg[0]).max() < 1e-12 and np.abs(pair - want_pair[0]).max() < 1e-12
+        want_z, want_marg, want_pair = log_space(E, T)
+        assert abs(log_z - want_z) < 1e-12
+        assert np.abs(marg - want_marg).max() < 1e-12 and np.abs(pair - want_pair).max() < 1e-12
 
     def test_wide_ranges_inside_the_span_stay_exact(self, scaled_only):
         rng = np.random.default_rng(24)
@@ -145,9 +161,9 @@ class TestScaledRecursion:
         calls = []
         log_space = chain._forward_backward_log
 
-        def counted(E, T, n):
-            calls.append(len(n))
-            return log_space(E, T, n)
+        def counted(E, T, blocks):
+            calls.append(len(E))
+            return log_space(E, T, blocks)
 
         monkeypatch.setattr(chain, "_forward_backward_log", counted)
         rng = np.random.default_rng(22)
@@ -157,25 +173,25 @@ class TestScaledRecursion:
         T = np.array([[0.0, 800.0], [-800.0, -800.0]])
         E = rng.normal(size=(5, 2))
         log_z, marg, pair = forward_backward(E, T)
-        assert calls == [1]
+        assert calls == [5]
         ez, em, ep, _, _ = enumerate_chain(E, T)
         assert abs(log_z - ez) < 1e-9
         assert np.abs(marg - em).max() < 1e-9 and np.abs(pair - ep).max() < 1e-9
 
         # One underflowing sequence sends its whole batch to log space.
         Eb, n = ragged_batch(rng, [2, 5, 1, 4], 2)
-        Eb[1, :5] = E
+        Eb[2:7] = E
         log_z, marg, pair = forward_backward(Eb, T, n)
-        assert calls == [1, 4]
-        for i, m in enumerate(n):
-            ez, em, ep, _, _ = enumerate_chain(Eb[i, :m], T)
+        assert calls == [5, 12]
+        for i, (e, m, p) in enumerate(zip(split(Eb, n), split(marg, n), split_pairs(pair, n))):
+            ez, em, ep, _, _ = enumerate_chain(e, T)
             assert abs(log_z[i] - ez) < 1e-9
-            assert np.abs(marg[i, :m] - em).max() < 1e-9
-            assert np.abs(pair[i, : m - 1] - ep).max(initial=0.0) < 1e-9
-            assert not marg[i, m:].any() and not pair[i, m - 1 :].any()
+            assert np.abs(m - em).max() < 1e-9
+            assert np.abs(p - ep).max(initial=0.0) < 1e-9
 
         # Any transition range near 800 is past the scaled recursion's span.
         calls.clear()
+        sizes = []
         for _ in range(40):
             m = int(rng.integers(1, 7))
             k = int(rng.integers(2, 5))
@@ -187,7 +203,8 @@ class TestScaledRecursion:
             assert np.abs(marg - em).max() < 1e-9
             if m > 1:
                 assert np.abs(pair - ep).max() < 1e-9
-        assert calls == [1] * 40
+            sizes.append(m)
+        assert calls == sizes
 
 
 class TestViterbi:
@@ -196,7 +213,8 @@ class TestViterbi:
 
     def test_all_equal_scores_takes_lowest_index(self):
         assert viterbi(np.zeros((4, 3)), np.zeros((3, 3))) == [0, 0, 0, 0]
-        assert not viterbi(np.zeros((3, 5, 4)), np.zeros((4, 4)), np.array([5, 1, 3])).any()
+        paths = viterbi(np.zeros((9, 4)), np.zeros((4, 4)), np.array([5, 1, 3]))
+        assert paths.shape == (9,) and not paths.any()
 
     def test_matches_enumeration_score(self):
         rng = np.random.default_rng(4)
@@ -217,11 +235,11 @@ class TestViterbi:
             k = int(rng.integers(2, 5))
             T = rng.integers(-1, 2, size=(k, k)).astype(float)
             n = rng.integers(1, 9, size=int(rng.integers(1, 8)))
-            E = rng.integers(-2, 3, size=(len(n), int(n.max()) + 1, k)).astype(float)
+            E = rng.integers(-2, 3, size=(int(n.sum()), k)).astype(float)
             paths = viterbi(E, T, n)
-            for i, m in enumerate(n):
-                assert paths[i, :m].tolist() == reference_viterbi(E[i, :m], T)
-                assert not paths[i, m:].any()
+            assert paths.shape == (n.sum(),)
+            for e, path in zip(split(E, n), split(paths, n)):
+                assert path.tolist() == reference_viterbi(e, T)
 
 
 def tiny_dataset():

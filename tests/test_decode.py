@@ -1,18 +1,15 @@
 """Batched decoding against the one-at-a-time references in helpers.py.
 
-`chain.viterbi` decodes padded batches, and every model scores its inputs
-through one in-order gather of weight rows.  Paths must equal the
-per-sequence decoder's, and emissions and scores must equal the
-per-feature loop's bit for bit.
+`chain.viterbi` decodes a batch given as the stacked emission rows of its
+sequences plus their lengths, and every model scores its inputs through one
+in-order gather of weight rows.  Paths must equal the per-sequence decoder's,
+and emissions and scores must equal the per-feature loop's bit for bit.
 """
-
-import math
 
 import numpy as np
 
-import cbtcode.segmenter as segmenter
 import cbtcode.tagger as tagger
-from cbtcode.chain import viterbi
+from cbtcode.chain import forward_backward, viterbi
 from cbtcode.corpus import Session, Tokens, Turn, session_to_record
 from cbtcode.pipeline import segment_corpus, tag_corpus
 from cbtcode.segmenter import BOUNDARY, BOUNDARY_LABELS, boundary_features, pause_split
@@ -55,23 +52,27 @@ def same_bits(a, b) -> bool:
 
 
 class TestBatchedViterbi:
-    def test_ragged_noise_padded_batches_match_one_at_a_time(self):
+    def test_ragged_batches_match_one_at_a_time(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             k = int(rng.integers(2, 6))
             T = rng.normal(size=(k, k))
             lengths = rng.integers(1, 12, size=int(rng.integers(1, 9)))
-            E = rng.normal(size=(len(lengths), int(lengths.max()) + int(rng.integers(0, 3)), k)) * 3.0
+            E = rng.normal(size=(int(lengths.sum()), k)) * 3.0
             paths = viterbi(E, T, lengths)
-            assert paths.shape == E.shape[:2]
-            for i, n in enumerate(lengths):
-                assert paths[i, :n].tolist() == reference_viterbi(E[i, :n], T)
-                assert not paths[i, n:].any()
+            assert paths.shape == (lengths.sum(),)
+            ends = np.cumsum(lengths)
+            for end, n in zip(ends, lengths):
+                assert paths[end - n : end].tolist() == reference_viterbi(E[end - n : end], T)
 
     def test_single_sequence_is_the_batch_of_one(self):
         rng = np.random.default_rng(12)
         E, T = rng.normal(size=(7, 3)), rng.normal(size=(3, 3))
-        assert viterbi(E, T) == viterbi(E[None], T, [7])[0].tolist() == reference_viterbi(E, T)
+        assert viterbi(E, T) == viterbi(E, T, [7]).tolist() == reference_viterbi(E, T)
+        log_z, marg, pair = forward_backward(E, T)
+        batch_z, batch_marg, batch_pair = forward_backward(E, T, [7])
+        assert isinstance(log_z, float) and batch_z.tolist() == [log_z]
+        assert same_bits(marg, batch_marg) and same_bits(pair, batch_pair)
 
 
 class TestGather:
@@ -197,11 +198,10 @@ class TestCorpusStages:
             assert [u["index"] for u in session_to_record(out, "utterances")["utterances"]] == list(range(len(runs)))
         assert segment_corpus([], model) == []
 
-    def test_segment_corpus_calls_viterbi_once_per_chunk(self, monkeypatch):
+    def test_segment_corpus_calls_viterbi_once_per_corpus(self, monkeypatch):
         rng = np.random.default_rng(19)
         model = self.boundary_model(rng)
         sessions = [random_session(rng, f"s{i}") for i in range(15)]
-        expected = segment_corpus(sessions, model)
         calls = []
 
         def counting(*args, **kwargs):
@@ -209,10 +209,8 @@ class TestCorpusStages:
             return viterbi(*args, **kwargs)
 
         monkeypatch.setattr(tagger, "viterbi", counting)
-        n_fragments = sum(len(pause_split(turn)) for s in sessions for turn in s.turns)
-        for chunk in (4, 7, segmenter._CHUNK):
-            calls.clear()
-            monkeypatch.setattr(segmenter, "_CHUNK", chunk)
-            assert segment_corpus(sessions, model) == expected
-            assert len(calls) == math.ceil(n_fragments / chunk)
-            assert sum(calls) == n_fragments
+        segmented = segment_corpus(sessions, model)
+        n_positions = sum(len(turn.tokens) for s in sessions for turn in s.turns)
+        assert calls == [n_positions]
+        runs = self.reference_segmentation(sessions, model)
+        assert [[u.tokens for u in out.turns] for out in segmented] == runs

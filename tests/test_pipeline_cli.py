@@ -734,6 +734,23 @@ class TestExitCodes:
         assert main([*argv, "--c", "0", "--out", str(tmp_path / "svm.json")]) == 2
         assert "C and the class weights must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("l2", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("what", ["boundary", "da", "mc"])
+    def test_train_with_a_negative_or_nonfinite_l2_is_exit_2(self, workspace, tmp_path, capsys, what, l2):
+        source = workspace["data"] / ("boundary_text.txt" if what == "boundary" else "gold_tags.jsonl")
+        out = tmp_path / "model.json"
+        assert main(["train", "--what", what, "--in", str(source), "--l2", l2, "--out", str(out)]) == 2
+        assert f"l2 must be finite and non-negative, got {float(l2)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_train_boundary_with_max_sequences_below_1_is_exit_2(self, workspace, tmp_path, capsys, cap):
+        out = tmp_path / "boundary.json"
+        argv = ["train", "--what", "boundary", "--in", str(workspace["data"] / "boundary_text.txt")]
+        assert main([*argv, "--max-sequences", cap, "--out", str(out)]) == 2
+        assert f"--max-sequences must be at least 1, got {cap}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "field, value, message",
         [
