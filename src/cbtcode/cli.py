@@ -112,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", help="training input (boundary text / tagged corpus)")
     p.add_argument("--labels", help="labels CSV (svm; falls back to --scores-from)")
     p.add_argument("--scores-from", help="corpus/tagged JSONL with embedded scores (svm)")
-    p.add_argument("--k", type=int, help="keep the k best features by F score (svm)")
+    p.add_argument("--k", type=int, help="keep the k best features by F score, >= 1 (svm)")
     p.add_argument("--c", type=float, default=1.0, help="SVM C")
     p.add_argument("--l2", type=float, default=0.1, help="L2 strength, finite and >= 0 (boundary/da/mc)")
     p.add_argument("--max-sequences", type=int, help="cap on training sequences, >= 1 (boundary)")
@@ -241,6 +241,8 @@ def _cmd_train(args) -> int:
     if args.what == "svm":
         if not args.features or not args.code:
             raise ValidationError("train --what svm needs --features and --code")
+        if args.k is not None and args.k < 1:
+            raise ValidationError(f"--k must be at least 1, got {args.k}")
         matrix = read_matrix(args.features)
         scores = _scores_for(matrix.session_ids, args.labels, args.scores_from or args.input)
         missing = sorted(sid for sid in matrix.session_ids if sid not in scores)

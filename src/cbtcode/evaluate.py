@@ -58,6 +58,8 @@ def make_folds(
     ids = list(session_ids)
     if k < 2:
         raise ValidationError(f"need at least 2 folds, got {k}")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     if k > len(ids):
         raise ValidationError(f"cannot make {k} folds from {len(ids)} sessions")
     if len(set(ids)) != len(ids):

@@ -73,6 +73,8 @@ class PipelineConfig:
             raise ValidationError("pause_threshold must be positive")
         if self.folds < 2:
             raise ValidationError("folds must be at least 2")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if not self.k_grid or any((not isinstance(k, int)) or k < 1 for k in self.k_grid):
             raise ValidationError("k_grid must be a non-empty list of positive integers")
         if self.word_denominator not in ("therapist", "session"):

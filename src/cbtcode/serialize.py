@@ -3,12 +3,14 @@
 Every artifact is self-describing: JSON files carry format_version, a kind
 tag, and tool metadata; the sparse matrix file carries the same fields in
 its header.  Writers are byte-deterministic (sorted keys, no timestamps) so
-identical runs produce identical files.
+identical runs produce identical files.  A model's arrays are stored as
+base64 of their little-endian float64 bytes: they round-trip bit for bit,
+and writing them costs no Python step per value.
 """
 
 from __future__ import annotations
 
-import itertools
+import base64
 import json
 import math
 from pathlib import Path
@@ -88,8 +90,8 @@ def _tagger_payload(model: ChainCRF | UtteranceClassifier, **arrays: np.ndarray)
         "scheme": model.scheme,
         "labels": list(model.labels),
         "feature_names": list(model.feature_names),
-        "weights": model.weights.tolist(),
-        **{name: a.tolist() for name, a in arrays.items()},
+        "weights": _encode_array(model.weights),
+        **{name: _encode_array(a) for name, a in arrays.items()},
         "l2": model.l2,
         "n_iter": model.n_iter,
         "grad_norm": model.grad_norm,
@@ -127,7 +129,7 @@ def save_linear_model(model: LinearModel, path: str | Path, code: str | None = N
         "linear_svm",
         {
             "code": code,
-            "weights": model.weights.tolist(),
+            "weights": _encode_array(model.weights),
             "bias": model.bias,
             "C": model.C,
             "weight_low": model.weight_low,
@@ -137,8 +139,8 @@ def save_linear_model(model: LinearModel, path: str | Path, code: str | None = N
             "converged": model.converged,
             "space_fingerprint": model.space_fingerprint,
             "feature_mask": list(model.feature_mask) if model.feature_mask is not None else None,
-            "scaler_mean": model.scaler_mean.tolist() if model.scaler_mean is not None else None,
-            "scaler_std": model.scaler_std.tolist() if model.scaler_std is not None else None,
+            "scaler_mean": _encode_array(model.scaler_mean) if model.scaler_mean is not None else None,
+            "scaler_std": _encode_array(model.scaler_std) if model.scaler_std is not None else None,
         },
     )
 
@@ -146,12 +148,13 @@ def save_linear_model(model: LinearModel, path: str | Path, code: str | None = N
 def load_linear_model(path: str | Path) -> LinearModel:
     path = Path(path)
     p = load_artifact(path, "linear_svm")
-    d = len(_field(p, path, "weights", "list"))
+    weights = _array(p, path, "weights")
+    d = len(weights)
     mask, mean, std = (p.get(name) is not None for name in ("feature_mask", "scaler_mean", "scaler_std"))
     if mask and not (len(_field(p, path, "feature_mask", "counts")) == d and len(set(p["feature_mask"])) == d):
         raise ValidationError(f"{path}: payload field 'feature_mask' must hold {d} distinct indices")
     return LinearModel(
-        weights=_array(p, path, "weights", (d,)),
+        weights=weights,
         **{name: float(_field(p, path, name, "number")) for name in ("bias", "C", "weight_low", "weight_high", "gap")},
         n_iter=_field(p, path, "n_iter", "count"),
         converged=_field(p, path, "converged", "bool"),
@@ -169,7 +172,10 @@ _KINDS: dict[str, tuple[str, Callable[[object], bool]]] = {
     "count": ("a non-negative integer", lambda v: type(v) is int and v >= 0),  # type: ignore[operator]
     "bool": ("a boolean", lambda v: type(v) is bool),
     "str": ("a string", lambda v: type(v) is str),
-    "list": ("a list", lambda v: type(v) is list),
+    "base64": (
+        "base64 text of little-endian float64 values (list-form model files from earlier versions must be retrained)",
+        lambda v: type(v) is str,
+    ),
     "strs": ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v)),
     "counts": ("a list of indices", lambda v: type(v) is list and all(type(i) is int and i >= 0 for i in v)),
 }
@@ -189,19 +195,22 @@ def _field(p: dict, path: Path, name: str, kind: str, default: object = _MISSING
     return p[name]
 
 
-def _array(p: dict, path: Path, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The field as a float array of this shape, read from (nested) lists of finite JSON numbers."""
-    value = _field(p, path, name, "list")
-    try:  # a row that is not a list, ragged rows or a huge integer raise
-        arr = np.array(value, dtype=float)
-        items = itertools.chain.from_iterable(value) if len(shape) == 2 else value
-        ok = set(map(type, items)) <= {int, float} and (arr.shape == shape or value == [] and shape[0] == 0)
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok or not np.isfinite(arr).all():
-        want = " x ".join(map(str, shape))
-        raise ValidationError(f"{path}: payload field {name!r} must be a {want} array of finite numbers")
-    return arr.reshape(shape)
+def _encode_array(a: np.ndarray) -> str:
+    """The array's values in row-major order as little-endian float64 bytes, in base64."""
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8")).decode("ascii")
+
+
+def _array(p: dict, path: Path, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """The field decoded by _encode_array: finite values, of this shape (1-D of any length when None)."""
+    value = _field(p, path, name, "base64")
+    try:
+        arr = np.frombuffer(base64.b64decode(value, validate=True), "<f8")
+    except ValueError:  # a character outside the base64 alphabet, bad padding, or not a whole number of values
+        arr = None
+    if arr is None or (shape is not None and arr.size != math.prod(shape)) or not np.isfinite(arr).all():
+        want = "a " + " x ".join(map(str, shape)) + " array" if shape is not None else "an array"
+        raise ValidationError(f"{path}: payload field {name!r} must be {want} of finite numbers (base64 float64)")
+    return arr.reshape(shape or -1)
 
 
 def _tagger_fields(p: dict, path: Path, expect_scheme: str | None) -> dict:

@@ -127,6 +127,8 @@ class SynthConfig:
                 raise ValidationError(f"{name} must be in [0, 1], got {value}")
         if self.n_sessions < 1:
             raise ValidationError("n_sessions must be positive")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         for name, (lo, hi) in (
             ("utterances_per_session", self.utterances_per_session),
             ("utterances_per_turn", self.utterances_per_turn),

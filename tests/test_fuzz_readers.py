@@ -7,6 +7,7 @@ for a fault on one line, that line) exactly once; any other exception is an
 escape that would reach the CLI as a traceback.
 """
 
+import base64
 import json
 import re
 
@@ -416,15 +417,104 @@ def test_classifier_with_empty_payload_names_the_file_and_field(tmp_path):
         load_utterance_classifier(path)
 
 
+def encode(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def load_edited(tmp_path, kind: str, edits: dict):
+    """Load the small model of this kind with some payload fields replaced."""
+    doc = model_doc(kind, tmp_path)
+    doc["payload"].update(edits)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path, lambda: small_models()[kind][2](path)
+
+
 @pytest.mark.parametrize("kind, field", [("mc", "weights"), ("da", "weights"), ("da", "transitions"), ("mc", "bias")])
 def test_short_row_names_the_file_and_field(tmp_path, kind, field):
-    doc = model_doc(kind, tmp_path)
-    rows = doc["payload"][field]
-    (rows[0] if isinstance(rows[0], list) else rows).pop()
-    path = tmp_path / "short.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(ValidationError, match=re.escape(f"{path}: payload field {field!r} must be a ")):
-        small_models()[kind][2](path)
+    blob = base64.b64decode(model_doc(kind, tmp_path)["payload"][field])
+    path, load = load_edited(tmp_path, kind, {field: base64.b64encode(blob[:-8]).decode("ascii")})
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: payload field {field!r} must be a ")) as exc:
+        load()
+    assert str(exc.value).count(str(path)) == 1
+
+
+def _bad_blob(blob: bytes, case: str):
+    if case == "list-form":  # the encoding of earlier versions
+        return np.frombuffer(blob, "<f8").tolist()
+    if case == "not-base64":
+        return "*" + base64.b64encode(blob).decode("ascii")[1:]
+    if case == "non-ascii":
+        return base64.b64encode(blob).decode("ascii")[:-4] + "\u00e9AAA"
+    if case == "bad-padding":
+        return base64.b64encode(blob).decode("ascii").rstrip("=") + "A"
+    if case == "not-whole-values":
+        return base64.b64encode(blob + b"\0\0\0").decode("ascii")
+    values = np.frombuffer(blob, "<f8").copy()
+    values[-1] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[case]
+    return encode(values)
+
+
+@pytest.mark.parametrize(
+    "case", ["list-form", "not-base64", "non-ascii", "bad-padding", "not-whole-values", "nan", "inf", "-inf"]
+)
+@pytest.mark.parametrize(
+    "kind, field",
+    [("boundary", "weights"), ("da", "transitions"), ("mc", "weights"), ("mc", "bias"), ("svm", "weights"),
+     ("svm", "scaler_std")],
+)
+def test_bad_array_blob_names_the_file_and_field(tmp_path, kind, field, case):
+    blob = base64.b64decode(model_doc(kind, tmp_path)["payload"][field])
+    path, load = load_edited(tmp_path, kind, {field: _bad_blob(blob, case)})
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: payload field {field!r} must be ")) as exc:
+        load()
+    message = str(exc.value)
+    assert message.count(str(path)) == 1, message
+    assert ("list-form model files from earlier versions must be retrained" in message) == (case == "list-form")
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [({"weights": [0.1, 0.2, 0.3]}, "payload field 'feature_mask' must hold 3 distinct indices"),
+     ({"weights": [0.1]}, "payload field 'feature_mask' must hold 1 distinct indices"),
+     ({"scaler_mean": [0.5]}, "payload field 'scaler_mean' must be a 2 array"),
+     ({"scaler_std": [0.4, 0.4, 0.4]}, "payload field 'scaler_std' must be a 2 array")],
+    ids=["long-weights", "short-weights", "short-mean", "long-std"],
+)
+def test_svm_fields_that_disagree_with_the_decoded_weights_name_the_field(tmp_path, edits, message):
+    path, load = load_edited(tmp_path, "svm", {name: encode(values) for name, values in edits.items()})
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
+        load()
+
+
+EXTREMES = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.0, 1e-310])
+
+
+def assert_bit_equal(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("kind", ["boundary", "da", "mc", "svm"])
+def test_save_load_round_trip_is_bit_exact(tmp_path, kind):
+    model, save, load = small_models()[kind]
+    if kind == "svm":  # room for every extreme value
+        model = replace(model, weights=np.zeros(6), feature_mask=tuple(range(6)), scaler_mean=np.zeros(6),
+                        scaler_std=np.ones(6))
+    fields = {"svm": ("weights", "scaler_mean", "scaler_std"), "mc": ("weights", "bias")}.get(
+        kind, ("weights", "transitions")
+    )
+    for name, arrays in (
+        ("trained", {f: getattr(model, f) for f in fields}),
+        ("extremes", {f: np.resize(EXTREMES, getattr(model, f).shape) for f in fields}),
+    ):
+        path = tmp_path / f"{name}.json"
+        save(replace(model, **arrays), path)
+        stored = json.loads(path.read_text(encoding="utf-8"))["payload"]
+        loaded = load(path)
+        for f in fields:  # the file holds the row-major little-endian float64 bytes, and the loader reads them back
+            assert_bit_equal(np.frombuffer(base64.b64decode(stored[f]), "<f8").reshape(arrays[f].shape), arrays[f])
+            assert_bit_equal(getattr(loaded, f), arrays[f])
 
 
 def test_feature_names_that_disagree_with_weights_name_the_file(tmp_path):

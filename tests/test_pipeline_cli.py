@@ -1,5 +1,6 @@
 """End-to-end CLI flows: every subcommand runs, composes, and is deterministic."""
 
+import base64
 import json
 import os
 import subprocess
@@ -12,9 +13,11 @@ import pytest
 import cbtcode
 from cbtcode.cli import main
 from cbtcode.corpus import CODES
+from cbtcode.evaluate import make_folds
 from cbtcode.pipeline import PipelineConfig
 from cbtcode.serialize import load_linear_model, load_report, read_matrix
 from cbtcode.svm import decision_function
+from cbtcode.synth import SynthConfig
 
 
 @pytest.fixture(scope="module")
@@ -424,6 +427,16 @@ def test_svm_file_with_seed_key_decodes_identically(workspace, tmp_path):
     assert np.array_equal(decision_function(a, X), decision_function(b, X))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: SynthConfig(seed=-1), lambda: PipelineConfig(seed=-1), lambda: make_folds(["a", "b"], 2, -1)],
+    ids=["synth-config", "pipeline-config", "make-folds"],
+)
+def test_negative_seed_is_a_validation_error(build):
+    with pytest.raises(cbtcode.errors.ValidationError, match="seed must be non-negative, got -1"):
+        build()
+
+
 def test_pipeline_config_with_threads_field_still_loads(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**PipelineConfig().to_payload(), "threads": 4}), encoding="utf-8")
@@ -527,8 +540,10 @@ def test_model_file_that_is_not_a_json_object_is_exit_2(workspace, tmp_path, cap
 
 def test_model_file_with_a_bad_payload_is_exit_2_and_names_the_field(workspace, tmp_path, capsys):
     doc = json.loads((workspace["models"] / "mc.json").read_text(encoding="utf-8"))
-    doc["payload"]["weights"][0].pop()
-    for name, payload in (("empty", {}), ("short_row", doc["payload"])):
+    blob = base64.b64decode(doc["payload"]["weights"])
+    short = {**doc["payload"], "weights": base64.b64encode(blob[:-8]).decode("ascii")}
+    list_form = {**doc["payload"], "weights": np.frombuffer(blob, "<f8").tolist()}
+    for name, payload in (("empty", {}), ("short_row", short), ("list_form", list_form)):
         model = tmp_path / f"{name}.json"
         model.write_text(json.dumps({**doc, "payload": payload}), encoding="utf-8")
         rc = main(["tag", "--scheme", "mc", "--model", str(model), "--in", str(workspace["data"] / "gold_tags.jsonl"),
@@ -537,6 +552,7 @@ def test_model_file_with_a_bad_payload_is_exit_2_and_names_the_field(workspace, 
         err = capsys.readouterr().err
         field = "scheme" if name == "empty" else "weights"
         assert f"{model}: payload field {field!r}" in err and err.count(str(model)) == 1, err
+        assert ("must be retrained" in err) == (name == "list_form"), err
 
 
 @pytest.mark.parametrize(
@@ -742,6 +758,49 @@ class TestExitCodes:
         assert main(["train", "--what", what, "--in", str(source), "--l2", l2, "--out", str(out)]) == 2
         assert f"l2 must be finite and non-negative, got {float(l2)}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    @pytest.mark.parametrize("feature_set", ["tfidf", "tfidf+mc"])
+    def test_train_svm_with_k_below_1_is_exit_2(self, workspace, tmp_path, capsys, feature_set, k):
+        data = workspace["data"]
+        matrix = tmp_path / "m.mtx"
+        assert main(["featurize", "--set", feature_set, "--in", str(data / "gold_tags.jsonl"), "--out", str(matrix)]) == 0
+        out = tmp_path / "svm.json"
+        argv = ["train", "--what", "svm", "--code", "total", "--features", str(matrix), "--labels", str(data / "labels.csv")]
+        assert main([*argv, "--k", k, "--out", str(out)]) == 2
+        assert f"--k must be at least 1, got {k}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, where",
+        [(c, w) for c in ("synth", "evaluate") for w in ("flag", "global", "config")]
+        + [("compare", "flag"), ("compare", "global")],  # compare reads no config file
+    )
+    def test_negative_seed_is_exit_2_and_names_the_seed(self, workspace, tmp_path, capsys, command, where):
+        data = workspace["data"]
+        if command == "synth":
+            argv = ["synth", "--out", str(tmp_path / "out")]
+            body = {"n_sessions": 4}
+        elif command == "evaluate":
+            matrix = tmp_path / "m.mtx"
+            assert main(["featurize", "--set", "tfidf", "--in", str(data / "gold_tags.jsonl"), "--out", str(matrix)]) == 0
+            argv = ["evaluate", "--matrix", str(matrix), "--labels", str(data / "labels.csv"),
+                    "--report", str(tmp_path / "r.json")]
+            body = {}
+        else:
+            argv = ["compare", "--a", "tfidf", "--b", "mc", "--in", str(data / "gold_tags.jsonl"),
+                    "--labels", str(data / "labels.csv"), "--out", str(tmp_path / "c.json")]
+            body = None
+        if where == "flag":
+            argv += ["--seed", "-1"]
+        elif where == "global":
+            argv = ["--seed", "-1", *argv]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({**body, "seed": -1}), encoding="utf-8")
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_train_boundary_with_max_sequences_below_1_is_exit_2(self, workspace, tmp_path, capsys, cap):
