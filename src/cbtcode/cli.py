@@ -17,13 +17,13 @@ import numpy as np
 from . import __version__
 from .corpus import CODES, binarize_scores, parse_corpus, read_scores_table, write_corpus, write_scores_table
 from .errors import CbtCodeError, MissingArtifactError, ValidationError
-from .evaluate import five_by_two_cv_f_test, run_protocol
-from .features import anova_f_scores, apply_scaler, fit_scaler, top_k_mask
+from .evaluate import FoldTask, fit_folds_and_count, five_by_two_cv_f_test, run_protocol
 from .pipeline import (
     FEATURE_SETS,
     PipelineConfig,
     PipelineModels,
     build_feature_matrix,
+    load_tagger,
     run_end_to_end,
     segment_corpus,
     tag_corpus,
@@ -31,7 +31,6 @@ from .pipeline import (
 from .segmenter import make_boundary_training_data, train_boundary_model
 from .serialize import (
     load_chain_crf,
-    load_utterance_classifier,
     read_matrix,
     read_tagged_corpus,
     save_artifact,
@@ -45,7 +44,6 @@ from .serialize import (
     write_matrix,
     write_tagged_corpus,
 )
-from .svm import class_weights, train_svm
 from .synth import SynthConfig, generate_corpus
 from .tagger import (
     DA_TAG_SET,
@@ -64,6 +62,29 @@ def _parse_k_grid(text: str) -> tuple[int, ...]:
     if not grid:
         raise ValidationError("k grid is empty")
     return grid
+
+
+# The flag of each PipelineConfig field a subcommand may take.  Each
+# defaults to None, so that `_config` applies only the flags passed.
+_STAGE_FLAGS = {
+    "pause_threshold": ("--pause", dict(type=float, help="pause threshold in seconds")),
+    "max_df": ("--max-df", dict(type=float, help="keep words in at most this share of sessions")),
+    "min_df": ("--min-df", dict(type=float, help="keep words in at least this share of sessions")),
+    "word_denominator": ("--word-denominator", dict(choices=("therapist", "session"),
+                                                   help="words the tag counts are divided by")),
+    "k_grid": ("--k-grid", dict(help="comma-separated K values")),
+    "svm_c": ("--c", dict(type=float, help="SVM C")),
+    "folds": ("--folds", dict(type=int, help="cross-validation folds")),
+    "seed": ("--seed", dict(type=int, help="fold-assignment seed")),
+}
+
+
+def _add_stage_flags(p: argparse.ArgumentParser, *fields: str) -> None:
+    for field in fields:
+        flag, kwargs = _STAGE_FLAGS[field]
+        default = getattr(PipelineConfig, field)
+        shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+        p.add_argument(flag, dest=field, default=None, **{**kwargs, "help": f"{kwargs['help']} (default {shown})"})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,8 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("segment", help="pause-split turns and segment them into utterances")
     p.add_argument("--model", help="boundary model file (omit with --disable)")
-    p.add_argument("--pause", type=float, default=2.0, help="pause threshold in seconds")
-    p.add_argument("--disable", action="store_true", help="pause-split only (no boundary model)")
+    _add_stage_flags(p, "pause_threshold")
+    p.add_argument("--disable", action="store_const", const=False, dest="segmentation",
+                   help="pause-split only (no boundary model)")
     p.add_argument("--in", dest="input", required=True, help="corpus JSONL")
     p.add_argument("--out", required=True, help="segmented corpus JSONL")
 
@@ -100,9 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", "--features", dest="feature_set", choices=FEATURE_SETS, required=True)
     p.add_argument("--in", dest="input", required=True, help="tagged corpus JSONL")
     p.add_argument("--out", required=True, help="matrix file")
-    p.add_argument("--max-df", type=float, default=0.95)
-    p.add_argument("--min-df", type=float, default=0.05)
-    p.add_argument("--word-denominator", choices=("therapist", "session"), default="therapist")
+    _add_stage_flags(p, "max_df", "min_df", "word_denominator")
     p.add_argument("--space-out", help="also write the fitted feature-space file")
 
     p = sub.add_parser("train", help="train a model (SVM, boundary labeler, or tagger)")
@@ -113,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", help="labels CSV (svm; falls back to --scores-from)")
     p.add_argument("--scores-from", help="corpus/tagged JSONL with embedded scores (svm)")
     p.add_argument("--k", type=int, help="keep the k best features by F score, >= 1 (svm)")
-    p.add_argument("--c", type=float, default=1.0, help="SVM C")
+    _add_stage_flags(p, "svm_c")
     p.add_argument("--l2", type=float, default=0.1, help="L2 strength, finite and >= 0 (boundary/da/mc)")
     p.add_argument("--max-sequences", type=int, help="cap on training sequences, >= 1 (boundary)")
     p.add_argument("--out", required=True, help="model file")
@@ -123,22 +143,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", "--set", dest="feature_set", choices=FEATURE_SETS, help="feature set name")
     p.add_argument("--in", dest="input", help="corpus (turn-level) or tagged corpus JSONL")
     p.add_argument("--labels", help="labels CSV keyed by session id")
-    # These flags default to None: one passed overrides --config, which
-    # overrides the PipelineConfig defaults given in the help.
-    p.add_argument("--folds", type=int, help="default 5")
-    p.add_argument("--seed", type=int, help="default 0")
-    p.add_argument("--k-grid", help="default 16,32,64,128")
-    p.add_argument("--c", type=float, help="SVM C, default 1.0")
-    p.add_argument("--max-df", type=float, help="default 0.95")
-    p.add_argument("--min-df", type=float, help="default 0.05")
-    p.add_argument("--word-denominator", choices=("therapist", "session"), help="default therapist")
+    _add_stage_flags(p, "folds", "seed", "k_grid", "svm_c", "max_df", "min_df", "word_denominator")
     p.add_argument("--report", required=True, help="report JSON output")
     p.add_argument("--table", help="plain-text table output")
     p.add_argument("--out-dir", help="directory for intermediate artifacts (end-to-end mode)")
     p.add_argument("--boundary-model")
     p.add_argument("--da-model")
     p.add_argument("--mc-model")
-    p.add_argument("--pause", type=float, help="pause threshold in seconds, default 2.0")
+    _add_stage_flags(p, "pause_threshold")
     p.add_argument("--no-segmentation", action="store_const", const=False, dest="segmentation")
     p.add_argument("--config", help="pipeline config JSON (flags passed override it)")
 
@@ -148,36 +160,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True, help="tagged corpus JSONL")
     p.add_argument("--labels", help="labels CSV keyed by session id")
     p.add_argument("--code", choices=list(CODES) + ["total"], default="total")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--k-grid", default="16,32,64,128")
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--max-df", type=float, default=0.95)
-    p.add_argument("--min-df", type=float, default=0.05)
+    _add_stage_flags(p, "seed", "k_grid", "svm_c", "max_df", "min_df")
     p.add_argument("--out", required=True, help="comparison JSON output")
 
     return parser
 
 
-def _resolved_seed(args, fallback: int = 0) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if getattr(args, "global_seed", None) is not None:
-        return args.global_seed
-    return fallback
-
-
-def _resolved_config_path(args):
-    return getattr(args, "config", None) or getattr(args, "global_config", None)
+def _config(args, cls=PipelineConfig):
+    """`cls` from --config (the subcommand's, else the global one) or its
+    defaults, with every flag passed for one of its fields applied; the
+    global --seed stands in for a subcommand --seed not passed."""
+    path = getattr(args, "config", None) or args.global_config
+    config = cls.from_file(path) if path else cls()
+    passed = {name: value for name, value in vars(args).items()
+              if name in cls.__dataclass_fields__ and value is not None}
+    if "seed" not in passed and args.global_seed is not None:
+        passed["seed"] = args.global_seed
+    if "k_grid" in passed:
+        passed["k_grid"] = _parse_k_grid(passed["k_grid"])
+    return replace(config, **passed)
 
 
 def _cmd_synth(args) -> int:
-    config_path = _resolved_config_path(args)
-    config = SynthConfig.from_file(config_path) if config_path else SynthConfig()
-    seed = args.seed if args.seed is not None else getattr(args, "global_seed", None)
-    if seed is not None:
-        config = replace(config, seed=seed)
-    if args.n_sessions is not None:
-        config = replace(config, n_sessions=args.n_sessions)
+    config = _config(args, SynthConfig)
     result = generate_corpus(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -193,13 +198,14 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_segment(args) -> int:
+    config = _config(args)
     sessions = parse_corpus(args.input)
     model = None
-    if not args.disable:
+    if config.segmentation:
         if not args.model:
             raise MissingArtifactError("segment needs --model (or pass --disable)")
         model = load_chain_crf(args.model, expect_scheme="boundary")
-    segmented = segment_corpus(sessions, model, args.pause)
+    segmented = segment_corpus(sessions, model, config.pause_threshold)
     write_corpus(segmented, args.out)
     n_utts = sum(len(s.turns) for s in segmented)
     print(f"segmented {len(segmented)} sessions into {n_utts} utterances -> {args.out}")
@@ -208,19 +214,16 @@ def _cmd_segment(args) -> int:
 
 def _cmd_tag(args) -> int:
     sessions = parse_corpus(args.input, sniff_corpus_kind(args.input))
-    if args.scheme == "da":
-        model = load_chain_crf(args.model, expect_scheme="da")
-    else:
-        model = load_utterance_classifier(args.model, expect_scheme="mc")
-    tagged = tag_corpus(sessions, args.scheme, model)
+    tagged = tag_corpus(sessions, args.scheme, load_tagger(args.scheme, args.model))
     write_tagged_corpus(tagged, args.out)
     print(f"tagged {len(tagged)} sessions with {args.scheme} -> {args.out}")
     return 0
 
 
 def _cmd_featurize(args) -> int:
+    config = _config(args)
     sessions = read_tagged_corpus(args.input)
-    matrix = build_feature_matrix(sessions, args.feature_set, args.max_df, args.min_df, args.word_denominator)
+    matrix = build_feature_matrix(sessions, config.feature_set, config.max_df, config.min_df, config.word_denominator)
     write_matrix(matrix, args.out)
     if args.space_out:
         save_feature_space(matrix, args.space_out)
@@ -228,7 +231,7 @@ def _cmd_featurize(args) -> int:
     return 0
 
 
-def _scores_for(session_ids, labels_path, scores_from_path):
+def _scores_for(labels_path, scores_from_path):
     if labels_path:
         return read_scores_table(labels_path)
     if scores_from_path:
@@ -243,8 +246,9 @@ def _cmd_train(args) -> int:
             raise ValidationError("train --what svm needs --features and --code")
         if args.k is not None and args.k < 1:
             raise ValidationError(f"--k must be at least 1, got {args.k}")
+        svm_c = _config(args).svm_c
         matrix = read_matrix(args.features)
-        scores = _scores_for(matrix.session_ids, args.labels, args.scores_from or args.input)
+        scores = _scores_for(args.labels, args.scores_from or args.input)
         missing = sorted(sid for sid in matrix.session_ids if sid not in scores)
         if missing:
             raise ValidationError(f"missing labels for sessions: {missing}")
@@ -253,21 +257,18 @@ def _cmd_train(args) -> int:
         )
         selectable = np.asarray(matrix.selectable, dtype=bool)
         k = args.k if args.k is not None else int(selectable.sum())
-        scores_f = anova_f_scores(matrix.X, y)
-        mask = top_k_mask(scores_f, selectable, k)
-        cols = np.flatnonzero(mask)
-        scaler = fit_scaler(matrix.X[:, cols])
-        X = apply_scaler(matrix.X[:, cols], scaler)
-        model = train_svm(X, y, C=args.c, weights=class_weights(y))
+        rows = np.arange(len(y))
+        fit = fit_folds_and_count([FoldTask(matrix.X, selectable, y, rows, rows[:0], k)], svm_c)[0]
+        cols = np.flatnonzero(fit.mask)
         model = replace(
-            model,
+            fit.model,
             space_fingerprint=matrix.fingerprint,
             feature_mask=tuple(int(c) for c in cols),
-            scaler_mean=scaler.mean,
-            scaler_std=scaler.std,
+            scaler_mean=fit.scaler.mean,
+            scaler_std=fit.scaler.std,
         )
         save_linear_model(model, args.out, code=args.code)
-        print(f"trained svm for {args.code} on {X.shape[0]} sessions, {X.shape[1]} features -> {args.out}")
+        print(f"trained svm for {args.code} on {len(y)} sessions, {len(cols)} features -> {args.out}")
         return 0
     if args.what == "boundary":
         if not args.input:
@@ -299,79 +300,53 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _evaluate_config(args) -> PipelineConfig:
-    """The --config file (or the defaults) with every flag the user passed applied."""
-    config_path = _resolved_config_path(args)
-    config = PipelineConfig.from_file(config_path) if config_path else PipelineConfig()
-    passed = {
-        "feature_set": args.feature_set,
-        "pause_threshold": args.pause,
-        "segmentation": args.segmentation,
-        "max_df": args.max_df,
-        "min_df": args.min_df,
-        "k_grid": None if args.k_grid is None else _parse_k_grid(args.k_grid),
-        "svm_c": args.c,
-        "folds": args.folds,
-        "seed": args.seed if args.seed is not None else args.global_seed,
-        "word_denominator": args.word_denominator,
-    }
-    return replace(config, **{name: value for name, value in passed.items() if value is not None})
-
-
 def _cmd_evaluate(args) -> int:
-    config = _evaluate_config(args)
-    protocol = (config.folds, config.seed, config.k_grid, config.svm_c)
-    if args.matrix:
-        matrix = read_matrix(args.matrix)
-        scores = _scores_for(matrix.session_ids, args.labels, args.input)
-        report = run_protocol(matrix, scores, *protocol)
+    config = _config(args)
+    if not args.matrix and not (args.feature_set and args.input):
+        raise ValidationError("evaluate needs --matrix, or --set with --in")
+    where = ""
+    if not args.matrix and sniff_corpus_kind(args.input) == "turns":
+        models = PipelineModels(boundary=args.boundary_model, da=args.da_model, mc=args.mc_model)
+        out_dir = args.out_dir or str(Path(args.report).parent / "artifacts")
+        table_scores = read_scores_table(args.labels) if args.labels else None
+        report, _ = run_end_to_end(config, args.input, models, out_dir, scores=table_scores)
+        where = f" (artifacts in {out_dir})"
     else:
-        if not args.feature_set or not args.input:
-            raise ValidationError("evaluate needs --matrix, or --set with --in")
-        kind = sniff_corpus_kind(args.input)
-        if kind == "turns":
-            models = PipelineModels(boundary=args.boundary_model, da=args.da_model, mc=args.mc_model)
-            out_dir = args.out_dir or str(Path(args.report).parent / "artifacts")
-            table_scores = read_scores_table(args.labels) if args.labels else None
-            report, paths = run_end_to_end(config, args.input, models, out_dir, scores=table_scores)
-            save_report(report, args.report)
-            if args.table:
-                Path(args.table).write_text(report.format_table(), encoding="utf-8")
-            print(report.format_table(), end="")
-            print(f"report -> {args.report} (artifacts in {out_dir})")
-            return 0
-        sessions = read_tagged_corpus(args.input)
-        matrix = build_feature_matrix(sessions, config.feature_set, config.max_df, config.min_df,
-                                      config.word_denominator)
-        scores = _scores_for(matrix.session_ids, args.labels, args.input)
-        report = run_protocol(matrix, scores, *protocol)
+        if args.matrix:
+            matrix = read_matrix(args.matrix)
+        else:
+            matrix = build_feature_matrix(read_tagged_corpus(args.input), config.feature_set, config.max_df,
+                                          config.min_df, config.word_denominator)
+        scores = _scores_for(args.labels, args.input)
+        report = run_protocol(matrix, scores, config.folds, config.seed, config.k_grid, config.svm_c)
     save_report(report, args.report)
     if args.table:
         Path(args.table).write_text(report.format_table(), encoding="utf-8")
     print(report.format_table(), end="")
-    print(f"report -> {args.report}")
+    print(f"report -> {args.report}{where}")
     return 0
 
 
 def _cmd_compare(args) -> int:
-    k_grid = _parse_k_grid(args.k_grid)
-    seed = _resolved_seed(args)
+    """The 5x2cv F test under the pipeline config; its folds are fixed by the method."""
+    config = _config(args)
     sessions = read_tagged_corpus(args.input)
-    scores = _scores_for([s.id for s in sessions], args.labels, args.input)
+    scores = _scores_for(args.labels, args.input)
     matrices = {}
     for name in (args.set_a, args.set_b):
         if name not in matrices:
-            matrices[name] = build_feature_matrix(sessions, name, args.max_df, args.min_df)
+            matrices[name] = build_feature_matrix(sessions, name, config.max_df, config.min_df,
+                                                  config.word_denominator)
     result = five_by_two_cv_f_test(
         matrices[args.set_a],
         matrices[args.set_b],
         scores,
         code=args.code,
-        seed=seed,
-        k_grid=k_grid,
-        svm_c=args.c,
+        seed=config.seed,
+        k_grid=config.k_grid,
+        svm_c=config.svm_c,
     )
-    save_comparison(result, args.out, set_a=args.set_a, set_b=args.set_b, code=args.code, seed=seed)
+    save_comparison(result, args.out, set_a=args.set_a, set_b=args.set_b, code=args.code, seed=config.seed)
     if result.f_statistic is None:
         print(f"{args.set_a} vs {args.set_b} on {args.code}: no difference")
     else:

@@ -24,7 +24,7 @@ from .features import (
     fit_scaler,
     top_k_mask,
 )
-from .svm import SvmProblem, class_weights, lockstep_batches, predict_many, train_svms
+from .svm import LinearModel, SvmProblem, class_weights, lockstep_batches, predict_many, train_svms
 
 
 @dataclass(frozen=True)
@@ -119,13 +119,14 @@ class FoldFit(NamedTuple):
     counts: FoldCounts
     mask: np.ndarray
     scaler: ScalerStats
+    model: LinearModel
 
 
 def fit_folds_and_count(tasks: Sequence[FoldTask], svm_c: float) -> list[FoldFit]:
     """Fit selection, scaler, and SVM on each task's training rows and count
-    on its test rows.  The SVMs whose training matrices share a shape are
-    solved together, in the batches `train_svms` makes, and only one batch's
-    scaled training rows are held at a time."""
+    on its test rows, which may be none.  The SVMs whose training matrices
+    share a shape are solved together, in the batches `train_svms` makes, and
+    only one batch's scaled training rows are held at a time."""
     masks = [
         top_k_mask(anova_f_scores(t.X[t.train_rows], t.y[t.train_rows]), t.selectable, t.k_features) for t in tasks
     ]
@@ -135,8 +136,9 @@ def fit_folds_and_count(tasks: Sequence[FoldTask], svm_c: float) -> list[FoldFit
         scalers = []
         for t, mask in ((tasks[k], masks[k]) for k in batch):
             y_train = t.y[t.train_rows]
-            scaler = fit_scaler(t.X[np.ix_(t.train_rows, np.flatnonzero(mask))])
-            X_train = apply_scaler(t.X[np.ix_(t.train_rows, np.flatnonzero(mask))], scaler)
+            X_train = t.X[np.ix_(t.train_rows, np.flatnonzero(mask))]
+            scaler = fit_scaler(X_train)
+            X_train = apply_scaler(X_train, scaler)
             problems.append(SvmProblem(X_train, y_train, C=svm_c, weights=class_weights(y_train)))
             scalers.append(scaler)
         for k, scaler, model in zip(batch, scalers, train_svms(problems)):
@@ -149,7 +151,7 @@ def fit_folds_and_count(tasks: Sequence[FoldTask], svm_c: float) -> list[FoldFit
                 fn=int(np.sum(~pred & truth)),
                 tn=int(np.sum(~pred & ~truth)),
             )
-            fits[k] = FoldFit(counts, mask, scaler)
+            fits[k] = FoldFit(counts, mask, scaler, model)
     return [fits[k] for k in range(len(tasks))]
 
 

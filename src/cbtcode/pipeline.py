@@ -7,6 +7,7 @@ mc-tfidf (tf-idf over word|TAG augmented tokens).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -79,8 +80,8 @@ class PipelineConfig:
             raise ValidationError("k_grid must be a non-empty list of positive integers")
         if self.word_denominator not in ("therapist", "session"):
             raise ValidationError("word_denominator must be 'therapist' or 'session'")
-        if self.svm_c <= 0:
-            raise ValidationError("svm C must be positive")
+        if not 0 < self.svm_c < math.inf:  # NaN too
+            raise ValidationError(f"C and the class weights must be positive and finite, got svm_c={self.svm_c}")
 
     def to_payload(self) -> dict:
         return asdict(self)
@@ -134,9 +135,9 @@ def tag_corpus(
 def build_feature_matrix(
     sessions: Sequence[Session],
     feature_set: str,
-    max_df: float = 0.95,
-    min_df: float = 0.05,
-    word_denominator: str = "therapist",
+    max_df: float = PipelineConfig.max_df,
+    min_df: float = PipelineConfig.min_df,
+    word_denominator: str = PipelineConfig.word_denominator,
 ) -> FeatureMatrix:
     """Featurize a tagged corpus into one of the seven feature sets.
 
@@ -209,15 +210,20 @@ def _load_boundary(models: PipelineModels) -> BoundaryModel:
     return load_chain_crf(models.boundary, expect_scheme="boundary")
 
 
-def _load_tagger(scheme: str, models: PipelineModels):
+def load_tagger(scheme: str, path: str | Path) -> ChainCRF | UtteranceClassifier:
+    """The tagger model of one scheme: a chain CRF for da, an utterance classifier for mc."""
+    if scheme == "da":
+        return load_chain_crf(path, expect_scheme="da")
+    return load_utterance_classifier(path, expect_scheme="mc")
+
+
+def _load_tagger(scheme: str, models: PipelineModels) -> ChainCRF | UtteranceClassifier:
     path = models.da if scheme == "da" else models.mc
     if path is None:
         raise MissingArtifactError(
             f"feature set requires the {scheme} tagger model but none was given (--{scheme}-model)"
         )
-    if scheme == "da":
-        return load_chain_crf(path, expect_scheme="da")
-    return load_utterance_classifier(path, expect_scheme="mc")
+    return load_tagger(scheme, path)
 
 
 def run_end_to_end(

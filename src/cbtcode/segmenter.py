@@ -18,6 +18,7 @@ import numpy as np
 
 from .corpus import Session, Turn
 from .errors import ValidationError
+from .evaluate import pooled_f1
 from .tagger import ChainCRF, LabeledSequence, train_chain_crf
 
 DEFAULT_PAUSE_THRESHOLD = 2.0
@@ -202,8 +203,4 @@ def boundary_f1(
                 fp += 1
             elif g == BOUNDARY:
                 fn += 1
-    if tp == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2 * precision * recall / (precision + recall)
+    return pooled_f1([(tp, fp, fn)])

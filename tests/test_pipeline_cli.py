@@ -1,5 +1,6 @@
 """End-to-end CLI flows: every subcommand runs, composes, and is deterministic."""
 
+import argparse
 import base64
 import json
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import cbtcode
-from cbtcode.cli import main
+from cbtcode.cli import _build_parser, main
 from cbtcode.corpus import CODES
 from cbtcode.evaluate import make_folds
 from cbtcode.pipeline import PipelineConfig
@@ -483,7 +484,7 @@ def test_nan_pause_is_exit_2_and_inf_is_accepted(workspace, tmp_path, capsys):
     data, models = workspace["data"], workspace["models"]
     common = ["--model", str(models / "boundary.json"), "--in", str(data / "corpus.jsonl")]
     assert main(["segment", *common, "--pause", "nan", "--out", str(tmp_path / "nan.jsonl")]) == 2
-    assert "pause threshold must be positive" in capsys.readouterr().err
+    assert "pause_threshold must be positive" in capsys.readouterr().err
     assert not (tmp_path / "nan.jsonl").exists()
     assert main(["segment", *common, "--pause", "inf", "--out", str(tmp_path / "inf.jsonl")]) == 0
     rc = main(["evaluate", "--set", "tfidf", "--in", str(data / "corpus.jsonl"), "--pause", "nan",
@@ -502,6 +503,75 @@ def test_nan_pause_in_a_pipeline_config_is_exit_2(workspace, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert f"error: {config}: " in err and "pause_threshold" in err, err
+
+
+def test_one_global_config_gives_the_same_report_step_by_step_and_one_shot(workspace, tmp_path):
+    data, models = workspace["data"], workspace["models"]
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({"max_df": 0.5, "min_df": 0.2, "k_grid": [2, 8], "seed": 3, "svm_c": 0.5,
+                                  "pause_threshold": 1.5}), encoding="utf-8")
+    run = ["--config", str(config)]
+    e2e = tmp_path / "e2e.json"
+    assert main([*run, "evaluate", "--set", "mc-tfidf", "--in", str(data / "corpus.jsonl"),
+                 "--boundary-model", str(models / "boundary.json"), "--mc-model", str(models / "mc.json"),
+                 "--report", str(e2e), "--out-dir", str(tmp_path / "artifacts")]) == 0
+    seg, tagged, matrix = tmp_path / "seg.jsonl", tmp_path / "tagged.jsonl", tmp_path / "m.mtx"
+    assert main([*run, "segment", "--model", str(models / "boundary.json"), "--in", str(data / "corpus.jsonl"),
+                 "--out", str(seg)]) == 0
+    assert main([*run, "tag", "--scheme", "mc", "--model", str(models / "mc.json"), "--in", str(seg),
+                 "--out", str(tagged)]) == 0
+    assert main([*run, "featurize", "--set", "mc-tfidf", "--in", str(tagged), "--out", str(matrix)]) == 0
+    chain = tmp_path / "chain.json"
+    assert main([*run, "evaluate", "--matrix", str(matrix), "--labels", str(data / "labels.csv"),
+                 "--report", str(chain)]) == 0
+    assert (tmp_path / "artifacts" / "corpus_segmented.jsonl").read_bytes() == seg.read_bytes()
+    assert (tmp_path / "artifacts" / "features_mc-tfidf.mtx").read_bytes() == matrix.read_bytes()
+    assert e2e.read_bytes() == chain.read_bytes()
+    report = json.loads(chain.read_text(encoding="utf-8"))["payload"]
+    assert report["seed"] == 3 and report["chosen_k"] in (2, 8)
+
+
+def test_featurize_and_compare_under_the_config_equal_the_same_flags(workspace, tmp_path):
+    data = workspace["data"]
+    values = {"max_df": 0.5, "min_df": 0.2, "word_denominator": "session", "k_grid": [2], "seed": 3, "svm_c": 0.5}
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps(values), encoding="utf-8")
+    df_flags = ["--max-df", "0.5", "--min-df", "0.2"]
+    runs = {
+        "featurize": (["featurize", "--set", "tfidf+mc", "--in", str(data / "gold_tags.jsonl")],
+                      [*df_flags, "--word-denominator", "session"]),
+        "compare": (["compare", "--a", "mc-tfidf", "--b", "tfidf", "--in", str(data / "gold_tags.jsonl"),
+                     "--labels", str(data / "labels.csv")], [*df_flags, "--k-grid", "2", "--seed", "3", "--c", "0.5"]),
+    }
+    for name, (argv, flags) in runs.items():
+        outputs = []
+        for where, pre, post in (("config", ["--config", str(config)], []), ("flags", [], flags),
+                                 ("defaults", [], [])):
+            out = tmp_path / f"{name}_{where}"
+            assert main([*pre, *argv, *post, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1], name
+        assert outputs[0] != outputs[2], name
+
+
+def test_every_flag_of_a_config_field_defaults_to_none():
+    """A flag's default would override the config file even when not passed."""
+    fields = set(PipelineConfig.__dataclass_fields__) | set(SynthConfig.__dataclass_fields__)
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    checked = set()
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.dest in fields:
+                assert action.default is None, (command, action.option_strings)
+                checked.add(action.dest)
+    assert checked == {"feature_set", "pause_threshold", "segmentation", "max_df", "min_df", "k_grid", "svm_c",
+                       "folds", "seed", "word_denominator", "n_sessions"}
+
+
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), 0.0, -1.0])
+def test_pipeline_config_rejects_a_nonpositive_or_nonfinite_svm_c(c):
+    with pytest.raises(cbtcode.errors.ValidationError, match="positive and finite, got svm_c="):
+        PipelineConfig(svm_c=c)
 
 
 def test_session_ids_with_spaces_and_non_ascii_survive_featurize_and_evaluate(workspace, tmp_path):
@@ -773,24 +843,33 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "command, where",
-        [(c, w) for c in ("synth", "evaluate") for w in ("flag", "global", "config")]
-        + [("compare", "flag"), ("compare", "global")],  # compare reads no config file
+        [(c, w) for c in ("synth", "evaluate", "compare") for w in ("flag", "global", "config")]
+        + [(c, w) for c in ("segment", "featurize", "train-svm") for w in ("global", "config")],
     )
     def test_negative_seed_is_exit_2_and_names_the_seed(self, workspace, tmp_path, capsys, command, where):
-        data = workspace["data"]
+        data, models = workspace["data"], workspace["models"]
+        body = {}
         if command == "synth":
             argv = ["synth", "--out", str(tmp_path / "out")]
             body = {"n_sessions": 4}
-        elif command == "evaluate":
+        elif command in ("evaluate", "train-svm"):
             matrix = tmp_path / "m.mtx"
             assert main(["featurize", "--set", "tfidf", "--in", str(data / "gold_tags.jsonl"), "--out", str(matrix)]) == 0
-            argv = ["evaluate", "--matrix", str(matrix), "--labels", str(data / "labels.csv"),
-                    "--report", str(tmp_path / "r.json")]
-            body = {}
-        else:
+            if command == "evaluate":
+                argv = ["evaluate", "--matrix", str(matrix), "--labels", str(data / "labels.csv"),
+                        "--report", str(tmp_path / "r.json")]
+            else:
+                argv = ["train", "--what", "svm", "--code", "total", "--features", str(matrix),
+                        "--labels", str(data / "labels.csv"), "--out", str(tmp_path / "svm.json")]
+        elif command == "compare":
             argv = ["compare", "--a", "tfidf", "--b", "mc", "--in", str(data / "gold_tags.jsonl"),
                     "--labels", str(data / "labels.csv"), "--out", str(tmp_path / "c.json")]
-            body = None
+        elif command == "segment":
+            argv = ["segment", "--model", str(models / "boundary.json"), "--in", str(data / "corpus.jsonl"),
+                    "--out", str(tmp_path / "seg.jsonl")]
+        else:
+            argv = ["featurize", "--set", "tfidf", "--in", str(data / "gold_tags.jsonl"),
+                    "--out", str(tmp_path / "f.mtx")]
         if where == "flag":
             argv += ["--seed", "-1"]
         elif where == "global":
@@ -798,7 +877,9 @@ class TestExitCodes:
         else:
             config = tmp_path / "config.json"
             config.write_text(json.dumps({**body, "seed": -1}), encoding="utf-8")
-            argv += ["--config", str(config)]
+            # only synth and evaluate take a --config of their own; the others read the global one
+            own = command in ("synth", "evaluate")
+            argv = [*argv, "--config", str(config)] if own else ["--config", str(config), *argv]
         assert main(argv) == 2
         assert "seed must be non-negative, got -1" in capsys.readouterr().err
 
