@@ -140,7 +140,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="run the cross-validated evaluation protocol")
     p.add_argument("--matrix", help="feature matrix file (skips featurization)")
-    p.add_argument("--features", "--set", dest="feature_set", choices=FEATURE_SETS, help="feature set name")
+    p.add_argument("--features", "--set", dest="feature_set", choices=FEATURE_SETS,
+                   help=f"feature set with --in (default {PipelineConfig.feature_set}); a matrix names its own")
     p.add_argument("--in", dest="input", help="corpus (turn-level) or tagged corpus JSONL")
     p.add_argument("--labels", help="labels CSV keyed by session id")
     _add_stage_flags(p, "folds", "seed", "k_grid", "svm_c", "max_df", "min_df", "word_denominator")
@@ -167,10 +168,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args, cls=PipelineConfig):
-    """`cls` from --config (the subcommand's, else the global one) or its
-    defaults, with every flag passed for one of its fields applied; the
-    global --seed stands in for a subcommand --seed not passed."""
-    path = getattr(args, "config", None) or args.global_config
+    """`cls` from --config (the subcommand's, else the global one, which is a
+    pipeline config) or its defaults, with every flag passed for one of its
+    fields applied; the global --seed stands in for a subcommand --seed not
+    passed."""
+    path = getattr(args, "config", None) or (args.global_config if cls is PipelineConfig else None)
     config = cls.from_file(path) if path else cls()
     passed = {name: value for name, value in vars(args).items()
               if name in cls.__dataclass_fields__ and value is not None}
@@ -302,8 +304,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     config = _config(args)
-    if not args.matrix and not (args.feature_set and args.input):
-        raise ValidationError("evaluate needs --matrix, or --set with --in")
+    if not (args.matrix or args.input):
+        raise ValidationError("evaluate needs --matrix or --in")
     where = ""
     if not args.matrix and sniff_corpus_kind(args.input) == "turns":
         models = PipelineModels(boundary=args.boundary_model, da=args.da_model, mc=args.mc_model)

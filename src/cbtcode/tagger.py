@@ -14,15 +14,17 @@ import warnings
 from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .chain import forward_backward, viterbi
 from .corpus import DA_TAG_SET, MC_TAG_SET, TAG_SETS, Session, TagSet, Turn  # noqa: F401 (tag sets re-exported)
 from .errors import ValidationError
 from .optimize import OptResult, minimize_lbfgs
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 FeatureSeq = Sequence[Sequence[str]]
 LabeledSequence = tuple[FeatureSeq, Sequence[str]]
@@ -129,7 +131,11 @@ def gather_rows(weights: np.ndarray, ids: np.ndarray, counts: np.ndarray, start:
 
 
 def _incidence(feature_rows: Sequence[Iterable[str]], feature_index: Mapping[str, int]) -> sparse.csr_array:
-    """Position x feature counts; features missing from feature_index are dropped."""
+    """Position x feature counts; features missing from feature_index are dropped.
+
+    Only training builds one, so scipy is imported here and not at start-up."""
+    from scipy import sparse
+
     ids = [[feature_index[f] for f in feats if f in feature_index] for feats in feature_rows]
     indptr = np.zeros(len(ids) + 1, dtype=np.intp)
     np.cumsum([len(row) for row in ids], out=indptr[1:])

@@ -256,6 +256,24 @@ class TestFiveByTwo:
         assert abs(result.f_statistic - 13.0 / 7.0) < 1e-6
         assert result.degrees == (10, 5)
         assert result.significant is False  # 1.857 << F(10,5) critical value
+        stats = pytest.importorskip("scipy.stats")
+        assert result.p_value == pytest.approx(stats.f.sf(13.0 / 7.0, 10, 5), rel=1e-12)
+
+    def test_f_tail_matches_scipy_over_a_log_grid(self):
+        """The closed-form F(10, 5) tail against scipy's incomplete beta over
+        every scale, below the f >= 1/2 that a 5x2 matrix can give as well."""
+        stats = pytest.importorskip("scipy.stats")
+        for f in [*np.logspace(-8, 8, 161), 13.0 / 7.0, 14.45]:
+            assert cbtcode.evaluate._f_10_5_tail(float(f)) == pytest.approx(stats.f.sf(f, 10, 5), rel=1e-12), f
+
+    @pytest.mark.parametrize("f", [*np.logspace(0, 8, 17), 14.45])
+    def test_p_value_matches_scipy(self, f):
+        stats = pytest.importorskip("scipy.stats")
+        m = np.sqrt(2.0 * f - 1.0)  # rows (m + 1, m - 1) give f = (m^2 + 1) / 2
+        result = combined_f_statistic(np.tile([m + 1.0, m - 1.0], (5, 1)))
+        assert result.f_statistic == pytest.approx(f, rel=1e-12)
+        assert result.p_value == pytest.approx(stats.f.sf(result.f_statistic, 10, 5), rel=1e-12)
+        assert result.significant == (result.p_value < 0.05)
 
     def test_symmetric_in_sign(self):
         p = np.array([[0.1, 0.2], [0.0, 0.1], [0.1, 0.1], [0.2, 0.0], [0.1, 0.0]])

@@ -554,6 +554,35 @@ def test_featurize_and_compare_under_the_config_equal_the_same_flags(workspace, 
         assert outputs[0] != outputs[2], name
 
 
+def test_evaluate_takes_the_feature_set_from_the_config(workspace, tmp_path):
+    data = workspace["data"]
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({"feature_set": "mc"}), encoding="utf-8")
+    run = ["evaluate", "--in", str(data / "gold_tags.jsonl"), "--labels", str(data / "labels.csv"), "--k-grid", "8"]
+    reports = {}
+    for name, pre, post in (("config", ["--config", str(config)], []), ("flag", [], ["--set", "mc"]),
+                            ("flag over config", ["--config", str(config)], ["--set", "tfidf"]),
+                            ("default", [], [])):
+        reports[name] = tmp_path / f"{name}.json"
+        assert main([*pre, *run, *post, "--report", str(reports[name])]) == 0, name
+    assert reports["config"].read_bytes() == reports["flag"].read_bytes()
+    assert reports["flag over config"].read_bytes() == reports["default"].read_bytes()
+    assert load_report(reports["config"]).feature_set == "mc"
+    assert load_report(reports["default"]).feature_set == "tfidf"
+
+
+def test_synth_ignores_the_global_pipeline_config(tmp_path):
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({"max_df": 0.5, "k_grid": [2], "seed": 3}), encoding="utf-8")
+    run = ["synth", "--n-sessions", "6", "--seed", "2", "--out"]
+    assert main(["--config", str(config), *run, str(tmp_path / "with")]) == 0
+    assert main([*run, str(tmp_path / "without")]) == 0
+    names = sorted(p.name for p in (tmp_path / "without").iterdir())
+    assert sorted(p.name for p in (tmp_path / "with").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "with" / name).read_bytes() == (tmp_path / "without" / name).read_bytes(), name
+
+
 def test_every_flag_of_a_config_field_defaults_to_none():
     """A flag's default would override the config file even when not passed."""
     fields = set(PipelineConfig.__dataclass_fields__) | set(SynthConfig.__dataclass_fields__)
@@ -655,11 +684,46 @@ def test_bad_pipeline_config_is_exit_2_and_names_the_file(workspace, tmp_path, c
     assert f"error: {config}: " in err and err.count(str(config)) == 1, err
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    code = "import sys, cbtcode.cli; print('scipy.stats' in sys.modules)"
+_SCIPY_PROBE = """
+import json, sys
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+from cbtcode.cli import main
+loaded = {"import": scipy_modules()}
+for step in json.loads(sys.argv[1]):
+    if main(step["argv"]) != 0:
+        raise SystemExit(f"{step['name']} failed")
+    loaded[step["name"]] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_only_training_loads_scipy(workspace, tmp_path):
+    """In a fresh interpreter, neither `import cbtcode.cli` nor any subcommand
+    but training loads a scipy module; `train --what da` loads scipy.sparse."""
+    data, models = workspace["data"], workspace["models"]
+    tiny, seg, mc, tagged = tmp_path / "tiny", tmp_path / "seg.jsonl", tmp_path / "mc.jsonl", tmp_path / "tagged.jsonl"
+    steps = {
+        "synth": ["synth", "--n-sessions", "20", "--seed", "5", "--out", tiny],
+        "segment": ["segment", "--model", models / "boundary.json", "--in", tiny / "corpus.jsonl", "--out", seg],
+        "tag --scheme mc": ["tag", "--scheme", "mc", "--model", models / "mc.json", "--in", seg, "--out", mc],
+        "tag --scheme da": ["tag", "--scheme", "da", "--model", models / "da.json", "--in", mc, "--out", tagged],
+        "featurize": ["featurize", "--set", "mc-tfidf", "--in", tagged, "--out", tmp_path / "m.mtx"],
+        "evaluate --matrix": ["evaluate", "--matrix", tmp_path / "m.mtx", "--labels", tiny / "labels.csv",
+                              "--k-grid", "8", "--report", tmp_path / "r.json"],
+        "compare": ["compare", "--a", "mc-tfidf", "--b", "tfidf", "--in", tagged, "--labels", tiny / "labels.csv",
+                    "--k-grid", "8", "--out", tmp_path / "cmp.json"],
+        "train --what da": ["train", "--what", "da", "--in", tiny / "gold_tags.jsonl", "--out", tmp_path / "da.json"],
+    }
+    plan = json.dumps([{"name": name, "argv": list(map(str, argv))} for name, argv in steps.items()])
     env = {**os.environ, "PYTHONPATH": str(Path(cbtcode.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, plan], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    loaded = json.loads(out.stdout.splitlines()[-1])
+    assert list(loaded) == ["import", *steps]
+    for name in ["import", *steps][:-1]:
+        assert loaded[name] == [], name
+    assert "scipy.sparse" in loaded["train --what da"]
 
 
 class TestExitCodes:
