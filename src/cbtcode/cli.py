@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .corpus import CODES, binarize_scores, parse_corpus, read_scores_table, write_corpus, write_scores_table
+from .corpus import parse_corpus, read_scores_table, write_corpus, write_scores_table
 from .errors import CbtCodeError, MissingArtifactError, ValidationError
-from .evaluate import FoldTask, fit_folds_and_count, five_by_two_cv_f_test, run_protocol
+from .evaluate import LABEL_COLUMNS, FoldTask, fit_folds_and_count, five_by_two_cv_f_test, label_matrix, run_protocol
 from .pipeline import (
     FEATURE_SETS,
     PipelineConfig,
@@ -127,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model (SVM, boundary labeler, or tagger)")
     p.add_argument("--what", choices=("svm", "boundary", "da", "mc"), default="svm")
-    p.add_argument("--code", choices=list(CODES) + ["total"], help="code task (svm)")
+    p.add_argument("--code", choices=LABEL_COLUMNS, help="code task (svm)")
     p.add_argument("--features", help="feature matrix file (svm)")
     p.add_argument("--in", dest="input", help="training input (boundary text / tagged corpus)")
     p.add_argument("--labels", help="labels CSV (svm; falls back to --scores-from)")
@@ -160,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", dest="set_b", choices=FEATURE_SETS, required=True)
     p.add_argument("--in", dest="input", required=True, help="tagged corpus JSONL")
     p.add_argument("--labels", help="labels CSV keyed by session id")
-    p.add_argument("--code", choices=list(CODES) + ["total"], default="total")
+    p.add_argument("--code", choices=LABEL_COLUMNS, default="total")
     _add_stage_flags(p, "seed", "k_grid", "svm_c", "max_df", "min_df")
     p.add_argument("--out", required=True, help="comparison JSON output")
 
@@ -251,12 +251,7 @@ def _cmd_train(args) -> int:
         svm_c = _config(args).svm_c
         matrix = read_matrix(args.features)
         scores = _scores_for(args.labels, args.scores_from or args.input)
-        missing = sorted(sid for sid in matrix.session_ids if sid not in scores)
-        if missing:
-            raise ValidationError(f"missing labels for sessions: {missing}")
-        y = np.array(
-            [binarize_scores(scores[sid])[args.code] for sid in matrix.session_ids], dtype=bool
-        )
+        y = label_matrix(matrix.session_ids, scores)[:, LABEL_COLUMNS.index(args.code)]
         selectable = np.asarray(matrix.selectable, dtype=bool)
         k = args.k if args.k is not None else int(selectable.sum())
         rows = np.arange(len(y))
@@ -316,6 +311,10 @@ def _cmd_evaluate(args) -> int:
     else:
         if args.matrix:
             matrix = read_matrix(args.matrix)
+            if args.feature_set not in (None, matrix.set_name):
+                raise ValidationError(
+                    f"{args.matrix} holds feature set {matrix.set_name!r}, not --set {args.feature_set!r}"
+                )
         else:
             matrix = build_feature_matrix(read_tagged_corpus(args.input), config.feature_set, config.max_df,
                                           config.min_df, config.word_denominator)

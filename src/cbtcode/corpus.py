@@ -207,11 +207,6 @@ class CodeLabels:
             return self.total
         return self.per_code[CODES.index(code)]
 
-    def to_dict(self) -> dict[str, str]:
-        d = {c: ("high" if v else "low") for c, v in zip(CODES, self.per_code)}
-        d["total"] = "high" if self.total else "low"
-        return d
-
 
 @dataclass(frozen=True)
 class Session:

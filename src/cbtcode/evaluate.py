@@ -25,6 +25,19 @@ from .features import (
 )
 from .svm import LinearModel, SvmProblem, class_weights, lockstep_batches, predict_many, train_svms
 
+# The columns of `label_matrix`: one task per code, then the total score.
+LABEL_COLUMNS = (*CODES, "total")
+
+
+def label_matrix(session_ids: Sequence[str], scores_by_id: Mapping[str, CodeScores]) -> np.ndarray:
+    """The binarized labels of the sessions, one row per id in order and one
+    column per LABEL_COLUMNS entry; True means high."""
+    missing = sorted(sid for sid in session_ids if sid not in scores_by_id)
+    if missing:
+        raise ValidationError(f"missing labels for sessions: {missing}")
+    rows = [binarize_scores(scores_by_id[sid]) for sid in session_ids]
+    return np.array([(*r.per_code, r.total) for r in rows], dtype=bool).reshape(-1, len(LABEL_COLUMNS))
+
 
 @dataclass(frozen=True)
 class FoldPlan:
@@ -175,15 +188,16 @@ def _cv_tasks(
     plan: FoldPlan,
     k_features: int,
 ) -> list[FoldTask]:
-    """One task per fold of the plan; training rows keep the session order."""
+    """One task per fold of the plan: it tests on the fold and trains on every
+    other row, both in session order."""
     row_of = {sid: i for i, sid in enumerate(session_ids)}
-    tasks = []
-    for fold in plan.folds:
-        test_ids = set(fold)
-        train_rows = np.array([row_of[sid] for sid in session_ids if sid not in test_ids], dtype=np.intp)
-        test_rows = np.array([row_of[sid] for sid in fold], dtype=np.intp)
-        tasks.append(FoldTask(X, selectable, y, train_rows, test_rows, k_features))
-    return tasks
+    fold_of = np.full(len(session_ids), -1)
+    for f, fold in enumerate(plan.folds):
+        fold_of[[row_of[sid] for sid in fold]] = f
+    return [
+        FoldTask(X, selectable, y, np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f), k_features)
+        for f in range(len(plan.folds))
+    ]
 
 
 def cv_pooled_counts(
@@ -204,25 +218,29 @@ def select_k_tasks(
     X: np.ndarray,
     session_ids: Sequence[str],
     selectable: np.ndarray,
-    y_total: Mapping[str, bool],
+    y_total: np.ndarray,
     k_grid: Sequence[int],
     folds: int,
     seed: int,
 ) -> tuple[list[int], list[FoldTask]]:
-    """The K grid (clipped to the selectable count, ascending) and its fold
-    tasks, grid-major, on one plan stratified on the total-score labels.
-    Both are empty when no feature is selectable."""
+    """The K grid of `k_candidates` and its fold tasks, grid-major, on one
+    plan stratified on the total-score labels, one per row."""
+    ks = k_candidates(k_grid, selectable)
+    if not ks:
+        return [], []
+    plan = make_folds(session_ids, folds, seed, dict(zip(session_ids, y_total.tolist())))
+    return ks, [t for k in ks for t in _cv_tasks(X, session_ids, selectable, y_total, plan, k)]
+
+
+def k_candidates(k_grid: Sequence[int], selectable: np.ndarray) -> list[int]:
+    """The K grid clipped to the selectable count, ascending; empty when no
+    feature is selectable."""
     if not k_grid:
         raise ValidationError("k grid is empty")
     if any(k < 1 for k in k_grid):
         raise ValidationError("k grid entries must be positive")
     n_selectable = int(selectable.sum())
-    if n_selectable == 0:
-        return [], []
-    y = np.array([_require_label(y_total, sid) for sid in session_ids], dtype=bool)
-    plan = make_folds(session_ids, folds, seed, dict(zip(session_ids, (bool(v) for v in y))))
-    ks = sorted({min(k, n_selectable) for k in k_grid})
-    return ks, [t for k in ks for t in _cv_tasks(X, session_ids, selectable, y, plan, k)]
+    return sorted({min(k, n_selectable) for k in k_grid}) if n_selectable else []
 
 
 def best_k(ks: Sequence[int], fits: Sequence[FoldFit]) -> int:
@@ -239,12 +257,6 @@ def best_k(ks: Sequence[int], fits: Sequence[FoldFit]) -> int:
             best_f1 = f1
             chosen = k
     return chosen
-
-
-def _require_label(labels: Mapping[str, bool], sid: str) -> bool:
-    if sid not in labels:
-        raise ValidationError(f"missing label for session {sid!r}")
-    return bool(labels[sid])
 
 
 @dataclass(frozen=True)
@@ -310,22 +322,6 @@ class EvalReport:
         return "\n".join(rows) + "\n"
 
 
-def _labels_by_code(
-    session_ids: Sequence[str], scores_by_id: Mapping[str, CodeScores]
-) -> dict[str, dict[str, bool]]:
-    missing = sorted(sid for sid in session_ids if sid not in scores_by_id)
-    if missing:
-        raise ValidationError(f"missing labels for sessions: {missing}")
-    out: dict[str, dict[str, bool]] = {code: {} for code in CODES}
-    out["total"] = {}
-    for sid in session_ids:
-        labels = binarize_scores(scores_by_id[sid])
-        for code in CODES:
-            out[code][sid] = labels[code]
-        out["total"][sid] = labels.total
-    return out
-
-
 def run_protocol(
     matrix: FeatureMatrix,
     scores_by_id: Mapping[str, CodeScores],
@@ -341,31 +337,28 @@ def run_protocol(
     solved together.  The total task reuses the selection's fits at the
     chosen K, which used the same plan, labels, and K."""
     ids = matrix.session_ids
-    labels = _labels_by_code(ids, scores_by_id)
+    labels = label_matrix(ids, scores_by_id)
     selectable = np.asarray(matrix.selectable, dtype=bool)
 
-    ks, selection = select_k_tasks(matrix.X, ids, selectable, labels["total"], k_grid, n_folds, seed)
+    ks, selection = select_k_tasks(matrix.X, ids, selectable, labels[:, -1], k_grid, n_folds, seed)
     selection_fits = fit_folds_and_count(selection, svm_c)
     chosen_k = best_k(ks, selection_fits)
 
-    tasks: dict[str, list[FoldTask]] = {}
-    for code in list(CODES) + ["total"]:
-        y = np.array([labels[code][sid] for sid in ids], dtype=bool)
+    tasks: list[FoldTask] = []
+    for code, y in zip(LABEL_COLUMNS, labels.T):
         if y.all() or not y.any():
             raise ValidationError(f"code {code}: all sessions share one label; nothing to evaluate")
         if code != "total" or not ks:
-            plan = make_folds(ids, n_folds, seed, labels[code])
-            tasks[code] = _cv_tasks(matrix.X, ids, selectable, y, plan, chosen_k)
-    flat = fit_folds_and_count([t for code_tasks in tasks.values() for t in code_tasks], svm_c)
-    fits = {code: flat[c * n_folds : (c + 1) * n_folds] for c, code in enumerate(tasks)}
+            plan = make_folds(ids, n_folds, seed, dict(zip(ids, y.tolist())))
+            tasks += _cv_tasks(matrix.X, ids, selectable, y, plan, chosen_k)
+    fits = fit_folds_and_count(tasks, svm_c)
     if ks:
         at = ks.index(chosen_k) * n_folds
-        tasks["total"] = selection[at : at + n_folds]
-        fits["total"] = selection_fits[at : at + n_folds]
+        fits += selection_fits[at : at + n_folds]
 
     per_code: dict[str, CodeResult] = {}
-    for code in list(CODES) + ["total"]:
-        counts = [fit.counts for fit in fits[code]]
+    for i, code in enumerate(LABEL_COLUMNS):
+        counts = [fit.counts for fit in fits[i * n_folds : (i + 1) * n_folds]]
         f1_high = pooled_f1([(c.tp, c.fp, c.fn) for c in counts])
         f1_low = pooled_f1([(c.tn, c.fn, c.fp) for c in counts])
         per_code[code] = CodeResult(f1_high=f1_high, f1_low=f1_low, folds=tuple(counts))
@@ -464,21 +457,23 @@ def five_by_two_cv_f_test(
     """5 replications of 2-fold CV comparing two feature pipelines.
 
     p_ij is the error-rate difference (A minus B) on fold j of replication
-    i; replication i seeds its split with seed + i.  Each pipeline's K is
-    chosen once from k_grid by 5-fold CV on the full corpus (total-score
-    labels) and its selection is refitted inside every training half.
+    i, the pipelines trained on half j and tested on the other; replication
+    i seeds its split with seed + i.  Each pipeline's K is chosen once from
+    k_grid by 5-fold CV on the full corpus (total-score labels) and its
+    selection is refitted inside every training half.
     """
     if matrix_a.session_ids != matrix_b.session_ids:
         raise ValidationError("the two feature matrices cover different sessions")
+    if code not in LABEL_COLUMNS:
+        raise ValidationError(f"unknown code {code!r}; expected one of {LABEL_COLUMNS}")
     ids = matrix_a.session_ids
-    labels = _labels_by_code(ids, scores_by_id)
-    y = np.array([labels[code][sid] for sid in ids], dtype=bool)
-    row_of = {sid: i for i, sid in enumerate(ids)}
+    labels = label_matrix(ids, scores_by_id)
+    y = labels[:, LABEL_COLUMNS.index(code)]
 
     selectables = [np.asarray(m.selectable, dtype=bool) for m in (matrix_a, matrix_b)]
     grids, selection = [], []
     for matrix, selectable in zip((matrix_a, matrix_b), selectables):
-        ks, tasks = select_k_tasks(matrix.X, ids, selectable, labels["total"], k_grid, 5, seed)
+        ks, tasks = select_k_tasks(matrix.X, ids, selectable, labels[:, -1], k_grid, 5, seed)
         grids.append(ks)
         selection.append(tasks)
     selection_fits = fit_folds_and_count(selection[0] + selection[1], svm_c)
@@ -487,13 +482,10 @@ def five_by_two_cv_f_test(
 
     tasks = []
     for rep in range(5):
-        plan = make_folds(ids, 2, seed + rep, labels[code])
-        halves = [
-            np.array([row_of[sid] for sid in fold], dtype=np.intp) for fold in plan.folds
-        ]
-        for train_rows, test_rows in ((halves[0], halves[1]), (halves[1], halves[0])):
-            for matrix, selectable, k in zip((matrix_a, matrix_b), selectables, chosen):
-                tasks.append(FoldTask(matrix.X, selectable, y, train_rows, test_rows, k))
+        plan = make_folds(ids, 2, seed + rep, dict(zip(ids, y.tolist())))
+        for matrix, selectable, k in zip((matrix_a, matrix_b), selectables, chosen):
+            tasks += _cv_tasks(matrix.X, ids, selectable, y, plan, k)
     fits = fit_folds_and_count(tasks, svm_c)
-    errs = np.array([(f.counts.fp + f.counts.fn) / len(t.test_rows) for t, f in zip(tasks, fits)])
-    return combined_f_statistic((errs[0::2] - errs[1::2]).reshape(5, 2))
+    # errs[i, m, j]: replication i, pipeline m, tested on half j (so trained on half 1 - j)
+    errs = np.array([(f.counts.fp + f.counts.fn) / len(t.test_rows) for t, f in zip(tasks, fits)]).reshape(5, 2, 2)
+    return combined_f_statistic((errs[:, 0] - errs[:, 1])[:, ::-1])

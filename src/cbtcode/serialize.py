@@ -11,6 +11,7 @@ and writing them costs no Python step per value.
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -85,23 +86,22 @@ def sniff_corpus_kind(path: str | Path) -> str:
 # Models
 
 
-def _tagger_payload(model: ChainCRF | UtteranceClassifier, **arrays: np.ndarray) -> dict:
-    return {
-        "scheme": model.scheme,
-        "labels": list(model.labels),
-        "feature_names": list(model.feature_names),
-        "weights": _encode_array(model.weights),
-        **{name: _encode_array(a) for name, a in arrays.items()},
-        "l2": model.l2,
-        "n_iter": model.n_iter,
-        "grad_norm": model.grad_norm,
-        "converged": model.converged,
-        "feature_template": model.feature_template,
-    }
+def _save_model(model: ChainCRF | UtteranceClassifier | LinearModel, path: str | Path, kind: str, **extra) -> None:
+    """One payload field per dataclass field of the model, plus extra: arrays
+    through _encode_array, tuples as lists, other values as they are."""
+    payload = dict(extra)
+    for field in dataclasses.fields(model):
+        value = getattr(model, field.name)
+        if isinstance(value, np.ndarray):
+            value = _encode_array(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        payload[field.name] = value
+    save_artifact(path, kind, payload)
 
 
 def save_chain_crf(model: ChainCRF, path: str | Path) -> None:
-    save_artifact(path, "chain_crf", _tagger_payload(model, transitions=model.transitions))
+    _save_model(model, path, "chain_crf")
 
 
 def load_chain_crf(path: str | Path, expect_scheme: str | None = None) -> ChainCRF:
@@ -113,7 +113,7 @@ def load_chain_crf(path: str | Path, expect_scheme: str | None = None) -> ChainC
 
 
 def save_utterance_classifier(model: UtteranceClassifier, path: str | Path) -> None:
-    save_artifact(path, "utterance_classifier", _tagger_payload(model, bias=model.bias))
+    _save_model(model, path, "utterance_classifier")
 
 
 def load_utterance_classifier(path: str | Path, expect_scheme: str | None = None) -> UtteranceClassifier:
@@ -124,25 +124,7 @@ def load_utterance_classifier(path: str | Path, expect_scheme: str | None = None
 
 
 def save_linear_model(model: LinearModel, path: str | Path, code: str | None = None) -> None:
-    save_artifact(
-        path,
-        "linear_svm",
-        {
-            "code": code,
-            "weights": _encode_array(model.weights),
-            "bias": model.bias,
-            "C": model.C,
-            "weight_low": model.weight_low,
-            "weight_high": model.weight_high,
-            "n_iter": model.n_iter,
-            "gap": model.gap,
-            "converged": model.converged,
-            "space_fingerprint": model.space_fingerprint,
-            "feature_mask": list(model.feature_mask) if model.feature_mask is not None else None,
-            "scaler_mean": _encode_array(model.scaler_mean) if model.scaler_mean is not None else None,
-            "scaler_std": _encode_array(model.scaler_std) if model.scaler_std is not None else None,
-        },
-    )
+    _save_model(model, path, "linear_svm", code=code)
 
 
 def load_linear_model(path: str | Path) -> LinearModel:

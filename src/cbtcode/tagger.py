@@ -130,21 +130,18 @@ def gather_rows(weights: np.ndarray, ids: np.ndarray, counts: np.ndarray, start:
     return out
 
 
-def _incidence(feature_rows: Sequence[Iterable[str]], feature_index: Mapping[str, int]) -> sparse.csr_array:
-    """Position x feature counts; features missing from feature_index are dropped.
+def _incidence(sequences: Iterable[FeatureSeq], feature_index: Mapping[str, int]) -> sparse.csr_array:
+    """Position x feature counts over the rows of every sequence, mapped by
+    `feature_ids`; features missing from feature_index are dropped.
 
     Only training builds one, so scipy is imported here and not at start-up."""
     from scipy import sparse
 
-    ids = [[feature_index[f] for f in feats if f in feature_index] for feats in feature_rows]
-    indptr = np.zeros(len(ids) + 1, dtype=np.intp)
-    np.cumsum([len(row) for row in ids], out=indptr[1:])
-    indices = np.fromiter(itertools.chain.from_iterable(ids), dtype=np.intp, count=int(indptr[-1]))
-    A = sparse.csr_array(
-        (np.ones(len(indices)), indices, indptr), shape=(len(ids), len(feature_index))
-    )
-    A.sum_duplicates()
-    return A
+    ids, counts, _ = feature_ids(sequences, feature_index)
+    rows = np.repeat(np.arange(len(counts)), counts)
+    known = ids >= 0
+    shape = (len(counts), len(feature_index))
+    return sparse.csr_array((np.ones(int(known.sum())), (rows[known], ids[known])), shape=shape)
 
 
 def crf_training_objective(
@@ -166,7 +163,6 @@ def crf_training_objective(
     k, n_w, l2 = len(labels), len(feature_names) * len(labels), float(l2)
     lengths = np.array([len(tags) for _, tags in data], dtype=np.intp)
     gold_ids: list[int] = []
-    rows: list[Sequence[str]] = []
     for si, (feats_per_pos, tags) in enumerate(data):
         if len(feats_per_pos) != len(tags):
             raise ValidationError(f"sequence {si}: features and labels differ in length")
@@ -176,8 +172,7 @@ def crf_training_objective(
             if tag not in label_index:
                 raise ValidationError(f"sequence {si}: unknown gold tag {tag!r}")
             gold_ids.append(label_index[tag])
-        rows.extend(feats_per_pos)
-    A = _incidence(rows, feature_index)
+    A = _incidence((feats_per_pos for feats_per_pos, _ in data), feature_index)
     At = A.T.tocsr()
     gold = np.array(gold_ids, dtype=np.intp)
     observed_W = At @ (gold[:, None] == np.arange(k))
@@ -331,7 +326,7 @@ def multinomial_training_objective(
         if lab not in label_index:
             raise ValidationError(f"unknown tag {lab!r}")
     gold = np.array([label_index[lab] for _, lab in examples], dtype=np.intp)
-    A = _incidence([utterance_features(words) for words, _ in examples], feature_index)
+    A = _incidence(([utterance_features(words)] for words, _ in examples), feature_index)
     At = A.T.tocsr()
     n, n_w, l2 = len(examples), len(feature_names) * len(labels), float(l2)
 

@@ -9,6 +9,7 @@ from cbtcode.evaluate import (
     cv_pooled_counts,
     fit_folds_and_count,
     five_by_two_cv_f_test,
+    label_matrix,
     make_folds,
     pooled_f1,
     run_protocol,
@@ -155,6 +156,22 @@ class TestRunProtocol:
         with pytest.raises(ValidationError, match="s3"):
             run_protocol(build_matrix(X), scores, 2, 0, [3])
 
+    def test_label_matrix_columns_are_the_codes_then_total(self):
+        hw_only = [0] * 11
+        hw_only[CODES.index("hw")] = 4
+        scores = {
+            "x": CodeScores(tuple(hw_only)),
+            "y": CodeScores((4,) * 11),  # total 44 >= 40
+            "z": CodeScores((3,) * 10 + (6,)),  # total 36 < 40
+        }
+        labels = label_matrix(["z", "x", "y"], scores)
+        assert labels.dtype == bool and labels.shape == (3, 12)
+        assert labels[1].tolist() == [code == "hw" for code in CODES] + [False]
+        assert labels[2].all()
+        assert labels[0].tolist() == [False] * 10 + [True, False]
+        with pytest.raises(ValidationError, match="'w'"):
+            label_matrix(["x", "w", "y"], scores)
+
     def test_deterministic_report(self):
         rng = np.random.default_rng(7)
         n = 24
@@ -296,6 +313,29 @@ class TestFiveByTwo:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValidationError):
             combined_f_statistic(np.zeros((4, 2)))
+
+    def test_every_fit_trains_on_ascending_rows_and_covers_each_session_once(self):
+        rng = np.random.default_rng(12)
+        n = 30
+        bits = np.array([i % 3 != 0 for i in range(n)])
+        X_a = rng.normal(size=(n, 5))
+        X_a[:, 0] += np.where(bits, 1.0, -1.0)
+        X_b = rng.normal(size=(n, 5))
+        captured = []
+
+        def recording(tasks, svm_c):
+            captured.extend(tasks)
+            return fit_folds_and_count(tasks, svm_c)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cbtcode.evaluate, "fit_folds_and_count", recording)
+            five_by_two_cv_f_test(build_matrix(X_a, "a"), build_matrix(X_b, "b"), scores_for_bits(bits),
+                                  seed=3, k_grid=[2, 5])
+        # K selection: 2 pipelines x 2 K x 5 folds; then 5 replications x 2 pipelines x 2 halves
+        assert len(captured) == 40
+        for task in captured:
+            assert np.all(np.diff(task.train_rows) > 0)
+            assert sorted(np.concatenate([task.train_rows, task.test_rows]).tolist()) == list(range(n))
 
     def test_identical_pipelines_no_difference(self):
         rng = np.random.default_rng(10)

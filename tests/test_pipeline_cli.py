@@ -742,6 +742,24 @@ class TestExitCodes:
         )
         assert rc == 2
 
+    def test_evaluate_set_that_disagrees_with_the_matrix_is_exit_2(self, workspace, tmp_path, capsys):
+        data = workspace["data"]
+        matrix, report = tmp_path / "t.mtx", tmp_path / "r.json"
+        assert main(["featurize", "--set", "tfidf", "--in", str(data / "gold_tags.jsonl"), "--out", str(matrix)]) == 0
+        run = ["evaluate", "--matrix", str(matrix), "--labels", str(data / "labels.csv"), "--k-grid", "8",
+               "--report", str(report)]
+        capsys.readouterr()
+        assert main([*run, "--set", "mc"]) == 2
+        err = capsys.readouterr().err
+        assert str(matrix) in err and "'tfidf'" in err and "'mc'" in err
+        assert not report.exists()
+        # the config's feature_set is not checked: --matrix mode uses the set the matrix names
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({"feature_set": "mc"}), encoding="utf-8")
+        assert main(["--config", str(config), *run]) == 0
+        assert load_report(report).feature_set == "tfidf"
+        assert main([*run, "--set", "tfidf"]) == 0
+
     def test_corpus_without_scores_is_exit_2(self, tmp_path):
         corpus = tmp_path / "bare.jsonl"
         record = {

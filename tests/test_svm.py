@@ -288,7 +288,7 @@ def reference_fold_problem():
     result = generate_corpus(SynthConfig(n_sessions=300, seed=11))
     matrix = build_feature_matrix(result.tagged, "tfidf")
     scores = {s.id: s.scores for s in result.sessions}
-    total = {sid: binarize_scores(scores[sid]).total for sid in matrix.session_ids}
+    total = np.array([binarize_scores(scores[sid]).total for sid in matrix.session_ids])
     selectable = np.asarray(matrix.selectable, dtype=bool)
     ks, tasks = select_k_tasks(matrix.X, matrix.session_ids, selectable, total, (16, 32, 64, 128), 5, 0)
     captured = []
