@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: synth, segment, tag, featurize, train, evaluate, compare.
-Exit codes: 0 success, 2 validation error, 3 missing artifact, 4 numerical
+Exit codes: 0 success, 2 validation error or unusable path (a directory
+where a file is expected, or the reverse), 3 missing artifact, 4 numerical
 failure.
 """
 
@@ -378,6 +379,9 @@ def main(argv: list[str] | None = None) -> int:
     except CbtCodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:  # a path the command cannot open or create
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
+        return ValidationError.exit_code
 
 
 if __name__ == "__main__":

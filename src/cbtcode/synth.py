@@ -53,6 +53,8 @@ class SignalRule:
     strength: float = 1.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.keyword, str) or self.keyword.split() != [self.keyword]:
+            raise ValidationError(f"rule keyword {self.keyword!r} must be one non-empty word without whitespace")
         if not (0.0 <= self.strength <= 1.0):
             raise ValidationError(f"rule strength must be in [0, 1], got {self.strength}")
         if self.code not in CODES:
@@ -127,6 +129,8 @@ class SynthConfig:
                 raise ValidationError(f"{name} must be in [0, 1], got {value}")
         if self.n_sessions < 1:
             raise ValidationError("n_sessions must be positive")
+        if self.vocabulary_size < 1:
+            raise ValidationError(f"vocabulary_size must be positive, got {self.vocabulary_size}")
         if self.seed < 0:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
         for name, (lo, hi) in (
@@ -212,12 +216,20 @@ def _tag_distribution(base: Mapping[str, float], scheme: str, quality: bool, del
     return probs / probs.sum()
 
 
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF that `Generator.choice(n, size, p=p)` builds on every call;
+    `cdf.searchsorted(rng.random(size), side="right")` then draws the same
+    values from the same positions of the stream."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def generate_corpus(config: SynthConfig) -> SynthResult:
     """Deterministically generate sessions, gold tags, and boundary text."""
     rng = np.random.default_rng(config.seed)
     vocab = _build_vocabulary(config)
-    filler_probs = 1.0 / (np.arange(len(vocab)) + 5.0)
-    filler_probs /= filler_probs.sum()
+    filler_cdf = _choice_cdf(1.0 / (np.arange(len(vocab)) + 5.0))
 
     planted_codes = []
     for rule in config.rules:
@@ -226,10 +238,18 @@ def generate_corpus(config: SynthConfig) -> SynthResult:
 
     da_labels = list(DA_TAG_SET.labels)
     mc_labels = list(MC_TAG_SET.labels)
-    da_base_probs = {q: _tag_distribution(_DA_BASE, "da", q, config.tag_mix_strength) for q in (False, True)}
-    mc_base_probs = {q: _tag_distribution(_MC_BASE, "mc", q, config.tag_mix_strength) for q in (False, True)}
-    da_neutral = np.array([_DA_BASE[t] for t in da_labels])
-    mc_neutral = np.array([_MC_BASE[t] for t in mc_labels])
+    # (DA, MC) tag CDFs of a therapist utterance by session quality, and of a patient's.
+    therapist_cdfs = {
+        q: (_choice_cdf(_tag_distribution(_DA_BASE, "da", q, config.tag_mix_strength)),
+            _choice_cdf(_tag_distribution(_MC_BASE, "mc", q, config.tag_mix_strength)))
+        for q in (False, True)
+    }
+    patient_cdfs = (_choice_cdf(np.array([_DA_BASE[t] for t in da_labels])),
+                    _choice_cdf(np.array([_MC_BASE[t] for t in mc_labels])))
+    # Bounds of an utterance's word-time draws: a duration per word, and a gap
+    # before each word after the first (duration, gap, duration, ...).  They
+    # grow to the longest utterance; each draw takes a prefix.
+    time_low = time_high = np.empty(0)
 
     sessions: list[Session] = []
     tagged_sessions: list[Session] = []
@@ -257,12 +277,11 @@ def generate_corpus(config: SynthConfig) -> SynthResult:
         utt_words: list[list[str]] = []
         speaker = "therapist"
         for size in turn_sizes:
+            therapist = speaker == "therapist"
+            da_cdf, mc_cdf = therapist_cdfs[quality] if therapist else patient_cdfs
             for _ in range(size):
-                therapist = speaker == "therapist"
-                da_p = da_base_probs[quality] if therapist else da_neutral
-                mc_p = mc_base_probs[quality] if therapist else mc_neutral
-                da = da_labels[int(rng.choice(len(da_labels), p=da_p))]
-                mc = mc_labels[int(rng.choice(len(mc_labels), p=mc_p))]
+                da = da_labels[int(da_cdf.searchsorted(rng.random(), side="right"))]
+                mc = mc_labels[int(mc_cdf.searchsorted(rng.random(), side="right"))]
                 phrases_da = config.da_templates[da]
                 phrases_mc = config.mc_templates[mc]
                 words = list(phrases_da[int(rng.integers(len(phrases_da)))].split())
@@ -273,10 +292,11 @@ def generate_corpus(config: SynthConfig) -> SynthResult:
                         config.filler_words_per_utterance[1] + 1,
                     )
                 )
-                filler_ids = rng.choice(len(vocab), size=n_filler, p=filler_probs)
-                fillers = [vocab[int(i)] for i in filler_ids]
-                if config.word_dropout > 0.0 and fillers:
-                    fillers = [w for w in fillers if rng.random() >= config.word_dropout] or fillers[:1]
+                filler_ids = filler_cdf.searchsorted(rng.random(n_filler), side="right").tolist()
+                fillers = [vocab[i] for i in filler_ids]
+                if config.word_dropout > 0.0:
+                    kept = (rng.random(n_filler) >= config.word_dropout).tolist()
+                    fillers = [w for w, keep in zip(fillers, kept) if keep] or fillers[:1]
                 words += fillers
                 if therapist and rng.random() < config.style_rate:
                     p_a = 0.5 + (config.style_strength / 2.0 if quality else -config.style_strength / 2.0)
@@ -334,24 +354,30 @@ def generate_corpus(config: SynthConfig) -> SynthResult:
             words: list[str] = []
             starts: list[float] = []
             ends: list[float] = []
+            cuts: list[int] = []
             for k in range(size):
-                first = len(words)
-                for wi, w in enumerate(utt_words[ui]):
-                    if wi > 0:
-                        clock += float(rng.uniform(0.02, 0.2))
-                    dur = float(rng.uniform(0.18, 0.5))
-                    words.append(w)
+                n_draws = 2 * len(utt_words[ui]) - 1
+                if n_draws > len(time_low):
+                    time_low = np.resize((0.18, 0.02), 2 * n_draws)
+                    time_high = np.resize((0.5, 0.2), 2 * n_draws)
+                times = rng.uniform(time_low[:n_draws], time_high[:n_draws]).tolist()
+                # The first word has no gap; adding 0.0 leaves the clock as it is.
+                for gap, dur in zip((0.0, *times[1::2]), times[0::2]):
+                    clock += gap
                     starts.append(round(clock, 3))
                     ends.append(round(clock + dur, 3))
                     clock += dur
-                utt_tokens.append(Tokens(words[first:], starts[first:], ends[first:]))
+                words += utt_words[ui]
+                cuts.append(len(words))
                 ui += 1
                 if k < size - 1:
                     if rng.random() < config.pause_rate:
                         clock += float(rng.uniform(2.2, 4.5))
                     else:
                         clock += float(rng.uniform(0.25, 1.6))
-            turn_tokens.append(Tokens(words, starts, ends))
+            turn = Tokens(words, starts, ends)
+            turn_tokens.append(turn)
+            utt_tokens.extend(turn[first:last] for first, last in zip((0, *cuts), cuts))
             clock += float(rng.uniform(0.4, 2.0))
 
         turns: list[Turn] = []

@@ -13,7 +13,8 @@ from collections import Counter
 
 import numpy as np
 
-from cbtcode.corpus import CodeScores, Session, Tokens, Turn
+from cbtcode.corpus import CODES, DA_TAG_SET, MC_TAG_SET, CodeScores, Session, Tokens, Turn
+from cbtcode.synth import _DA_BASE, _MC_BASE, _STYLE_A, _STYLE_B, SynthResult, _build_vocabulary, _tag_distribution
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +300,186 @@ def smo_one_problem(X, y, C, weights, tol=1e-6, max_iter=1_000_000):
 
 
 # ---------------------------------------------------------------------------
+# Synthetic-corpus draw-order oracle
+
+
+def reference_generate_corpus(config):
+    """generate_corpus as one scalar draw per value: `rng.choice(..., p=...)`
+    for tags and fillers and two `rng.uniform` calls per word.  The library
+    must draw the same values from the same positions of the stream."""
+    rng = np.random.default_rng(config.seed)
+    vocab = _build_vocabulary(config)
+    filler_probs = 1.0 / (np.arange(len(vocab)) + 5.0)
+    filler_probs /= filler_probs.sum()
+
+    planted_codes = []
+    for rule in config.rules:
+        if rule.code not in planted_codes:
+            planted_codes.append(rule.code)
+
+    da_labels = list(DA_TAG_SET.labels)
+    mc_labels = list(MC_TAG_SET.labels)
+    da_base_probs = {q: _tag_distribution(_DA_BASE, "da", q, config.tag_mix_strength) for q in (False, True)}
+    mc_base_probs = {q: _tag_distribution(_MC_BASE, "mc", q, config.tag_mix_strength) for q in (False, True)}
+    da_neutral = np.array([_DA_BASE[t] for t in da_labels])
+    mc_neutral = np.array([_MC_BASE[t] for t in mc_labels])
+
+    sessions: list[Session] = []
+    tagged_sessions: list[Session] = []
+    boundary_lines: list[str] = []
+
+    width = len(str(max(config.n_sessions - 1, 1)))
+    for si in range(config.n_sessions):
+        sid = f"s{si:0{width}d}"
+        quality = bool(rng.random() < config.high_rate)
+
+        # Utterance plan: alternating-speaker turns with 1..m utterances each.
+        n_utt = int(rng.integers(config.utterances_per_session[0], config.utterances_per_session[1] + 1))
+        turn_sizes: list[int] = []
+        remaining = n_utt
+        while remaining > 0:
+            size = int(rng.integers(config.utterances_per_turn[0], config.utterances_per_turn[1] + 1))
+            size = min(size, remaining)
+            turn_sizes.append(size)
+            remaining -= size
+
+        # Draw tags and word lists per utterance.
+        utt_speaker: list[str] = []
+        utt_da: list[str] = []
+        utt_mc: list[str] = []
+        utt_words: list[list[str]] = []
+        speaker = "therapist"
+        for size in turn_sizes:
+            for _ in range(size):
+                therapist = speaker == "therapist"
+                da_p = da_base_probs[quality] if therapist else da_neutral
+                mc_p = mc_base_probs[quality] if therapist else mc_neutral
+                da = da_labels[int(rng.choice(len(da_labels), p=da_p))]
+                mc = mc_labels[int(rng.choice(len(mc_labels), p=mc_p))]
+                phrases_da = config.da_templates[da]
+                phrases_mc = config.mc_templates[mc]
+                words = list(phrases_da[int(rng.integers(len(phrases_da)))].split())
+                words += phrases_mc[int(rng.integers(len(phrases_mc)))].split()
+                n_filler = int(
+                    rng.integers(
+                        config.filler_words_per_utterance[0],
+                        config.filler_words_per_utterance[1] + 1,
+                    )
+                )
+                filler_ids = rng.choice(len(vocab), size=n_filler, p=filler_probs)
+                fillers = [vocab[int(i)] for i in filler_ids]
+                if config.word_dropout > 0.0 and fillers:
+                    fillers = [w for w in fillers if rng.random() >= config.word_dropout] or fillers[:1]
+                words += fillers
+                if therapist and rng.random() < config.style_rate:
+                    p_a = 0.5 + (config.style_strength / 2.0 if quality else -config.style_strength / 2.0)
+                    pool = _STYLE_A if rng.random() < p_a else _STYLE_B
+                    words.append(pool[int(rng.integers(len(pool)))])
+                utt_speaker.append(speaker)
+                utt_da.append(da)
+                utt_mc.append(mc)
+                utt_words.append(words)
+            speaker = "patient" if speaker == "therapist" else "therapist"
+
+        # Plant rule keywords: the occurrence count is label-independent, only
+        # the tag context of the occurrences depends on the code's label.
+        code_labels: dict[str, bool] = {}
+        for code in planted_codes:
+            flip = bool(rng.random() < config.label_noise)
+            code_labels[code] = quality != flip
+        therapist_idx = [i for i, sp in enumerate(utt_speaker) if sp == "therapist"]
+        for rule in config.rules:
+            label = code_labels[rule.code]
+            m = int(rng.integers(config.keyword_occurrences[0], config.keyword_occurrences[1] + 1))
+            tags = utt_da if rule.scheme == "da" else utt_mc
+            match_pool = [i for i in therapist_idx if tags[i] == rule.tag]
+            other_pool = [i for i in therapist_idx if tags[i] != rule.tag]
+            q_match = 0.5 + (rule.strength / 2.0 if label else -rule.strength / 2.0)
+            for _ in range(m):
+                use_match = rng.random() < q_match
+                pool = match_pool if use_match else other_pool
+                if not pool:
+                    pool = other_pool if use_match else match_pool
+                if not pool:
+                    continue
+                ui = pool[int(rng.integers(len(pool)))]
+                head = len(utt_words[ui])  # insert anywhere after the marker head
+                slot = int(rng.integers(min(4, head), head + 1))
+                utt_words[ui].insert(slot, rule.keyword)
+
+        # Scores: planted codes follow their label; the rest lean with quality.
+        score_values: dict[str, int] = {}
+        for code in CODES:
+            if code in code_labels:
+                high = code_labels[code]
+                score_values[code] = int(rng.integers(4, 7)) if high else int(rng.integers(0, 4))
+            else:
+                score_values[code] = int(rng.integers(3, 7)) if quality else int(rng.integers(0, 4))
+        scores = CodeScores.from_dict(score_values)
+
+        # Token times: word durations with small in-utterance gaps; inside a
+        # turn, occasional inter-utterance pauses exceed the 2 s threshold.
+        clock = float(rng.uniform(0.0, 2.0))
+        utt_tokens: list[Tokens] = []
+        turn_tokens: list[Tokens] = []
+        ui = 0
+        for size in turn_sizes:
+            words: list[str] = []
+            starts: list[float] = []
+            ends: list[float] = []
+            for k in range(size):
+                first = len(words)
+                for wi, w in enumerate(utt_words[ui]):
+                    if wi > 0:
+                        clock += float(rng.uniform(0.02, 0.2))
+                    dur = float(rng.uniform(0.18, 0.5))
+                    words.append(w)
+                    starts.append(round(clock, 3))
+                    ends.append(round(clock + dur, 3))
+                    clock += dur
+                utt_tokens.append(Tokens(words[first:], starts[first:], ends[first:]))
+                ui += 1
+                if k < size - 1:
+                    if rng.random() < config.pause_rate:
+                        clock += float(rng.uniform(2.2, 4.5))
+                    else:
+                        clock += float(rng.uniform(0.25, 1.6))
+            turn_tokens.append(Tokens(words, starts, ends))
+            clock += float(rng.uniform(0.4, 2.0))
+
+        turns: list[Turn] = []
+        tagged_utts: list[Turn] = []
+        boundary_turn_lines: list[str] = []
+        ui = 0
+        for ti, size in enumerate(turn_sizes):
+            line_words: list[str] = []
+            for k in range(size):
+                toks = utt_tokens[ui]
+                mark = "?" if utt_da[ui] == "Question" else "."
+                line_words.extend(toks.texts[:-1])
+                line_words.append(toks.texts[-1] + mark)
+                tagged_utts.append(Turn(utt_speaker[ui], toks, da=utt_da[ui], mc=utt_mc[ui]))
+                ui += 1
+            turns.append(Turn(speaker=utt_speaker[ui - 1], tokens=turn_tokens[ti]))
+            boundary_turn_lines.append(" ".join(line_words))
+
+        sessions.append(Session(id=sid, turns=tuple(turns), scores=scores))
+        tagged_sessions.append(Session(id=sid, turns=tuple(tagged_utts), scores=scores))
+        boundary_lines.extend(boundary_turn_lines)
+
+    return SynthResult(
+        sessions=tuple(sessions),
+        tagged=tuple(tagged_sessions),
+        boundary_lines=tuple(boundary_lines),
+        config=config,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Random corpus builders
 
 
 def random_scores(rng: np.random.Generator) -> CodeScores:
-    from cbtcode.corpus import CODES
-
     return CodeScores(tuple(int(v) for v in rng.integers(0, 7, size=len(CODES))))
 
 

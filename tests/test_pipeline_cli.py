@@ -657,8 +657,10 @@ def test_model_file_with_a_bad_payload_is_exit_2_and_names_the_field(workspace, 
 @pytest.mark.parametrize(
     "body",
     [b"[1, 2]", b'{"n_sessions": 3', b'{"n_sessions": "x"}', b'{"n_sessions": 2.5}', b'{"seed": "\xff"}',
-     b'{"utterances_per_turn": [1, 2, 3]}', b'{"rules": [{"keyword": "kw"}]}'],
-    ids=["list", "truncated", "string-field", "float-for-int", "not-utf8", "long-pair", "rule-without-fields"],
+     b'{"utterances_per_turn": [1, 2, 3]}', b'{"rules": [{"keyword": "kw"}]}', b'{"vocabulary_size": 0}',
+     b'{"vocabulary_size": -3}', b'{"rules": [{"keyword": "two words", "tag": "RE", "code": "un"}]}'],
+    ids=["list", "truncated", "string-field", "float-for-int", "not-utf8", "long-pair", "rule-without-fields",
+         "zero-vocabulary", "negative-vocabulary", "two-word-keyword"],
 )
 def test_bad_synth_config_is_exit_2_and_names_the_file(tmp_path, capsys, body):
     config = tmp_path / "synth.json"
@@ -888,6 +890,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{corpus}, line 2: utterance 1: index must be a non-negative integer, got {index!r}" in err
         assert err.count(str(corpus)) == 1
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["synth", "--n-sessions", "1", "--out", "{file}"], "{file}"),
+            (["segment", "--disable", "--in", "{corpus}", "--out", "{file}/x.jsonl"], "{file}"),
+            (["featurize", "--set", "tfidf", "--in", "{gold}", "--out", "{file}/x.mtx"], "{file}"),
+            (["segment", "--disable", "--in", "{corpus}", "--out", "{dir}"], "{dir}"),
+            (["segment", "--disable", "--in", "{dir}", "--out", "{out}"], "{dir}"),
+            (["tag", "--scheme", "mc", "--model", "{dir}", "--in", "{gold}", "--out", "{out}"], "{dir}"),
+            (["evaluate", "--matrix", "{dir}", "--labels", "{labels}", "--report", "{out}"], "{dir}"),
+        ],
+        ids=["synth-out-file", "segment-out-under-file", "featurize-out-under-file", "segment-out-dir",
+             "segment-in-dir", "tag-model-dir", "evaluate-matrix-dir"],
+    )
+    def test_unusable_path_is_exit_2_and_named(self, workspace, tmp_path, capsys, argv, named):
+        data = workspace["data"]
+        paths = dict(file=tmp_path / "a_file", dir=tmp_path / "a_dir", out=tmp_path / "out", corpus=data / "corpus.jsonl",
+                     gold=data / "gold_tags.jsonl", labels=data / "labels.csv")
+        paths["file"].write_text("x", encoding="utf-8")
+        paths["dir"].mkdir()
+        rc = main([arg.format(**paths) for arg in argv])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named.format(**paths)}: "), err
+        assert not paths["out"].exists()
 
     def test_train_svm_with_zero_c_is_exit_2(self, tmp_path, capsys):
         matrix = tmp_path / "m.mtx"

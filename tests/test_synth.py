@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from cbtcode.evaluate import cv_pooled_counts, make_folds, pooled_f1
 from cbtcode.features import anova_f_scores
 from cbtcode.pipeline import build_feature_matrix
 from cbtcode.serialize import read_tagged_corpus, write_tagged_corpus
-from cbtcode.synth import DEFAULT_MC_TEMPLATES, SignalRule, SynthConfig, generate_corpus
-from helpers import joined
+from cbtcode.synth import DEFAULT_DA_TEMPLATES, DEFAULT_MC_TEMPLATES, SignalRule, SynthConfig, generate_corpus
+from helpers import joined, reference_generate_corpus
 
 
 def small_config(**overrides):
@@ -74,6 +76,9 @@ class TestGeneration:
             SignalRule("kw", "QUC", "zz", 1.0)
         with pytest.raises(ValidationError):
             SignalRule("kw", "QUC", "hw", 1.5)
+        for keyword in ("", "two words", "tab\tword"):
+            with pytest.raises(ValidationError, match=re.escape(f"rule keyword {keyword!r} must be one")):
+                SignalRule(keyword, "RE", "un", 1.0)
 
     def test_multi_utterance_turns_and_pauses_present(self):
         result = generate_corpus(small_config(n_sessions=30))
@@ -98,6 +103,54 @@ class TestGeneration:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config.to_payload()), encoding="utf-8")
         assert SynthConfig.from_file(path) == config
+
+
+# Each tag gets a 43-word phrase and a one-word one; with 60-80 fillers an
+# utterance runs to 100-170 words.
+_LONG_TEMPLATES = {
+    name: {tag: (" ".join(["so", "then", tag.lower()] * 14 + ["end"]), tag.lower()) for tag in templates}
+    for name, templates in (("da_templates", DEFAULT_DA_TEMPLATES), ("mc_templates", DEFAULT_MC_TEMPLATES))
+}
+
+
+class TestDrawOrder:
+    """generate_corpus draws every value from the same position of the seed's
+    stream as the one-scalar-draw-per-value reference, so a corpus is a
+    function of its config and seed alone."""
+
+    @pytest.mark.parametrize("n_sessions", [1, 7, 40])
+    @pytest.mark.parametrize("seed", [0, 7, 99999])
+    def test_default_config_matches_the_reference(self, seed, n_sessions):
+        self.assert_matches(SynthConfig(n_sessions=n_sessions, seed=seed))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(word_dropout=0.3),
+            dict(keyword_occurrences=(0, 0)),
+            dict(keyword_occurrences=(5, 9)),
+            dict(rules=()),
+            dict(utterances_per_turn=(1, 1)),
+            dict(utterances_per_turn=(4, 9)),
+            dict(pause_rate=0.0),
+            dict(pause_rate=1.0),
+            dict(_LONG_TEMPLATES, filler_words_per_utterance=(60, 80), keyword_occurrences=(5, 9)),
+            _LONG_TEMPLATES,
+            dict(_LONG_TEMPLATES, filler_words_per_utterance=(1, 1), word_dropout=0.3),
+        ],
+        ids=["dropout", "no-keywords", "many-keywords", "no-rules", "one-utterance-turns", "long-turns",
+             "no-pauses", "all-pauses", "long-utterances", "long-templates", "long-templates-one-filler"],
+    )
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_config_variant_matches_the_reference(self, seed, overrides):
+        self.assert_matches(SynthConfig(n_sessions=7, seed=seed, **overrides))
+
+    @staticmethod
+    def assert_matches(config):
+        got, want = generate_corpus(config), reference_generate_corpus(config)
+        assert got.sessions == want.sessions
+        assert got.tagged == want.tagged
+        assert got.boundary_lines == want.boundary_lines
 
 
 class TestPlantedSignal:
