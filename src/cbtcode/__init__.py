@@ -63,7 +63,6 @@ from .features import (  # noqa: E402
 from .svm import LinearModel, SvmProblem, class_weights, predict, train_svm, train_svms  # noqa: E402
 from .evaluate import (  # noqa: E402
     EvalReport,
-    FoldPlan,
     combined_f_statistic,
     five_by_two_cv_f_test,
     make_folds,

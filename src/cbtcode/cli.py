@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .corpus import parse_corpus, read_scores_table, write_corpus, write_scores_table
+from .corpus import embedded_scores, parse_corpus, read_scores_table, write_corpus, write_scores_table
 from .errors import CbtCodeError, MissingArtifactError, ValidationError
 from .evaluate import LABEL_COLUMNS, FoldTask, fit_folds_and_count, five_by_two_cv_f_test, label_matrix, run_protocol
 from .pipeline import (
@@ -191,9 +191,7 @@ def _cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_corpus(result.sessions, out / "corpus.jsonl")
     write_tagged_corpus(result.tagged, out / "gold_tags.jsonl")
-    write_scores_table(
-        {s.id: s.scores for s in result.sessions if s.scores is not None}, out / "labels.csv"
-    )
+    write_scores_table(embedded_scores(result.sessions), out / "labels.csv")
     (out / "boundary_text.txt").write_text("\n".join(result.boundary_lines) + "\n", encoding="utf-8")
     save_artifact(out / "synth_manifest.json", "synth_manifest", {"config": config.to_payload()})
     print(f"wrote {len(result.sessions)} sessions to {out}")
@@ -238,8 +236,7 @@ def _scores_for(labels_path, scores_from_path):
     if labels_path:
         return read_scores_table(labels_path)
     if scores_from_path:
-        sessions = parse_corpus(scores_from_path, sniff_corpus_kind(scores_from_path))
-        return {s.id: s.scores for s in sessions if s.scores is not None}
+        return embedded_scores(parse_corpus(scores_from_path, sniff_corpus_kind(scores_from_path)))
     raise ValidationError("no label source: pass --labels or an input with embedded scores")
 
 
@@ -316,10 +313,12 @@ def _cmd_evaluate(args) -> int:
                 raise ValidationError(
                     f"{args.matrix} holds feature set {matrix.set_name!r}, not --set {args.feature_set!r}"
                 )
+            scores = _scores_for(args.labels, args.input)
         else:
-            matrix = build_feature_matrix(read_tagged_corpus(args.input), config.feature_set, config.max_df,
-                                          config.min_df, config.word_denominator)
-        scores = _scores_for(args.labels, args.input)
+            sessions = read_tagged_corpus(args.input)
+            matrix = build_feature_matrix(sessions, config.feature_set, config.max_df, config.min_df,
+                                          config.word_denominator)
+            scores = read_scores_table(args.labels) if args.labels else embedded_scores(sessions)
         report = run_protocol(matrix, scores, config.folds, config.seed, config.k_grid, config.svm_c)
     save_report(report, args.report)
     if args.table:
@@ -333,7 +332,7 @@ def _cmd_compare(args) -> int:
     """The 5x2cv F test under the pipeline config; its folds are fixed by the method."""
     config = _config(args)
     sessions = read_tagged_corpus(args.input)
-    scores = _scores_for(args.labels, args.input)
+    scores = read_scores_table(args.labels) if args.labels else embedded_scores(sessions)
     matrices = {}
     for name in (args.set_a, args.set_b):
         if name not in matrices:

@@ -243,6 +243,12 @@ def binarize_scores(scores: CodeScores) -> CodeLabels:
     )
 
 
+def embedded_scores(sessions: Iterable[Session]) -> dict[str, CodeScores]:
+    """The scores the sessions carry, keyed by session id; sessions without
+    scores are left out."""
+    return {s.id: s.scores for s in sessions if s.scores is not None}
+
+
 # ---------------------------------------------------------------------------
 # Corpus file IO: UTF-8 JSONL, one session record per line.
 
@@ -297,20 +303,16 @@ def session_from_record(rec: dict, where: str = "record", form: str = "turns") -
     utterances = form == "utterances"
     item = form[:-1]
     try:
-        if utterances:
-            if rec.get("format_version") != FORMAT_VERSION:
-                raise ParseError("missing or unsupported format_version")
-            if "id" not in rec or not isinstance(rec.get(form), list):
-                raise ParseError("tagged session record needs an id and a list of utterances")
-        else:
-            if "id" not in rec:
-                raise ParseError("missing session id")
-            if rec.get("format_version") != FORMAT_VERSION:
-                raise ParseError(f"missing or unsupported format_version (expected {FORMAT_VERSION})")
-            if not isinstance(rec.get(form, []), list):
-                raise ParseError("turns must be a list")
+        if rec.get("format_version") != FORMAT_VERSION:
+            raise ParseError(f"missing or unsupported format_version (expected {FORMAT_VERSION})")
+        if "id" not in rec:
+            raise ParseError("missing session id")
+        if not isinstance(rec.get(form), list):
+            other = "turns" if utterances else "utterances"
+            held = f"; the record holds {other}" if other in rec else ""
+            raise ParseError(f"expected a list of {form}{held}")
         turns = []
-        for i, trec in enumerate(rec.get(form, [])):
+        for i, trec in enumerate(rec[form]):
             if not isinstance(trec, dict) or "speaker" not in trec or not isinstance(trec.get("tokens"), list):
                 raise ParseError(f"{item} {i}: expected object with speaker and a list of tokens")
             index = trec.get("index", i) if utterances else i  # a turn has no index

@@ -39,14 +39,17 @@ def label_matrix(session_ids: Sequence[str], scores_by_id: Mapping[str, CodeScor
     return np.array([(*r.per_code, r.total) for r in rows], dtype=bool).reshape(-1, len(LABEL_COLUMNS))
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """A deterministic partition of session ids into k folds."""
-
-    k: int
-    folds: tuple[tuple[str, ...], ...]
-    seed: int
-    stratified: bool
+def _check_both_classes(labels: np.ndarray, codes: Sequence[str]) -> None:
+    """Each named column of a `label_matrix` must hold at least 2 sessions of
+    each class: stratified folds then put each class in at least 2 folds, so
+    every training fold holds both."""
+    for code in codes:
+        high = int(labels[:, LABEL_COLUMNS.index(code)].sum())
+        low = len(labels) - high
+        if min(high, low) < 2:
+            raise ValidationError(
+                f"code {code}: {high} high and {low} low sessions; cross-validation needs at least 2 of each"
+            )
 
 
 class FoldCounts(NamedTuple):
@@ -56,16 +59,12 @@ class FoldCounts(NamedTuple):
     tn: int
 
 
-def make_folds(
-    session_ids: Sequence[str],
-    k: int,
-    seed: int,
-    stratify_on: Mapping[str, bool] | None = None,
-) -> FoldPlan:
-    """Shuffled partition into k folds whose sizes differ by at most one.
+def make_folds(session_ids: Sequence[str], k: int, seed: int, y: np.ndarray) -> np.ndarray:
+    """The fold, 0..k-1, of each session row.
 
-    When stratify_on is given, each label class is dealt across folds so
-    per-fold class counts differ from an even split by at most one.
+    Each label class of y, its rows in sorted-id order, is shuffled and dealt
+    round-robin by one running position, class False first, so fold sizes
+    and each fold's class counts differ from an even split by at most one.
     """
     ids = list(session_ids)
     if k < 2:
@@ -76,30 +75,15 @@ def make_folds(
         raise ValidationError(f"cannot make {k} folds from {len(ids)} sessions")
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate session ids")
+    y = np.asarray(y)
+    if y.dtype != bool or y.shape != (len(ids),):
+        raise ValidationError(f"fold labels must be {len(ids)} booleans, one per session; got {y.dtype} {y.shape}")
     rng = np.random.default_rng(seed)
-    folds: list[list[str]] = [[] for _ in range(k)]
-    position = 0
-    if stratify_on is None:
-        groups = [sorted(ids)]
-    else:
-        missing = sorted(set(ids) - set(stratify_on))
-        if missing:
-            raise ValidationError(f"missing stratification labels for sessions: {missing}")
-        groups = [
-            sorted(i for i in ids if not stratify_on[i]),
-            sorted(i for i in ids if stratify_on[i]),
-        ]
-    for group in groups:
-        order = rng.permutation(len(group))
-        for gi in order:
-            folds[position % k].append(group[gi])
-            position += 1
-    return FoldPlan(
-        k=k,
-        folds=tuple(tuple(f) for f in folds),
-        seed=int(seed),
-        stratified=stratify_on is not None,
-    )
+    rows = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    dealt = np.concatenate([group[rng.permutation(len(group))] for group in (rows[~y[rows]], rows[y[rows]])])
+    fold_of = np.empty(len(ids), dtype=np.intp)
+    fold_of[dealt] = np.arange(len(ids)) % k
+    return fold_of
 
 
 def pooled_f1(per_fold_counts: Sequence[tuple[int, int, int]]) -> float:
@@ -181,36 +165,26 @@ def fit_fold_and_count(
 
 
 def _cv_tasks(
-    X: np.ndarray,
-    session_ids: Sequence[str],
-    selectable: np.ndarray,
-    y: np.ndarray,
-    plan: FoldPlan,
-    k_features: int,
+    X: np.ndarray, selectable: np.ndarray, y: np.ndarray, fold_of: np.ndarray, k_features: int
 ) -> list[FoldTask]:
-    """One task per fold of the plan: it tests on the fold and trains on every
-    other row, both in session order."""
-    row_of = {sid: i for i, sid in enumerate(session_ids)}
-    fold_of = np.full(len(session_ids), -1)
-    for f, fold in enumerate(plan.folds):
-        fold_of[[row_of[sid] for sid in fold]] = f
+    """One task per fold of `make_folds`: it tests on the fold and trains on
+    every other row, both in session order."""
     return [
         FoldTask(X, selectable, y, np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f), k_features)
-        for f in range(len(plan.folds))
+        for f in range(int(fold_of.max()) + 1)
     ]
 
 
 def cv_pooled_counts(
     X: np.ndarray,
-    session_ids: Sequence[str],
     selectable: np.ndarray,
     y: np.ndarray,
-    plan: FoldPlan,
+    fold_of: np.ndarray,
     k_features: int,
     svm_c: float,
 ) -> list[FoldCounts]:
     """Run one cross-validated task, returning per-fold confusion counts."""
-    tasks = _cv_tasks(X, session_ids, selectable, y, plan, k_features)
+    tasks = _cv_tasks(X, selectable, y, fold_of, k_features)
     return [fit.counts for fit in fit_folds_and_count(tasks, svm_c)]
 
 
@@ -224,12 +198,12 @@ def select_k_tasks(
     seed: int,
 ) -> tuple[list[int], list[FoldTask]]:
     """The K grid of `k_candidates` and its fold tasks, grid-major, on one
-    plan stratified on the total-score labels, one per row."""
+    split stratified on the total-score labels, one per row."""
     ks = k_candidates(k_grid, selectable)
     if not ks:
         return [], []
-    plan = make_folds(session_ids, folds, seed, dict(zip(session_ids, y_total.tolist())))
-    return ks, [t for k in ks for t in _cv_tasks(X, session_ids, selectable, y_total, plan, k)]
+    fold_of = make_folds(session_ids, folds, seed, y_total)
+    return ks, [t for k in ks for t in _cv_tasks(X, selectable, y_total, fold_of, k)]
 
 
 def k_candidates(k_grid: Sequence[int], selectable: np.ndarray) -> list[int]:
@@ -335,9 +309,10 @@ def run_protocol(
 
     The SVMs of each phase (every K x fold, then every code x fold) are
     solved together.  The total task reuses the selection's fits at the
-    chosen K, which used the same plan, labels, and K."""
+    chosen K, which used the same folds, labels, and K."""
     ids = matrix.session_ids
     labels = label_matrix(ids, scores_by_id)
+    _check_both_classes(labels, LABEL_COLUMNS)
     selectable = np.asarray(matrix.selectable, dtype=bool)
 
     ks, selection = select_k_tasks(matrix.X, ids, selectable, labels[:, -1], k_grid, n_folds, seed)
@@ -346,11 +321,8 @@ def run_protocol(
 
     tasks: list[FoldTask] = []
     for code, y in zip(LABEL_COLUMNS, labels.T):
-        if y.all() or not y.any():
-            raise ValidationError(f"code {code}: all sessions share one label; nothing to evaluate")
         if code != "total" or not ks:
-            plan = make_folds(ids, n_folds, seed, dict(zip(ids, y.tolist())))
-            tasks += _cv_tasks(matrix.X, ids, selectable, y, plan, chosen_k)
+            tasks += _cv_tasks(matrix.X, selectable, y, make_folds(ids, n_folds, seed, y), chosen_k)
     fits = fit_folds_and_count(tasks, svm_c)
     if ks:
         at = ks.index(chosen_k) * n_folds
@@ -468,6 +440,7 @@ def five_by_two_cv_f_test(
         raise ValidationError(f"unknown code {code!r}; expected one of {LABEL_COLUMNS}")
     ids = matrix_a.session_ids
     labels = label_matrix(ids, scores_by_id)
+    _check_both_classes(labels, ("total", code))
     y = labels[:, LABEL_COLUMNS.index(code)]
 
     selectables = [np.asarray(m.selectable, dtype=bool) for m in (matrix_a, matrix_b)]
@@ -482,9 +455,9 @@ def five_by_two_cv_f_test(
 
     tasks = []
     for rep in range(5):
-        plan = make_folds(ids, 2, seed + rep, dict(zip(ids, y.tolist())))
+        fold_of = make_folds(ids, 2, seed + rep, y)
         for matrix, selectable, k in zip((matrix_a, matrix_b), selectables, chosen):
-            tasks += _cv_tasks(matrix.X, ids, selectable, y, plan, k)
+            tasks += _cv_tasks(matrix.X, selectable, y, fold_of, k)
     fits = fit_folds_and_count(tasks, svm_c)
     # errs[i, m, j]: replication i, pipeline m, tested on half j (so trained on half 1 - j)
     errs = np.array([(f.counts.fp + f.counts.fn) / len(t.test_rows) for t, f in zip(tasks, fits)]).reshape(5, 2, 2)

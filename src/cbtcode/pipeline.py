@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import TAG_SETS, CodeScores, Session, parse_corpus, write_corpus
+from .corpus import TAG_SETS, CodeScores, Session, embedded_scores, parse_corpus, write_corpus
 from .errors import MissingArtifactError, ValidationError
 from .evaluate import EvalReport, run_protocol
 from .features import (
@@ -269,7 +269,7 @@ def run_end_to_end(
     write_matrix(matrix, matrix_path)
 
     if scores is None:
-        scores = {s.id: s.scores for s in sessions if s.scores is not None}
+        scores = embedded_scores(sessions)
     report = run_protocol(matrix, scores, config.folds, config.seed, config.k_grid, config.svm_c)
     report_path = out_dir / "report.json"
     save_report(report, report_path)

@@ -476,6 +476,31 @@ def reference_generate_corpus(config):
 
 
 # ---------------------------------------------------------------------------
+# Fold-assignment oracle
+
+
+def reference_make_folds(session_ids, k, seed, stratify_on):
+    """make_folds as session ids dealt one at a time: the folds as tuples of
+    ids, fold f holding the sessions whose fold number is f.  Each label
+    class of `stratify_on` ({id: bool}), its ids sorted, is permuted and
+    dealt round-robin by one running position, class False first."""
+    ids = list(session_ids)
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(k)]
+    position = 0
+    groups = [
+        sorted(i for i in ids if not stratify_on[i]),
+        sorted(i for i in ids if stratify_on[i]),
+    ]
+    for group in groups:
+        order = rng.permutation(len(group))
+        for gi in order:
+            folds[position % k].append(group[gi])
+            position += 1
+    return tuple(tuple(f) for f in folds)
+
+
+# ---------------------------------------------------------------------------
 # Random corpus builders
 
 

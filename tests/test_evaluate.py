@@ -15,52 +15,77 @@ from cbtcode.evaluate import (
     run_protocol,
 )
 from cbtcode.features import FeatureMatrix, anova_f_scores, fit_scaler, top_k_mask
+from helpers import reference_make_folds
 
 
 class TestMakeFolds:
     def test_equal_fold_sizes(self):
-        plan = make_folds([f"s{i}" for i in range(10)], 5, seed=0)
-        assert sorted(len(f) for f in plan.folds) == [2, 2, 2, 2, 2]
-        assert sorted(x for f in plan.folds for x in f) == sorted(f"s{i}" for i in range(10))
+        fold_of = make_folds([f"s{i}" for i in range(10)], 5, 0, np.arange(10) % 3 == 0)
+        assert sorted(fold_of.tolist()) == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
 
     def test_sizes_differ_by_at_most_one(self):
-        plan = make_folds([f"s{i}" for i in range(13)], 5, seed=1)
-        sizes = sorted(len(f) for f in plan.folds)
-        assert sizes[-1] - sizes[0] <= 1
+        fold_of = make_folds([f"s{i}" for i in range(13)], 5, 1, np.arange(13) % 4 == 0)
+        sizes = np.bincount(fold_of, minlength=5)
+        assert sizes.max() - sizes.min() <= 1
 
     def test_deterministic(self):
         ids = [f"s{i}" for i in range(20)]
-        assert make_folds(ids, 4, seed=3) == make_folds(ids, 4, seed=3)
+        y = np.arange(20) % 3 == 0
+        assert np.array_equal(make_folds(ids, 4, 3, y), make_folds(ids, 4, 3, y))
 
     def test_stratified_counts(self):
         ids = [f"s{i}" for i in range(10)]
-        labels = {sid: i < 6 for i, sid in enumerate(ids)}  # 6 high / 4 low
-        plan = make_folds(ids, 2, seed=0, stratify_on=labels)
-        for fold in plan.folds:
-            highs = sum(labels[sid] for sid in fold)
+        y = np.arange(10) < 6  # 6 high / 4 low
+        fold_of = make_folds(ids, 2, 0, y)
+        for f in range(2):
+            highs = int(y[fold_of == f].sum())
             assert highs == 3
-            assert len(fold) - highs == 2
+            assert int(np.sum(fold_of == f)) - highs == 2
 
     def test_stratified_within_one_of_even_split(self):
         rng = np.random.default_rng(2)
         for trial in range(20):
             n = int(rng.integers(10, 60))
             ids = [f"s{i}" for i in range(n)]
-            labels = {sid: bool(rng.random() < 0.3) for sid in ids}
-            if sum(labels.values()) in (0, n):
-                labels[ids[0]] = not labels[ids[0]]
+            y = rng.random(n) < 0.3
+            if y.sum() in (0, n):
+                y[0] = not y[0]
             k = int(rng.integers(2, 6))
             if k > n:
                 continue
-            plan = make_folds(ids, k, seed=trial, stratify_on=labels)
-            n_high = sum(labels.values())
-            for fold in plan.folds:
-                highs = sum(labels[sid] for sid in fold)
+            fold_of = make_folds(ids, k, trial, y)
+            n_high = int(y.sum())
+            for f in range(k):
+                highs = int(y[fold_of == f].sum())
                 assert abs(highs - n_high / k) <= 1.0
 
     def test_too_many_folds_rejected(self):
         with pytest.raises(ValidationError):
-            make_folds(["a", "b"], 3, seed=0)
+            make_folds(["a", "b"], 3, 0, np.array([True, False]))
+
+    @pytest.mark.parametrize("y", [[1, 0], [True], np.array([1, 0, 1]), np.array([True, False, True, False])])
+    def test_labels_must_be_one_boolean_per_session(self, y):
+        with pytest.raises(ValidationError, match="fold labels must be 3 booleans"):
+            make_folds(["a", "b", "c"], 2, 0, y)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_matches_reference_dealing(self, seed):
+        # Fold numbers order each report's fold counts and the 5x2cv columns,
+        # so every session must keep the fold the id-by-id dealing gives it.
+        # Shuffled and numeric-order ids ("s2" before "s10") differ from the
+        # sorted-id order the dealing uses.
+        rng = np.random.default_rng(seed)
+        for n in (2, 3, 4, 5, 7, 10, 13, 31, 60, 97, 150, 300):
+            numbered = [f"s{i}" for i in range(n)]
+            for ids in (numbered, [numbered[i] for i in rng.permutation(n)]):
+                one_high = np.zeros(n, dtype=bool)
+                one_high[rng.integers(n)] = True
+                for y in (rng.random(n) < 0.3, rng.random(n) < 0.5, one_high, ~one_high):
+                    for k in range(2, min(n, 6) + 1):
+                        folds = reference_make_folds(ids, k, seed, dict(zip(ids, y.tolist())))
+                        fold_of = make_folds(ids, k, seed, y)
+                        expected = {sid: f for f, fold in enumerate(folds) for sid in fold}
+                        assert fold_of.tolist() == [expected[sid] for sid in ids], (n, k)
 
 
 class TestPooledF1:
@@ -192,11 +217,8 @@ class TestRunProtocol:
             bits = rng.random(n) < 0.5
             if bits.all() or not bits.any():
                 bits[0] = not bits[0]
-            ids = [f"s{i}" for i in range(n)]
-            plan = make_folds(ids, 5, seed, dict(zip(ids, (bool(b) for b in bits))))
-            counts = cv_pooled_counts(
-                X, ids, np.ones(20, dtype=bool), bits, plan, k_features=20, svm_c=1.0
-            )
+            fold_of = make_folds([f"s{i}" for i in range(n)], 5, seed, bits)
+            counts = cv_pooled_counts(X, np.ones(20, dtype=bool), bits, fold_of, k_features=20, svm_c=1.0)
             f1 = pooled_f1([(c.tp, c.fp, c.fn) for c in counts])
             assert 0.35 <= f1 <= 0.65, f"seed {seed}: chance F1 {f1}"
 

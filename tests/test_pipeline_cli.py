@@ -430,7 +430,11 @@ def test_svm_file_with_seed_key_decodes_identically(workspace, tmp_path):
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: SynthConfig(seed=-1), lambda: PipelineConfig(seed=-1), lambda: make_folds(["a", "b"], 2, -1)],
+    [
+        lambda: SynthConfig(seed=-1),
+        lambda: PipelineConfig(seed=-1),
+        lambda: make_folds(["a", "b"], 2, -1, np.array([True, False])),
+    ],
     ids=["synth-config", "pipeline-config", "make-folds"],
 )
 def test_negative_seed_is_a_validation_error(build):
@@ -1126,3 +1130,51 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"{corpus}, line 1: session id {sid!r} contains a line break" in err
+
+    def test_corpus_record_in_the_other_form_is_exit_2_and_named(self, workspace, tmp_path, capsys):
+        """A turn-level reader given a tagged record, or the reverse, names the
+        file, the line and the form the record holds; it never reads the
+        record as a session without turns."""
+        data, models = workspace["data"], workspace["models"]
+        gold, corpus = data / "gold_tags.jsonl", data / "corpus.jsonl"
+        mixed = tmp_path / "mixed.jsonl"  # sniffed as turn-level from its first record
+        lines = corpus.read_text(encoding="utf-8").splitlines()[:1] + gold.read_text(encoding="utf-8").splitlines()[1:3]
+        mixed.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cases = [
+            (["segment", "--disable", "--in", str(gold)], gold, 1, "turns", "utterances"),
+            (["tag", "--scheme", "mc", "--model", str(models / "mc.json"), "--in", str(mixed)], mixed, 2, "turns",
+             "utterances"),
+            (["featurize", "--set", "tfidf", "--in", str(corpus)], corpus, 1, "utterances", "turns"),
+        ]
+        for argv, path, line, expected, held in cases:
+            out = tmp_path / "out.jsonl"
+            assert main([*argv, "--out", str(out)]) == 2, argv
+            err = capsys.readouterr().err
+            assert f"{path}, line {line}: expected a list of {expected}; the record holds {held}" in err
+            assert not out.exists()
+
+    def test_label_class_of_one_session_is_exit_2_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        """On this corpus code co has 1 high and 11 low sessions, so some
+        training fold would hold one class only; hw has both classes twice."""
+        data = tmp_path / "data"
+        assert main(["synth", "--n-sessions", "12", "--seed", "8", "--out", str(data)]) == 0
+        tagged, labels, matrix = data / "gold_tags.jsonl", data / "labels.csv", tmp_path / "tfidf.mtx"
+        assert main(["featurize", "--set", "tfidf", "--in", str(tagged), "--out", str(matrix)]) == 0
+        compare = ["compare", "--a", "mc-tfidf", "--b", "tfidf", "--in", str(tagged), "--labels", str(labels),
+                   "--k-grid", "8", "--out", str(tmp_path / "cmp.json")]
+        assert main([*compare, "--code", "hw"]) == 0
+
+        def no_fit(tasks, svm_c):
+            raise AssertionError("fitted before checking the label classes")
+
+        monkeypatch.setattr(cbtcode.evaluate, "fit_folds_and_count", no_fit)
+        capsys.readouterr()
+        runs = [
+            ["evaluate", "--matrix", str(matrix), "--labels", str(labels), "--k-grid", "8",
+             "--report", str(tmp_path / "r.json")],
+            [*compare, "--code", "co"],
+        ]
+        for argv in runs:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "code co: 1 high and 11 low sessions; cross-validation needs at least 2 of each" in err

@@ -210,14 +210,11 @@ class TestPlantedSignal:
             y = np.array(
                 [binarize_scores(s.scores).total for s in result.sessions], dtype=bool
             )
-            ids = list(matrix.session_ids)
-            plan = make_folds(ids, 5, seed, dict(zip(ids, (bool(b) for b in y))))
             counts = cv_pooled_counts(
                 matrix.X,
-                ids,
                 np.asarray(matrix.selectable, dtype=bool),
                 y,
-                plan,
+                make_folds(matrix.session_ids, 5, seed, y),
                 k_features=32,
                 svm_c=1.0,
             )
