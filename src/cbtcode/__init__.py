@@ -35,7 +35,6 @@ from .segmenter import (  # noqa: E402
 )
 from .tagger import (  # noqa: E402
     ChainCRF,
-    UtteranceClassifier,
     crf_loglik_grad,
     tag_da,
     tag_da_sessions,

@@ -9,7 +9,9 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,7 +26,6 @@ from .pipeline import (
     PipelineConfig,
     PipelineModels,
     build_feature_matrix,
-    load_tagger,
     run_end_to_end,
     segment_corpus,
     tag_corpus,
@@ -135,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores-from", help="corpus/tagged JSONL with embedded scores (svm)")
     p.add_argument("--k", type=int, help="keep the k best features by F score, >= 1 (svm)")
     _add_stage_flags(p, "svm_c")
-    p.add_argument("--l2", type=float, default=0.1, help="L2 strength, finite and >= 0 (boundary/da/mc)")
+    p.add_argument("--l2", type=float, help="L2 strength, finite and >= 0 (boundary/da/mc; default 0.1)")
     p.add_argument("--max-sequences", type=int, help="cap on training sequences, >= 1 (boundary)")
     p.add_argument("--out", required=True, help="model file")
 
@@ -184,6 +185,15 @@ def _config(args, cls=PipelineConfig):
     return replace(config, **passed)
 
 
+@contextmanager
+def _reading(path):
+    """Name path in a validation error raised in the block, which works on what was read from it."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def _cmd_synth(args) -> int:
     config = _config(args, SynthConfig)
     result = generate_corpus(config)
@@ -215,7 +225,7 @@ def _cmd_segment(args) -> int:
 
 def _cmd_tag(args) -> int:
     sessions = parse_corpus(args.input, sniff_corpus_kind(args.input))
-    tagged = tag_corpus(sessions, args.scheme, load_tagger(args.scheme, args.model))
+    tagged = tag_corpus(sessions, args.scheme, load_chain_crf(args.model, expect_scheme=args.scheme))
     write_tagged_corpus(tagged, args.out)
     print(f"tagged {len(tagged)} sessions with {args.scheme} -> {args.out}")
     return 0
@@ -224,7 +234,9 @@ def _cmd_tag(args) -> int:
 def _cmd_featurize(args) -> int:
     config = _config(args)
     sessions = read_tagged_corpus(args.input)
-    matrix = build_feature_matrix(sessions, config.feature_set, config.max_df, config.min_df, config.word_denominator)
+    with _reading(args.input):
+        matrix = build_feature_matrix(sessions, config.feature_set, config.max_df, config.min_df,
+                                      config.word_denominator)
     write_matrix(matrix, args.out)
     if args.space_out:
         save_feature_space(matrix, args.space_out)
@@ -240,7 +252,26 @@ def _scores_for(labels_path, scores_from_path):
     raise ValidationError("no label source: pass --labels or an input with embedded scores")
 
 
+# The train flags that only some --what values read, by dest: the flag and those values.
+_TRAIN_FLAG_USES = {
+    "max_sequences": ("--max-sequences", ("boundary",)),
+    "l2": ("--l2", ("boundary", "da", "mc")),
+    "code": ("--code", ("svm",)),
+    "features": ("--features", ("svm",)),
+    "labels": ("--labels", ("svm",)),
+    "scores_from": ("--scores-from", ("svm",)),
+    "k": ("--k", ("svm",)),
+    "svm_c": ("--c", ("svm",)),
+}
+
+
 def _cmd_train(args) -> int:
+    for dest, (flag, whats) in _TRAIN_FLAG_USES.items():
+        if getattr(args, dest) is not None and args.what not in whats:
+            raise ValidationError(f"{flag} applies only to --what {'|'.join(whats)}, not --what {args.what}")
+    l2 = 0.1 if args.l2 is None else args.l2
+    if not 0.0 <= l2 < math.inf:  # NaN too
+        raise ValidationError(f"--l2 must be finite and non-negative, got {l2}")
     if args.what == "svm":
         if not args.features or not args.code:
             raise ValidationError("train --what svm needs --features and --code")
@@ -276,8 +307,9 @@ def _cmd_train(args) -> int:
         lines = [ln.split() for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
         if args.max_sequences is not None:
             lines = lines[: args.max_sequences]
-        data = make_boundary_training_data(lines)
-        model = train_boundary_model(data, l2=args.l2)
+        with _reading(path):
+            data = make_boundary_training_data(lines)
+            model = train_boundary_model(data, l2=l2)
         save_chain_crf(model, args.out)
         print(f"trained boundary model on {len(data)} sequences -> {args.out}")
         return 0
@@ -285,12 +317,12 @@ def _cmd_train(args) -> int:
     if not args.input:
         raise ValidationError(f"train --what {args.what} needs --in (gold-tagged corpus)")
     sessions = read_tagged_corpus(args.input)
-    if args.what == "da":
-        model = train_chain_crf(da_training_sequences(sessions), DA_TAG_SET, l2=args.l2)
-        save_chain_crf(model, args.out)
-    else:
-        model = train_utterance_classifier(mc_training_examples(sessions), l2=args.l2)
-        save_utterance_classifier(model, args.out)
+    with _reading(args.input):
+        if args.what == "da":
+            model = train_chain_crf(da_training_sequences(sessions), DA_TAG_SET, l2=l2)
+        else:
+            model = train_utterance_classifier(mc_training_examples(sessions), l2=l2)
+    (save_chain_crf if args.what == "da" else save_utterance_classifier)(model, args.out)
     print(f"trained {args.what} tagger on {len(sessions)} sessions -> {args.out}")
     return 0
 
@@ -316,8 +348,9 @@ def _cmd_evaluate(args) -> int:
             scores = _scores_for(args.labels, args.input)
         else:
             sessions = read_tagged_corpus(args.input)
-            matrix = build_feature_matrix(sessions, config.feature_set, config.max_df, config.min_df,
-                                          config.word_denominator)
+            with _reading(args.input):
+                matrix = build_feature_matrix(sessions, config.feature_set, config.max_df, config.min_df,
+                                              config.word_denominator)
             scores = read_scores_table(args.labels) if args.labels else embedded_scores(sessions)
         report = run_protocol(matrix, scores, config.folds, config.seed, config.k_grid, config.svm_c)
     save_report(report, args.report)
@@ -334,10 +367,11 @@ def _cmd_compare(args) -> int:
     sessions = read_tagged_corpus(args.input)
     scores = read_scores_table(args.labels) if args.labels else embedded_scores(sessions)
     matrices = {}
-    for name in (args.set_a, args.set_b):
-        if name not in matrices:
-            matrices[name] = build_feature_matrix(sessions, name, config.max_df, config.min_df,
-                                                  config.word_denominator)
+    with _reading(args.input):
+        for name in (args.set_a, args.set_b):
+            if name not in matrices:
+                matrices[name] = build_feature_matrix(sessions, name, config.max_df, config.min_df,
+                                                      config.word_denominator)
     result = five_by_two_cv_f_test(
         matrices[args.set_a],
         matrices[args.set_b],

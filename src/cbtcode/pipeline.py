@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import TAG_SETS, CodeScores, Session, embedded_scores, parse_corpus, write_corpus
+from .corpus import TAG_SETS, THERAPIST, CodeScores, Session, embedded_scores, parse_corpus, write_corpus
 from .errors import MissingArtifactError, ValidationError
 from .evaluate import EvalReport, run_protocol
 from .features import (
@@ -30,13 +30,12 @@ from .features import (
 from .segmenter import DEFAULT_PAUSE_THRESHOLD, BoundaryModel, segment_sessions
 from .serialize import (
     load_chain_crf,
-    load_utterance_classifier,
     save_artifact,
     save_report,
     write_matrix,
     write_tagged_corpus,
 )
-from .tagger import ChainCRF, UtteranceClassifier, tag_da_sessions, tag_mc_sessions
+from .tagger import ChainCRF, tag_da_sessions, tag_mc_sessions
 from .util import corpus_fingerprint, read_config
 
 FEATURE_SETS = ("tfidf", "da", "mc", "tfidf+da", "tfidf+mc", "da-tfidf", "mc-tfidf")
@@ -80,6 +79,8 @@ class PipelineConfig:
             raise ValidationError("k_grid must be a non-empty list of positive integers")
         if self.word_denominator not in ("therapist", "session"):
             raise ValidationError("word_denominator must be 'therapist' or 'session'")
+        if not 0 <= self.min_df < self.max_df <= 1:  # NaN too
+            raise ValidationError(f"need 0 <= min_df < max_df <= 1, got min_df={self.min_df}, max_df={self.max_df}")
         if not 0 < self.svm_c < math.inf:  # NaN too
             raise ValidationError(f"C and the class weights must be positive and finite, got svm_c={self.svm_c}")
 
@@ -122,7 +123,7 @@ def segment_corpus(
 def tag_corpus(
     sessions: Sequence[Session],
     scheme: str,
-    model: ChainCRF | UtteranceClassifier,
+    model: ChainCRF,
 ) -> list[Session]:
     """Tag every session's utterances with one scheme, keeping other tags."""
     if scheme not in TAG_SETS:
@@ -146,9 +147,16 @@ def build_feature_matrix(
     block; da / mc are the tag block alone.
     """
     scheme_name = required_scheme(feature_set)
+    if not sessions:
+        raise ValidationError("no sessions to featurize")
     ids = tuple(s.id for s in sessions)
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate session ids in corpus")
+    if scheme_name:  # the therapist utterances carry the tags a tag-based set reads
+        for s in sessions:
+            for i, u in enumerate(s.turns):
+                if u.speaker == THERAPIST and u.tag(scheme_name) is None:
+                    raise ValidationError(f"session {s.id}, utterance {i}: no {scheme_name} tag")
     fingerprint = corpus_fingerprint(ids)
     therapist = [s.therapist_turns() for s in sessions]
     scheme = TAG_SETS[scheme_name] if scheme_name else None
@@ -210,20 +218,13 @@ def _load_boundary(models: PipelineModels) -> BoundaryModel:
     return load_chain_crf(models.boundary, expect_scheme="boundary")
 
 
-def load_tagger(scheme: str, path: str | Path) -> ChainCRF | UtteranceClassifier:
-    """The tagger model of one scheme: a chain CRF for da, an utterance classifier for mc."""
-    if scheme == "da":
-        return load_chain_crf(path, expect_scheme="da")
-    return load_utterance_classifier(path, expect_scheme="mc")
-
-
-def _load_tagger(scheme: str, models: PipelineModels) -> ChainCRF | UtteranceClassifier:
+def _load_tagger(scheme: str, models: PipelineModels) -> ChainCRF:
     path = models.da if scheme == "da" else models.mc
     if path is None:
         raise MissingArtifactError(
             f"feature set requires the {scheme} tagger model but none was given (--{scheme}-model)"
         )
-    return load_tagger(scheme, path)
+    return load_chain_crf(path, expect_scheme=scheme)
 
 
 def run_end_to_end(

@@ -26,7 +26,7 @@ from .evaluate import EvalReport, FiveByTwoResult
 from .features import FeatureMatrix
 from .segmenter import BOUNDARY_LABELS
 from .svm import LinearModel
-from .tagger import ChainCRF, UtteranceClassifier
+from .tagger import ChainCRF
 
 FORMAT_VERSION = 1
 
@@ -86,7 +86,7 @@ def sniff_corpus_kind(path: str | Path) -> str:
 # Models
 
 
-def _save_model(model: ChainCRF | UtteranceClassifier | LinearModel, path: str | Path, kind: str, **extra) -> None:
+def _save_model(model: ChainCRF | LinearModel, path: str | Path, kind: str, **extra) -> None:
     """One payload field per dataclass field of the model, plus extra: arrays
     through _encode_array, tuples as lists, other values as they are."""
     payload = dict(extra)
@@ -107,20 +107,39 @@ def save_chain_crf(model: ChainCRF, path: str | Path) -> None:
 def load_chain_crf(path: str | Path, expect_scheme: str | None = None) -> ChainCRF:
     path = Path(path)
     p = load_artifact(path, "chain_crf")
-    fields = _tagger_fields(p, path, expect_scheme)
-    k = len(fields["labels"])
-    return ChainCRF(**fields, transitions=_array(p, path, "transitions", (k, k)))
+    scheme = _field(p, path, "scheme", "str")
+    if expect_scheme is not None and scheme != expect_scheme:
+        raise ValidationError(f"{path}: model tags scheme {scheme!r}, expected {expect_scheme!r}")
+    labels = _field(p, path, "labels", "strs")
+    known = _SCHEME_LABELS.get(scheme, labels)
+    if not labels or len(set(labels)) != len(labels) or sorted(labels) != sorted(known):
+        raise ValidationError(f"{path}: payload field 'labels' must be distinct {scheme} labels, got {labels}")
+    names = _field(p, path, "feature_names", "strs")
+    k = len(labels)
+    return ChainCRF(
+        scheme=scheme,
+        labels=tuple(labels),
+        feature_names=tuple(names),
+        weights=_array(p, path, "weights", (len(names), k)),
+        transitions=_array(p, path, "transitions", (k, k)),
+        l2=float(_field(p, path, "l2", "number")),
+        n_iter=_field(p, path, "n_iter", "count"),
+        grad_norm=float(_field(p, path, "grad_norm", "number")),
+        converged=_field(p, path, "converged", "bool"),
+        feature_template=_field(p, path, "feature_template", "str", ""),
+    )
 
 
-def save_utterance_classifier(model: UtteranceClassifier, path: str | Path) -> None:
-    _save_model(model, path, "utterance_classifier")
+# The MC tagger's file is a chain_crf file; `train --what mc` writes it
+# through these names.
 
 
-def load_utterance_classifier(path: str | Path, expect_scheme: str | None = None) -> UtteranceClassifier:
-    path = Path(path)
-    p = load_artifact(path, "utterance_classifier")
-    fields = _tagger_fields(p, path, expect_scheme)
-    return UtteranceClassifier(**fields, bias=_array(p, path, "bias", (len(fields["labels"]),)))
+def save_utterance_classifier(model: ChainCRF, path: str | Path) -> None:
+    save_chain_crf(model, path)
+
+
+def load_utterance_classifier(path: str | Path, expect_scheme: str | None = "mc") -> ChainCRF:
+    return load_chain_crf(path, expect_scheme)
 
 
 def save_linear_model(model: LinearModel, path: str | Path, code: str | None = None) -> None:
@@ -193,29 +212,6 @@ def _array(p: dict, path: Path, name: str, shape: tuple[int, ...] | None = None)
         want = "a " + " x ".join(map(str, shape)) + " array" if shape is not None else "an array"
         raise ValidationError(f"{path}: payload field {name!r} must be {want} of finite numbers (base64 float64)")
     return arr.reshape(shape or -1)
-
-
-def _tagger_fields(p: dict, path: Path, expect_scheme: str | None) -> dict:
-    """The fields a chain CRF and an utterance classifier share."""
-    scheme = _field(p, path, "scheme", "str")
-    if expect_scheme is not None and scheme != expect_scheme:
-        raise ValidationError(f"{path}: model tags scheme {scheme!r}, expected {expect_scheme!r}")
-    labels = _field(p, path, "labels", "strs")
-    known = _SCHEME_LABELS.get(scheme, labels)
-    if not labels or len(set(labels)) != len(labels) or sorted(labels) != sorted(known):
-        raise ValidationError(f"{path}: payload field 'labels' must be distinct {scheme} labels, got {labels}")
-    names = _field(p, path, "feature_names", "strs")
-    return {
-        "scheme": scheme,
-        "labels": tuple(labels),
-        "feature_names": tuple(names),
-        "weights": _array(p, path, "weights", (len(names), len(labels))),
-        "l2": float(_field(p, path, "l2", "number")),
-        "n_iter": _field(p, path, "n_iter", "count"),
-        "grad_norm": float(_field(p, path, "grad_norm", "number")),
-        "converged": _field(p, path, "converged", "bool"),
-        "feature_template": _field(p, path, "feature_template", "str", ""),
-    }
 
 
 def save_feature_space(matrix: FeatureMatrix, path: str | Path) -> None:

@@ -1,10 +1,11 @@
-"""Utterance taggers: a linear-chain CRF for dialog acts and a multinomial
-linear classifier for MI skill codes, plus the shared training machinery.
+"""Utterance taggers: linear-chain CRFs for dialog acts and MI skill codes,
+plus the shared training machinery.
 
-Both models score an utterance from lowercased unigrams, bigrams, a length
+Both taggers score an utterance from lowercased unigrams, bigrams, a length
 bucket, and a bias feature.  The DA tagger decodes a whole session's
 utterance sequence jointly (therapist and patient interleaved, in order);
-the MC tagger labels each utterance independently.
+the MC tagger is the same model over one-utterance sequences, so it labels
+each utterance independently.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .chain import forward_backward, viterbi
 from .corpus import DA_TAG_SET, MC_TAG_SET, TAG_SETS, Session, TagSet, Turn  # noqa: F401 (tag sets re-exported)
 from .errors import ValidationError
-from .optimize import OptResult, minimize_lbfgs
+from .optimize import minimize_lbfgs
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -228,7 +229,7 @@ def train_chain_crf(
     res = minimize_lbfgs(fun, theta0, tol=tol, max_iter=max_iter)
     if not res.converged:
         warnings.warn(
-            f"chain CRF training stopped at max_iter={max_iter} with gradient norm "
+            f"chain CRF training of the {scheme} model stopped at max_iter={max_iter} with gradient norm "
             f"{res.grad_norm:.3e} > {tol:.0e}",
             stacklevel=2,
         )
@@ -279,71 +280,7 @@ def tag_da(utterances: Sequence[Turn], model: ChainCRF) -> list[Turn]:
 
 
 # ---------------------------------------------------------------------------
-# Per-utterance multinomial classifier (MC tags)
-
-
-@dataclass(frozen=True)
-class UtteranceClassifier:
-    """Linear multinomial classifier over utterance features."""
-
-    scheme: str
-    labels: tuple[str, ...]
-    feature_names: tuple[str, ...]
-    weights: np.ndarray  # (n_features, n_labels)
-    bias: np.ndarray  # (n_labels,)
-    l2: float
-    n_iter: int = 0
-    grad_norm: float = 0.0
-    converged: bool = True
-    feature_template: str = UTTERANCE_FEATURE_TEMPLATE
-
-    @cached_property
-    def _feature_index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.feature_names)}
-
-    def score_matrix(self, utterances: Iterable[Sequence[str]]) -> np.ndarray:
-        """(utterances, n_labels) scores of the utterances' words, in order."""
-        ids, counts, _ = feature_ids(([utterance_features(words)] for words in utterances), self._feature_index)
-        return gather_rows(self.weights, ids, counts, self.bias)
-
-    def scores(self, words: Sequence[str]) -> np.ndarray:
-        return self.score_matrix([words])[0]
-
-    def predict(self, words: Sequence[str]) -> str:
-        return self.labels[int(np.argmax(self.scores(words)))]
-
-
-def multinomial_training_objective(
-    examples: Sequence[tuple[Sequence[str], str]],
-    labels: tuple[str, ...],
-    feature_names: Sequence[str],
-    l2: float,
-) -> Callable:
-    """Objective over [W.flat, bias] for labeled (words, tag) examples."""
-    label_index = {lab: i for i, lab in enumerate(labels)}
-    feature_index = {f: i for i, f in enumerate(feature_names)}
-    for _, lab in examples:
-        if lab not in label_index:
-            raise ValidationError(f"unknown tag {lab!r}")
-    gold = np.array([label_index[lab] for _, lab in examples], dtype=np.intp)
-    A = _incidence(([utterance_features(words)] for words, _ in examples), feature_index)
-    At = A.T.tocsr()
-    n, n_w, l2 = len(examples), len(feature_names) * len(labels), float(l2)
-
-    def fun(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        W = theta[:n_w].reshape(-1, len(labels))
-        S = A @ W + theta[n_w:]
-        m = S.max(axis=1, keepdims=True)
-        log_z = m[:, 0] + np.log(np.exp(S - m).sum(axis=1))
-        nll = float((log_z - S[np.arange(n), gold]).sum())
-        nll += 0.5 * l2 * float(np.dot(W.reshape(-1), W.reshape(-1)))
-
-        resid = np.exp(S - log_z[:, None])
-        resid[np.arange(n), gold] -= 1.0  # d nll / d score
-        gW = At @ resid + l2 * W
-        return nll, np.concatenate([gW.reshape(-1), resid.sum(axis=0)])
-
-    return fun
+# MC tags: a chain CRF over one-utterance sequences
 
 
 def train_utterance_classifier(
@@ -353,8 +290,10 @@ def train_utterance_classifier(
     l2: float = 0.1,
     tol: float = 1e-4,
     max_iter: int = 500,
-) -> UtteranceClassifier:
-    """Fit the multinomial utterance classifier (deterministic)."""
+) -> ChainCRF:
+    """Fit the per-utterance tagger: a chain CRF whose sequences are single
+    (words, tag) utterances, so it is a multinomial classifier and its
+    transitions get no data gradient and stay 0 (deterministic)."""
     _check_l2(l2)
     if not data:
         raise ValidationError("no training utterances")
@@ -362,43 +301,20 @@ def train_utterance_classifier(
     for lab in tag_set.labels:
         if lab not in present:
             raise ValidationError(f"class {lab!r} absent from training data")
-    names = sorted({f for words, _ in data for f in utterance_features(words)})
-    fun = multinomial_training_objective(data, tag_set.labels, names, l2)
-    k = len(tag_set.labels)
-    theta0 = np.zeros(len(names) * k + k)
-    res: OptResult = minimize_lbfgs(fun, theta0, tol=tol, max_iter=max_iter)
-    if not res.converged:
-        warnings.warn(
-            f"utterance classifier stopped at max_iter={max_iter} with gradient norm "
-            f"{res.grad_norm:.3e} > {tol:.0e}",
-            stacklevel=2,
-        )
-    return UtteranceClassifier(
-        scheme=tag_set.name,
-        labels=tag_set.labels,
-        feature_names=tuple(names),
-        weights=res.x[: len(names) * k].reshape(len(names), k),
-        bias=res.x[len(names) * k :],
-        l2=float(l2),
-        n_iter=res.n_iter,
-        grad_norm=res.grad_norm,
-        converged=res.converged,
-    )
+    sequences = [([utterance_features(words)], [tag]) for words, tag in data]
+    return train_chain_crf(sequences, tag_set, l2=l2, tol=tol, max_iter=max_iter)
 
 
-def tag_mc_sessions(
-    sessions: Sequence[Sequence[Turn]], model: UtteranceClassifier
-) -> list[list[Turn]]:
-    """Each session's utterances with their MI skill codes set, each
-    independently, all scored in one gather."""
+def tag_mc_sessions(sessions: Sequence[Sequence[Turn]], model: ChainCRF) -> list[list[Turn]]:
+    """Each session's utterances with their MI skill codes set, each utterance
+    decoded as its own sequence (the argmax of its scores), all in one batch."""
     if model.scheme != "mc":
         raise ValidationError(f"model tags scheme {model.scheme!r}, expected 'mc'")
-    scores = model.score_matrix(u.tokens.texts for utts in sessions for u in utts)
-    tags = iter(np.argmax(scores, axis=1).tolist())
-    return [[replace(u, mc=model.labels[next(tags)]) for u in utts] for utts in sessions]
+    paths = iter(model.decode_many([utterance_features(u.tokens.texts)] for utts in sessions for u in utts))
+    return [[replace(u, mc=model.labels[int(next(paths)[0])]) for u in utts] for utts in sessions]
 
 
-def tag_mc(utterances: Sequence[Turn], model: UtteranceClassifier) -> list[Turn]:
+def tag_mc(utterances: Sequence[Turn], model: ChainCRF) -> list[Turn]:
     """The utterances with their MI skill codes set, each independently."""
     return tag_mc_sessions([utterances], model)[0]
 
@@ -412,9 +328,9 @@ def da_training_sequences(sessions: Sequence[Session]) -> list[LabeledSequence]:
     for s in sessions:
         feats = []
         labels = []
-        for u in s.turns:
+        for i, u in enumerate(s.turns):
             if u.da is None:
-                raise ValidationError(f"session {s.id}: utterance without a da tag")
+                raise ValidationError(f"session {s.id}, utterance {i}: no da tag")
             feats.append(utterance_features(u.tokens.texts))
             labels.append(u.da)
         if feats:
@@ -425,8 +341,8 @@ def da_training_sequences(sessions: Sequence[Session]) -> list[LabeledSequence]:
 def mc_training_examples(sessions: Sequence[Session]) -> list[tuple[list[str], str]]:
     out: list[tuple[list[str], str]] = []
     for s in sessions:
-        for u in s.turns:
+        for i, u in enumerate(s.turns):
             if u.mc is None:
-                raise ValidationError(f"session {s.id}: utterance without an mc tag")
+                raise ValidationError(f"session {s.id}, utterance {i}: no mc tag")
             out.append((list(u.tokens.texts), u.mc))
     return out

@@ -61,13 +61,12 @@ def reference_viterbi(E: np.ndarray, T: np.ndarray) -> list[int]:
     return path
 
 
-def reference_emissions(feature_names, weights: np.ndarray, feats_per_pos, start=None) -> np.ndarray:
-    """Per position, start (zeros by default) plus the weight row of each
-    known feature, added one feature at a time: the loop the taggers ran
-    before their batched gather."""
+def reference_emissions(feature_names, weights: np.ndarray, feats_per_pos) -> np.ndarray:
+    """Per position, zeros plus the weight row of each known feature, added
+    one feature at a time: the loop the taggers ran before their batched
+    gather."""
     index = {name: i for i, name in enumerate(feature_names)}
-    k = weights.shape[1]
-    E = np.zeros((len(feats_per_pos), k)) if start is None else np.tile(start, (len(feats_per_pos), 1))
+    E = np.zeros((len(feats_per_pos), weights.shape[1]))
     for t, feats in enumerate(feats_per_pos):
         for f in feats:
             j = index.get(f)

@@ -24,7 +24,6 @@ from cbtcode.tagger import (
     crf_training_objective,
     da_training_sequences,
     mc_training_examples,
-    multinomial_training_objective,
     train_chain_crf,
     train_utterance_classifier,
     utterance_features,
@@ -110,22 +109,24 @@ def test_criterion_02_gradients_match_finite_differences():
         fun = crf_training_objective(data, labels, names, l2=float(rng.uniform(0.0, 1.0)))
         theta = rng.normal(size=len(names) * len(labels) + len(labels) ** 2) * 0.5
         worst = max(worst, _max_fd_rel_error(fun, theta))
-    worst_multi = 0.0
+    # The MC tagger's objective: the same CRF objective over one-utterance
+    # sequences of utterance features.
+    worst_single = 0.0
     for _ in range(100):
         labels = tuple(f"C{i}" for i in range(int(rng.integers(2, 4))))
         examples = []
         for _ in range(int(rng.integers(3, 8))):
             ws = [str(rng.choice(["a", "b", "c"])) for _ in range(int(rng.integers(1, 4)))]
-            examples.append((ws, labels[int(rng.integers(0, len(labels)))]))
-        names = tuple(sorted({f for ws, _ in examples for f in utterance_features(ws)}))
-        fun = multinomial_training_objective(examples, labels, names, l2=float(rng.uniform(0.0, 1.0)))
-        theta = rng.normal(size=len(names) * len(labels) + len(labels)) * 0.5
-        worst_multi = max(worst_multi, _max_fd_rel_error(fun, theta))
+            examples.append(([utterance_features(ws)], [labels[int(rng.integers(0, len(labels)))]]))
+        names = tuple(sorted({f for fs, _ in examples for f in fs[0]}))
+        fun = crf_training_objective(examples, labels, names, l2=float(rng.uniform(0.0, 1.0)))
+        theta = rng.normal(size=len(names) * len(labels) + len(labels) ** 2) * 0.5
+        worst_single = max(worst_single, _max_fd_rel_error(fun, theta))
     report_line(
         2,
-        worst < 1e-5 and worst_multi < 1e-5,
+        worst < 1e-5 and worst_single < 1e-5,
         f"gradient checks vs central differences: CRF worst rel err {worst:.2e}, "
-        f"multinomial worst rel err {worst_multi:.2e} (< 1e-5)",
+        f"one-utterance (MC) CRF worst rel err {worst_single:.2e} (< 1e-5)",
     )
 
 

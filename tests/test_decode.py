@@ -17,7 +17,6 @@ from cbtcode.tagger import (
     DA_TAG_SET,
     MC_TAG_SET,
     ChainCRF,
-    UtteranceClassifier,
     utterance_features,
 )
 from helpers import random_session, reference_emissions, reference_viterbi
@@ -89,22 +88,24 @@ class TestGather:
             assert same_bits(model.emission_matrix(feats), want)
 
     def test_classifier_scores_are_bit_identical(self):
+        # The MC tagger: a chain CRF over one-utterance sequences, whose path
+        # is the argmax of the utterance's scores (ties to the lowest index).
         rng = np.random.default_rng(14)
         names = sorted({f for w in WORDS[:-2] for f in utterance_features([w, w, w])})
-        k = len(MC_TAG_SET.labels)
-        bias = rng.normal(size=k)
-        bias[2] = -0.0  # kept as -0.0 where no known feature is added
-        model = UtteranceClassifier("mc", MC_TAG_SET.labels, tuple(names), rng.normal(size=(len(names), k)), bias, 0.0)
+        model = random_chain(rng, names, MC_TAG_SET.labels, "mc")
         utterances = [random_words(rng, int(rng.integers(1, 12))) for _ in range(40)] + [["so", "so", "so", "so"]]
-        got = model.score_matrix(utterances)
-        for words, row in zip(utterances, got):
-            want = reference_emissions(names, model.weights, [utterance_features(words)], start=bias)[0]
-            assert same_bits(row, want)
-            assert same_bits(model.scores(words), want)
-            assert model.predict(words) == model.labels[int(np.argmax(want))]
-        bare = UtteranceClassifier("mc", MC_TAG_SET.labels, ("w=x",), np.ones((1, k)), bias, 0.0)
-        assert same_bits(bare.scores(["so"]), bias)
-        assert bare.score_matrix([]).shape == (0, k)
+        feats = [utterance_features(words) for words in utterances]
+        got = model.emission_matrix(feats)
+        paths = model.decode_many([row] for row in feats)
+        for row, scores, path in zip(feats, got, paths, strict=True):
+            want = reference_emissions(names, model.weights, [row])[0]
+            assert same_bits(scores, want)
+            assert same_bits(model.emission_matrix([row])[0], want)
+            assert path.tolist() == [int(np.argmax(want))]
+        bare = ChainCRF("mc", MC_TAG_SET.labels, ("w=x",), np.ones((1, 7)), np.zeros((7, 7)), 0.0)
+        assert same_bits(bare.emission_matrix([utterance_features(["so"])]), np.zeros((1, 7)))
+        assert bare.decode([utterance_features(["so"])]) == [0]  # all tied: the first label
+        assert bare.decode_many([]) == []
 
     def test_decode_many_matches_per_sequence_decoding(self):
         rng = np.random.default_rng(15)
@@ -128,9 +129,7 @@ def da_model(rng):
 
 def mc_model(rng):
     names = sorted({f for w in WORDS[:-2] for f in utterance_features([w, w])})
-    k = len(MC_TAG_SET.labels)
-    return UtteranceClassifier("mc", MC_TAG_SET.labels, tuple(names), rng.normal(size=(len(names), k)),
-                               rng.normal(size=k), 0.0)
+    return random_chain(rng, names, MC_TAG_SET.labels, "mc")
 
 
 def utterance_sessions(rng):
@@ -162,8 +161,8 @@ class TestCorpusStages:
         sessions = utterance_sessions(rng)
         for session, out in zip(sessions, tag_corpus(sessions, "mc", model)):
             for u, tagged in zip(session.turns, out.turns, strict=True):
-                want = reference_emissions(model.feature_names, model.weights, [utterance_features(u.tokens.texts)],
-                                           start=model.bias)[0]
+                feats = [utterance_features(u.tokens.texts)]
+                want = reference_emissions(model.feature_names, model.weights, feats)[0]
                 assert tagged.mc == model.labels[int(np.argmax(want))]
         assert tag_corpus([], "mc", model) == []
 

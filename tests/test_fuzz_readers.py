@@ -381,8 +381,6 @@ def use_model(kind, model):
         tag_da(utts, model)
     elif model.scheme == "mc":
         tag_mc(utts, model)
-    elif kind == "mc":
-        model.predict(tokens.texts)
     else:
         model.decode([["bias"], ["w=what"]])
 
@@ -412,7 +410,7 @@ def test_model_loaders_mutated_payload(tmp_path, kind, data):
 
 def test_classifier_with_empty_payload_names_the_file_and_field(tmp_path):
     path = tmp_path / "mc.json"
-    path.write_text(json.dumps({"format_version": 1, "kind": "utterance_classifier", "payload": {}}), encoding="utf-8")
+    path.write_text(json.dumps({"format_version": 1, "kind": "chain_crf", "payload": {}}), encoding="utf-8")
     with pytest.raises(ValidationError, match=re.escape(f"{path}: payload field 'scheme' is missing")):
         load_utterance_classifier(path)
 
@@ -430,7 +428,9 @@ def load_edited(tmp_path, kind: str, edits: dict):
     return path, lambda: small_models()[kind][2](path)
 
 
-@pytest.mark.parametrize("kind, field", [("mc", "weights"), ("da", "weights"), ("da", "transitions"), ("mc", "bias")])
+@pytest.mark.parametrize(
+    "kind, field", [("mc", "weights"), ("da", "weights"), ("da", "transitions"), ("mc", "transitions")]
+)
 def test_short_row_names_the_file_and_field(tmp_path, kind, field):
     blob = base64.b64decode(model_doc(kind, tmp_path)["payload"][field])
     path, load = load_edited(tmp_path, kind, {field: base64.b64encode(blob[:-8]).decode("ascii")})
@@ -460,7 +460,7 @@ def _bad_blob(blob: bytes, case: str):
 )
 @pytest.mark.parametrize(
     "kind, field",
-    [("boundary", "weights"), ("da", "transitions"), ("mc", "weights"), ("mc", "bias"), ("svm", "weights"),
+    [("boundary", "weights"), ("da", "transitions"), ("mc", "weights"), ("mc", "transitions"), ("svm", "weights"),
      ("svm", "scaler_std")],
 )
 def test_bad_array_blob_names_the_file_and_field(tmp_path, kind, field, case):
@@ -501,9 +501,7 @@ def test_save_load_round_trip_is_bit_exact(tmp_path, kind):
     if kind == "svm":  # room for every extreme value
         model = replace(model, weights=np.zeros(6), feature_mask=tuple(range(6)), scaler_mean=np.zeros(6),
                         scaler_std=np.ones(6))
-    fields = {"svm": ("weights", "scaler_mean", "scaler_std"), "mc": ("weights", "bias")}.get(
-        kind, ("weights", "transitions")
-    )
+    fields = ("weights", "scaler_mean", "scaler_std") if kind == "svm" else ("weights", "transitions")
     for name, arrays in (
         ("trained", {f: getattr(model, f) for f in fields}),
         ("extremes", {f: np.resize(EXTREMES, getattr(model, f).shape) for f in fields}),

@@ -16,7 +16,7 @@ from cbtcode.cli import _build_parser, main
 from cbtcode.corpus import CODES
 from cbtcode.evaluate import make_folds
 from cbtcode.pipeline import PipelineConfig
-from cbtcode.serialize import load_linear_model, load_report, read_matrix
+from cbtcode.serialize import load_chain_crf, load_linear_model, load_report, read_matrix
 from cbtcode.svm import decision_function
 from cbtcode.synth import SynthConfig
 
@@ -1178,3 +1178,86 @@ class TestExitCodes:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert "code co: 1 high and 11 low sessions; cross-validation needs at least 2 of each" in err
+
+    @pytest.mark.parametrize(
+        "what, flag, value, applies",
+        [("mc", "--max-sequences", "3", "boundary"), ("svm", "--l2", "5", "boundary|da|mc"),
+         ("da", "--c", "3", "svm"), ("boundary", "--code", "total", "svm"), ("mc", "--features", "m.mtx", "svm"),
+         ("da", "--labels", "labels.csv", "svm"), ("boundary", "--scores-from", "gold.jsonl", "svm"),
+         ("mc", "--k", "4", "svm")],
+    )
+    def test_train_flag_that_its_what_ignores_is_exit_2(self, workspace, tmp_path, capsys, what, flag, value, applies):
+        source = workspace["data"] / ("boundary_text.txt" if what == "boundary" else "gold_tags.jsonl")
+        out = tmp_path / "model.json"
+        assert main(["train", "--what", what, "--in", str(source), flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {flag} applies only to --what {applies}, not --what {what}\n"
+        assert not out.exists()
+
+    @staticmethod
+    def _drop_mc_tag(workspace, tmp_path):
+        """The gold corpus without the mc tag of one therapist utterance past
+        the first of its session: the file, the session id and the index."""
+        records = [json.loads(line) for line in (workspace["data"] / "gold_tags.jsonl").read_text("utf-8").splitlines()]
+        record = records[3]
+        index = next(i for i, u in enumerate(record["utterances"]) if i > 0 and u["speaker"] == "therapist")
+        del record["utterances"][index]["mc"]
+        path = tmp_path / "untagged.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        return path, record["id"], index
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["featurize", "--set", "mc-tfidf"], ["featurize", "--set", "tfidf+mc"], ["featurize", "--set", "mc"],
+         ["evaluate", "--set", "tfidf+mc"], ["compare", "--a", "tfidf", "--b", "mc-tfidf"],
+         ["train", "--what", "mc"]],
+        ids=["featurize-mc-tfidf", "featurize-tfidf+mc", "featurize-mc", "evaluate-in", "compare", "train"],
+    )
+    def test_utterance_without_a_tag_is_exit_2_naming_file_session_and_index(self, workspace, tmp_path, capsys, argv):
+        path, sid, index = self._drop_mc_tag(workspace, tmp_path)
+        out = tmp_path / "out"
+        out_flag = "--report" if argv[0] == "evaluate" else "--out"
+        assert main([*argv, "--in", str(path), out_flag, str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: session {sid}, utterance {index}: no mc tag\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["train", "--what", "boundary"], "no punctuated text to build boundary training data from"),
+         (["train", "--what", "da"], "no training sequences"),
+         (["train", "--what", "mc"], "no training utterances"),
+         (["featurize", "--set", "tfidf"], "no sessions to featurize"),
+         (["featurize", "--set", "mc"], "no sessions to featurize")],
+        ids=["train-boundary", "train-da", "train-mc", "featurize-tfidf", "featurize-mc"],
+    )
+    def test_empty_input_is_exit_2_and_names_the_file(self, tmp_path, capsys, argv, message):
+        path = tmp_path / ("blank.txt" if "boundary" in argv else "empty.jsonl")
+        path.write_text("\n \n" if "boundary" in argv else "", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([*argv, "--in", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
+
+    def test_utterance_classifier_file_is_exit_2_and_named(self, workspace, tmp_path, capsys):
+        """MC models of earlier versions were utterance_classifier files; they must be retrained."""
+        doc = json.loads((workspace["models"] / "mc.json").read_text(encoding="utf-8"))
+        doc["kind"] = "utterance_classifier"
+        doc["payload"]["bias"] = doc["payload"].pop("transitions")
+        old = tmp_path / "old_mc.json"
+        old.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "tagged.jsonl"
+        argv = ["tag", "--scheme", "mc", "--model", str(old), "--in", str(workspace["data"] / "gold_tags.jsonl")]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {old}: expected kind 'chain_crf', found 'utterance_classifier'\n"
+        assert not out.exists()
+
+
+def test_mc_model_trained_by_the_cli_is_a_chain_crf_with_zero_transitions(workspace, tmp_path):
+    doc = json.loads((workspace["models"] / "mc.json").read_text(encoding="utf-8"))
+    assert (doc["kind"], doc["payload"]["scheme"]) == ("chain_crf", "mc")
+    model = load_chain_crf(workspace["models"] / "mc.json", expect_scheme="mc")
+    assert model.transitions.shape == (7, 7) and not model.transitions.any()
+    default = tmp_path / "mc.json"  # --l2 left out trains at 0.1
+    gold = workspace["data"] / "gold_tags.jsonl"
+    assert main(["train", "--what", "mc", "--in", str(gold), "--out", str(default)]) == 0
+    assert json.loads(default.read_text(encoding="utf-8"))["payload"]["l2"] == 0.1
+

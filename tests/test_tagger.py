@@ -9,10 +9,11 @@ from cbtcode.tagger import (
     DA_TAG_SET,
     MC_TAG_SET,
     ChainCRF,
-    UtteranceClassifier,
-    multinomial_training_objective,
+    crf_training_objective,
     tag_da,
     tag_mc,
+    tag_mc_sessions,
+    train_chain_crf,
     train_utterance_classifier,
     utterance_features,
 )
@@ -129,22 +130,29 @@ def planted_mc_corpus(rng, n):
     return data
 
 
+def predict_mc(model, words):
+    return model.labels[model.decode([utterance_features(words)])[0]]
+
+
 class TestUtteranceClassifier:
+    """The MC tagger: a chain CRF trained and decoded on one-utterance sequences."""
+
     def test_planted_patterns_recovered(self):
         rng = np.random.default_rng(5)
         train = planted_mc_corpus(rng, 400)
         held = planted_mc_corpus(rng, 150)
         model = train_utterance_classifier(train, l2=0.01)
-        hits = sum(model.predict(words) == tag for words, tag in held)
+        assert isinstance(model, ChainCRF) and model.scheme == "mc"
+        hits = sum(predict_mc(model, words) == tag for words, tag in held)
         assert hits / len(held) >= 0.95
 
     def test_zero_weights_predict_first_label(self):
-        model = UtteranceClassifier(
+        model = ChainCRF(
             scheme="mc",
             labels=MC_TAG_SET.labels,
             feature_names=("bias",),
             weights=np.zeros((1, 7)),
-            bias=np.zeros(7),
+            transitions=np.zeros((7, 7)),
             l2=0.0,
         )
         utts = [make_utterance(["anything", "at", "all"]) for i in range(4)]
@@ -156,10 +164,10 @@ class TestUtteranceClassifier:
         examples = []
         for _ in range(12):
             words = [str(rng.choice(["a", "b", "c", "d"])) for _ in range(int(rng.integers(1, 5)))]
-            examples.append((words, labels[int(rng.integers(0, 3))]))
-        names = sorted({f for words, _ in examples for f in utterance_features(words)})
-        fun = multinomial_training_objective(examples, labels, names, l2=0.4)
-        theta = rng.normal(size=len(names) * 3 + 3) * 0.3
+            examples.append(([utterance_features(words)], [labels[int(rng.integers(0, 3))]]))
+        names = sorted({f for fs, _ in examples for f in fs[0]})
+        fun = crf_training_objective(examples, labels, names, l2=0.4)
+        theta = rng.normal(size=len(names) * 3 + 9) * 0.3
         _, grad = fun(theta)
         h = 1e-5
         for i in range(len(theta)):
@@ -181,7 +189,15 @@ class TestUtteranceClassifier:
         m1 = train_utterance_classifier(train, l2=0.1)
         m2 = train_utterance_classifier(train, l2=0.1)
         assert np.array_equal(m1.weights, m2.weights)
-        assert np.array_equal(m1.bias, m2.bias)
+        assert np.array_equal(m1.transitions, m2.transitions)
+
+    def test_transitions_stay_zero(self):
+        # One-position sequences give the transitions no data gradient, so
+        # from zero under L2 they stay exactly 0.
+        rng = np.random.default_rng(11)
+        for l2 in (0.0, 0.05, 1.0):
+            model = train_utterance_classifier(planted_mc_corpus(rng, 150), l2=l2)
+            assert model.transitions.shape == (7, 7) and not model.transitions.any()
 
     def test_mc_tagging_is_per_utterance(self):
         # reordering utterances reorders tags identically (no chain coupling)
@@ -196,9 +212,34 @@ class TestUtteranceClassifier:
         tags_rev = [tu.mc for tu in tag_mc(utts[::-1], model)]
         assert tags == tags_rev[::-1]
 
+    def test_tags_do_not_depend_on_utterance_order(self):
+        # Even under nonzero transitions: each utterance is its own sequence.
+        rng = np.random.default_rng(12)
+        model = train_utterance_classifier(planted_mc_corpus(rng, 200), l2=0.05)
+        model = replace(model, transitions=rng.normal(size=(7, 7)) * 5.0)
+        sessions = [[make_utterance(words) for words, _ in planted_mc_corpus(rng, n)] for n in (1, 9, 0, 14)]
+        tagged = tag_mc_sessions(sessions, model)
+        reversed_tagged = tag_mc_sessions([utts[::-1] for utts in sessions], model)
+        for tags, rev in zip(tagged, reversed_tagged, strict=True):
+            assert [u.mc for u in tags] == [u.mc for u in rev][::-1]
+            assert [u.mc for u in tags] == [predict_mc(model, u.tokens.texts) for u in tags]
+
     def test_scheme_checked(self):
         rng = np.random.default_rng(10)
         model = train_utterance_classifier(planted_mc_corpus(rng, 120))
         object.__setattr__(model, "scheme", "da")
         with pytest.raises(ValidationError):
             tag_mc([make_utterance(["hi"])], model)
+
+
+class TestMaxIterWarning:
+    @pytest.mark.parametrize("scheme", ["mc", "da"])
+    def test_warning_names_the_model(self, scheme):
+        rng = np.random.default_rng(13)
+        data = planted_mc_corpus(rng, 60)
+        with pytest.warns(UserWarning, match=f"chain CRF training of the {scheme} model stopped at max_iter=1"):
+            if scheme == "mc":
+                train_utterance_classifier(data, max_iter=1)
+            else:
+                feats = [utterance_features(words) for words, _ in data]
+                train_chain_crf([(feats, [DA_TAG_SET.labels[i % 7] for i in range(60)])], DA_TAG_SET, max_iter=1)
