@@ -25,7 +25,6 @@ from .corpus import (  # noqa: E402
 )
 from .chain import forward_backward, viterbi  # noqa: E402
 from .segmenter import (  # noqa: E402
-    boundary_f1,
     make_boundary_training_data,
     pause_split,
     segment,
@@ -35,7 +34,6 @@ from .segmenter import (  # noqa: E402
 )
 from .tagger import (  # noqa: E402
     ChainCRF,
-    crf_loglik_grad,
     tag_da,
     tag_da_sessions,
     tag_mc,
@@ -59,7 +57,7 @@ from .features import (  # noqa: E402
     tfidf_matrix,
     transform_tfidf,
 )
-from .svm import LinearModel, SvmProblem, class_weights, predict, train_svm, train_svms  # noqa: E402
+from .svm import LinearModel, SvmProblem, class_weights, train_svm, train_svms  # noqa: E402
 from .evaluate import (  # noqa: E402
     EvalReport,
     combined_f_statistic,

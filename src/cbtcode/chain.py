@@ -6,9 +6,8 @@ separate start/stop potentials.
 
 Every kernel takes one layout: emissions is the (total, k) stack of each
 sequence's rows, one sequence after another, and lengths gives each
-sequence's length (None: the rows are one sequence).  Inside, positions are
-packed step-major (`_step_major`), so each step of a recursion works on one
-contiguous block of rows.
+sequence's length.  Inside, positions are packed step-major (`_step_major`),
+so each step of a recursion works on one contiguous block of rows.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ from .errors import ValidationError
 _MAX_SPAN = 700.0  # below -log of the smallest normal float, 708.4
 
 
-def _check_inputs(emissions, transitions, lengths=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(emissions, transitions, lengths) validated; lengths [total] for None."""
+def _check_inputs(emissions, transitions, lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(emissions, transitions, lengths) validated."""
     E = np.asarray(emissions, dtype=float)
     if E.ndim != 2 or 0 in E.shape:
         raise ValidationError(f"emissions must be a (positions, n_tags) matrix, got shape {E.shape}")
@@ -31,8 +30,6 @@ def _check_inputs(emissions, transitions, lengths=None) -> tuple[np.ndarray, np.
         raise ValidationError(f"transitions must be ({k}, {k}), got {T.shape}")
     if not (np.all(np.isfinite(E)) and np.all(np.isfinite(T))):
         raise ValidationError("emissions and transitions must be finite")
-    if lengths is None:
-        return E, T, np.array([len(E)])
     n = np.asarray(lengths)
     if not (n.ndim == 1 and n.size and np.issubdtype(n.dtype, np.integer) and n.min() >= 1 and n.sum() == len(E)):
         raise ValidationError(
@@ -80,15 +77,14 @@ def _forward_backward_log(E: np.ndarray, T: np.ndarray, blocks) -> tuple[np.ndar
     return alpha, beta
 
 
-def forward_backward(emissions, transitions, lengths=None):
-    """Exact marginal inference for one sequence or a batch of them.
+def forward_backward(emissions, transitions, lengths):
+    """Exact marginal inference for a batch of sequences.
 
     emissions is the (total, k) stack of the sequences' rows and lengths
-    their lengths (None: one sequence).  Returns (log_partition, marginals,
-    pairwise): log_partition per sequence (a float for one sequence),
-    marginals (total, k) with rows summing to 1, and pairwise
-    (total - sequences, k, k), the joint probability of the tags of each
-    adjacent pair of positions, the pairs in order.
+    their lengths.  Returns (log_partition, marginals, pairwise):
+    log_partition per sequence, marginals (total, k) with rows summing to
+    1, and pairwise (total - sequences, k, k), the joint probability of the
+    tags of each adjacent pair of positions, the pairs in order.
 
     The recursion runs in probability space, each alpha row scaled to sum
     to 1 (Rabiner 1989).  A batch whose score ranges could make a term of it
@@ -142,17 +138,15 @@ def forward_backward(emissions, transitions, lengths=None):
     marginals[rows] = marg
     pairwise = np.empty_like(pair)
     pairwise[rows[b:] - seq[b:] - 1] = pair
-    if lengths is None:
-        return float(log_z[0]), marginals, pairwise
     return log_z, marginals, pairwise
 
 
-def viterbi(emissions, transitions, lengths=None):
-    """Highest-scoring tag sequence; ties resolved toward the lowest tag index.
+def viterbi(emissions, transitions, lengths):
+    """Highest-scoring tag sequences; ties resolved toward the lowest tag index.
 
     emissions is the (total, k) stack of the sequences' rows and lengths
     their lengths.  Returns the paths concatenated as a (total,) integer
-    array, or the path as a list of tags when lengths is None.
+    array.
     """
     E, T, n = _check_inputs(emissions, transitions, lengths)
     rows, _, _, blocks = _step_major(n)
@@ -178,17 +172,4 @@ def viterbi(emissions, transitions, lengths=None):
     path[:b] = tag
     paths = np.empty_like(path)
     paths[rows] = path
-    if lengths is None:
-        return paths.tolist()
     return paths
-
-
-def sequence_score(emissions, transitions, path) -> float:
-    """Additive score of one labeling under the chain model."""
-    E, T, _ = _check_inputs(emissions, transitions)
-    if len(path) != E.shape[0]:
-        raise ValidationError("path length does not match emissions")
-    score = float(E[np.arange(len(path)), path].sum())
-    if len(path) > 1:
-        score += float(T[path[:-1], path[1:]].sum())
-    return score

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .corpus import embedded_scores, parse_corpus, read_scores_table, write_corpus, write_scores_table
-from .errors import CbtCodeError, MissingArtifactError, ValidationError
+from .errors import CbtCodeError, MissingArtifactError, MissingLabelsError, ValidationError
 from .evaluate import LABEL_COLUMNS, FoldTask, fit_folds_and_count, five_by_two_cv_f_test, label_matrix, run_protocol
 from .pipeline import (
     FEATURE_SETS,
@@ -186,11 +186,11 @@ def _config(args, cls=PipelineConfig):
 
 
 @contextmanager
-def _reading(path):
-    """Name path in a validation error raised in the block, which works on what was read from it."""
+def _reading(path, errors=ValidationError):
+    """Name path in an error of the kind errors raised in the block, which works on what was read from it."""
     try:
         yield
-    except ValidationError as exc:
+    except errors as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 
@@ -252,23 +252,44 @@ def _scores_for(labels_path, scores_from_path):
     raise ValidationError("no label source: pass --labels or an input with embedded scores")
 
 
-# The train flags that only some --what values read, by dest: the flag and those values.
-_TRAIN_FLAG_USES = {
-    "max_sequences": ("--max-sequences", ("boundary",)),
-    "l2": ("--l2", ("boundary", "da", "mc")),
-    "code": ("--code", ("svm",)),
-    "features": ("--features", ("svm",)),
-    "labels": ("--labels", ("svm",)),
-    "scores_from": ("--scores-from", ("svm",)),
-    "k": ("--k", ("svm",)),
-    "svm_c": ("--c", ("svm",)),
+# The flags that only some modes of a subcommand read, by dest: the flag and
+# those modes.  A train mode is its --what value, an evaluate mode its input;
+# _MODE_NAMES says how an error names them.
+_FLAG_USES = {
+    "train": {
+        "max_sequences": ("--max-sequences", ("boundary",)),
+        "l2": ("--l2", ("boundary", "da", "mc")),
+        "code": ("--code", ("svm",)),
+        "features": ("--features", ("svm",)),
+        "labels": ("--labels", ("svm",)),
+        "scores_from": ("--scores-from", ("svm",)),
+        "k": ("--k", ("svm",)),
+        "svm_c": ("--c", ("svm",)),
+    },
+    "evaluate": {
+        "max_df": ("--max-df", ("tagged", "turn-level")),
+        "min_df": ("--min-df", ("tagged", "turn-level")),
+        "word_denominator": ("--word-denominator", ("tagged", "turn-level")),
+        "pause_threshold": ("--pause", ("turn-level",)),
+        "segmentation": ("--no-segmentation", ("turn-level",)),
+        "boundary_model": ("--boundary-model", ("turn-level",)),
+        "da_model": ("--da-model", ("turn-level",)),
+        "mc_model": ("--mc-model", ("turn-level",)),
+        "out_dir": ("--out-dir", ("turn-level",)),
+    },
 }
+_MODE_NAMES = {"train": "--what {}", "evaluate": "{} input"}
+
+
+def _check_flag_uses(args, mode: str) -> None:
+    name = _MODE_NAMES[args.command].format
+    for dest, (flag, modes) in _FLAG_USES[args.command].items():
+        if getattr(args, dest) is not None and mode not in modes:
+            raise ValidationError(f"{flag} applies only to {name('|'.join(modes))}, not {name(mode)}")
 
 
 def _cmd_train(args) -> int:
-    for dest, (flag, whats) in _TRAIN_FLAG_USES.items():
-        if getattr(args, dest) is not None and args.what not in whats:
-            raise ValidationError(f"{flag} applies only to --what {'|'.join(whats)}, not --what {args.what}")
+    _check_flag_uses(args, args.what)
     l2 = 0.1 if args.l2 is None else args.l2
     if not 0.0 <= l2 < math.inf:  # NaN too
         raise ValidationError(f"--l2 must be finite and non-negative, got {l2}")
@@ -279,8 +300,10 @@ def _cmd_train(args) -> int:
             raise ValidationError(f"--k must be at least 1, got {args.k}")
         svm_c = _config(args).svm_c
         matrix = read_matrix(args.features)
-        scores = _scores_for(args.labels, args.scores_from or args.input)
-        y = label_matrix(matrix.session_ids, scores)[:, LABEL_COLUMNS.index(args.code)]
+        scores_from = args.scores_from or args.input
+        scores = _scores_for(args.labels, scores_from)
+        with _reading(args.labels or scores_from, MissingLabelsError):
+            y = label_matrix(matrix.session_ids, scores)[:, LABEL_COLUMNS.index(args.code)]
         selectable = np.asarray(matrix.selectable, dtype=bool)
         k = args.k if args.k is not None else int(selectable.sum())
         rows = np.arange(len(y))
@@ -331,12 +354,15 @@ def _cmd_evaluate(args) -> int:
     config = _config(args)
     if not (args.matrix or args.input):
         raise ValidationError("evaluate needs --matrix or --in")
+    mode = "matrix" if args.matrix else ("turn-level" if sniff_corpus_kind(args.input) == "turns" else "tagged")
+    _check_flag_uses(args, mode)
     where = ""
-    if not args.matrix and sniff_corpus_kind(args.input) == "turns":
+    if mode == "turn-level":
         models = PipelineModels(boundary=args.boundary_model, da=args.da_model, mc=args.mc_model)
         out_dir = args.out_dir or str(Path(args.report).parent / "artifacts")
         table_scores = read_scores_table(args.labels) if args.labels else None
-        report, _ = run_end_to_end(config, args.input, models, out_dir, scores=table_scores)
+        with _reading(args.labels or args.input, MissingLabelsError):
+            report, _ = run_end_to_end(config, args.input, models, out_dir, scores=table_scores)
         where = f" (artifacts in {out_dir})"
     else:
         if args.matrix:
@@ -352,7 +378,8 @@ def _cmd_evaluate(args) -> int:
                 matrix = build_feature_matrix(sessions, config.feature_set, config.max_df, config.min_df,
                                               config.word_denominator)
             scores = read_scores_table(args.labels) if args.labels else embedded_scores(sessions)
-        report = run_protocol(matrix, scores, config.folds, config.seed, config.k_grid, config.svm_c)
+        with _reading(args.labels or args.input, MissingLabelsError):
+            report = run_protocol(matrix, scores, config.folds, config.seed, config.k_grid, config.svm_c)
     save_report(report, args.report)
     if args.table:
         Path(args.table).write_text(report.format_table(), encoding="utf-8")
@@ -372,15 +399,9 @@ def _cmd_compare(args) -> int:
             if name not in matrices:
                 matrices[name] = build_feature_matrix(sessions, name, config.max_df, config.min_df,
                                                       config.word_denominator)
-    result = five_by_two_cv_f_test(
-        matrices[args.set_a],
-        matrices[args.set_b],
-        scores,
-        code=args.code,
-        seed=config.seed,
-        k_grid=config.k_grid,
-        svm_c=config.svm_c,
-    )
+    with _reading(args.labels or args.input, MissingLabelsError):
+        result = five_by_two_cv_f_test(matrices[args.set_a], matrices[args.set_b], scores, code=args.code,
+                                       seed=config.seed, k_grid=config.k_grid, svm_c=config.svm_c)
     save_comparison(result, args.out, set_a=args.set_a, set_b=args.set_b, code=args.code, seed=config.seed)
     if result.f_statistic is None:
         print(f"{args.set_a} vs {args.set_b} on {args.code}: no difference")

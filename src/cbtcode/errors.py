@@ -17,6 +17,10 @@ class ParseError(ValidationError):
     """Malformed record in an input file; message names the offending line."""
 
 
+class MissingLabelsError(ValidationError):
+    """Sessions that the label source gives no scores for."""
+
+
 class MissingArtifactError(CbtCodeError):
     """A required file (corpus, model, matrix) is absent."""
 

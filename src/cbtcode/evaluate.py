@@ -14,7 +14,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import CODES, CodeScores, binarize_scores
-from .errors import ValidationError
+from .errors import MissingLabelsError, ValidationError
 from .features import (
     FeatureMatrix,
     ScalerStats,
@@ -34,7 +34,8 @@ def label_matrix(session_ids: Sequence[str], scores_by_id: Mapping[str, CodeScor
     column per LABEL_COLUMNS entry; True means high."""
     missing = sorted(sid for sid in session_ids if sid not in scores_by_id)
     if missing:
-        raise ValidationError(f"missing labels for sessions: {missing}")
+        shown = ", ".join(map(repr, missing[:5])) + (", ..." if len(missing) > 5 else "")
+        raise MissingLabelsError(f"missing labels for {len(missing)} of {len(session_ids)} sessions: {shown}")
     rows = [binarize_scores(scores_by_id[sid]) for sid in session_ids]
     return np.array([(*r.per_code, r.total) for r in rows], dtype=bool).reshape(-1, len(LABEL_COLUMNS))
 
@@ -267,25 +268,6 @@ class EvalReport:
                 for code, r in self.per_code.items()
             },
         }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "EvalReport":
-        per_code = {
-            code: CodeResult(
-                f1_high=entry["f1"],
-                f1_low=entry["f1_low"],
-                folds=tuple(FoldCounts(*c) for c in entry["folds"]),
-            )
-            for code, entry in payload["codes"].items()
-        }
-        return cls(
-            feature_set=payload["feature_set"],
-            seed=payload["seed"],
-            n_folds=payload["n_folds"],
-            chosen_k=payload["chosen_k"],
-            per_code=per_code,
-            avg_f1=payload["avg_f1"],
-        )
 
     def format_table(self) -> str:
         rows = [f"{'code':<6} {self.feature_set:>12}"]

@@ -100,17 +100,13 @@ def fit_tfidf(
     )
 
 
-def transform_tfidf(
-    tokens: Sequence[str], space: FeatureSpace, index: Mapping[str, int] | None = None
-) -> np.ndarray:
+def transform_tfidf(tokens: Sequence[str], space: FeatureSpace, index: Mapping[str, int]) -> np.ndarray:
     """Dense tf-idf row of one document: count(t) * idf(t), L2-normalized.
 
     Out-of-vocabulary terms are ignored, so a document with no vocabulary
-    term gives a zero row.  ``index`` is ``space.index()``, passed in by
-    callers that transform many documents so it is built once.
+    term gives a zero row.  ``index`` is ``space.index()``, built once by
+    the caller for all its documents.
     """
-    if index is None:
-        index = space.index()
     row = np.zeros(space.dim)
     cols, counts = np.unique([j for j in map(index.get, tokens) if j is not None], return_counts=True)
     if len(cols):

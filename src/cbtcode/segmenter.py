@@ -16,9 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Session, Turn
+from .corpus import Session, TagSet, Turn
 from .errors import ValidationError
-from .evaluate import pooled_f1
 from .tagger import ChainCRF, LabeledSequence, train_chain_crf
 
 DEFAULT_PAUSE_THRESHOLD = 2.0
@@ -27,6 +26,7 @@ INSIDE = "INSIDE"
 BOUNDARY = "BOUNDARY"
 # INSIDE first: Viterbi ties resolve to the lowest label index.
 BOUNDARY_LABELS = (INSIDE, BOUNDARY)
+BOUNDARY_TAG_SET = TagSet("boundary", BOUNDARY_LABELS)
 
 SENTENCE_FINAL = frozenset({".", "?", "!"})
 
@@ -129,15 +129,8 @@ def train_boundary_model(
     labeled: list[LabeledSequence] = [
         (boundary_features([str(w) for w in words]), list(labels)) for words, labels in data
     ]
-    return train_chain_crf(
-        labeled,
-        BOUNDARY_LABELS,
-        l2=l2,
-        scheme="boundary",
-        tol=tol,
-        max_iter=max_iter,
-        feature_template=BOUNDARY_FEATURE_TEMPLATE,
-    )
+    return train_chain_crf(labeled, BOUNDARY_TAG_SET, l2=l2, tol=tol, max_iter=max_iter,
+                           feature_template=BOUNDARY_FEATURE_TEMPLATE)
 
 
 def _utterance_ends(fragments: Sequence[Turn], model: BoundaryModel) -> list[list[int]]:
@@ -183,24 +176,3 @@ def segment_session(
 ) -> list[Turn]:
     """segment_sessions of one session."""
     return segment_sessions([session], model, threshold)[0]
-
-
-def boundary_f1(
-    predicted: Sequence[Sequence[str]],
-    gold: Sequence[Sequence[str]],
-) -> float:
-    """F1 of the BOUNDARY class over aligned label sequences."""
-    if len(predicted) != len(gold):
-        raise ValidationError(f"{len(predicted)} predicted sequences vs {len(gold)} gold")
-    tp = fp = fn = 0
-    for si, (p_seq, g_seq) in enumerate(zip(predicted, gold)):
-        if len(p_seq) != len(g_seq):
-            raise ValidationError(f"sequence {si}: length mismatch {len(p_seq)} vs {len(g_seq)}")
-        for p, g in zip(p_seq, g_seq):
-            if p == BOUNDARY and g == BOUNDARY:
-                tp += 1
-            elif p == BOUNDARY:
-                fp += 1
-            elif g == BOUNDARY:
-                fn += 1
-    return pooled_f1([(tp, fp, fn)])

@@ -20,11 +20,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .corpus import TAG_SETS, Session, parse_corpus, read_json_file, read_jsonl, read_lines, write_corpus
+from .corpus import DA_TAG_SET, MC_TAG_SET, Session, parse_corpus, read_json_file, read_jsonl, read_lines, write_corpus
 from .errors import MissingArtifactError, ParseError, ValidationError
 from .evaluate import EvalReport, FiveByTwoResult
 from .features import FeatureMatrix
-from .segmenter import BOUNDARY_LABELS
+from .segmenter import BOUNDARY_TAG_SET
 from .svm import LinearModel
 from .tagger import ChainCRF
 
@@ -181,7 +181,7 @@ _KINDS: dict[str, tuple[str, Callable[[object], bool]]] = {
     "counts": ("a list of indices", lambda v: type(v) is list and all(type(i) is int and i >= 0 for i in v)),
 }
 _MISSING = object()
-_SCHEME_LABELS = {"boundary": BOUNDARY_LABELS, **{name: tags.labels for name, tags in TAG_SETS.items()}}
+_SCHEME_LABELS = {tags.name: tags.labels for tags in (BOUNDARY_TAG_SET, DA_TAG_SET, MC_TAG_SET)}
 
 
 def _field(p: dict, path: Path, name: str, kind: str, default: object = _MISSING):
@@ -334,10 +334,6 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
 
 def save_report(report: EvalReport, path: str | Path) -> None:
     save_artifact(path, "eval_report", report.to_payload())
-
-
-def load_report(path: str | Path) -> EvalReport:
-    return EvalReport.from_payload(load_artifact(path, "eval_report"))
 
 
 def save_comparison(result: FiveByTwoResult, path: str | Path, *, set_a: str, set_b: str, code: str, seed: int) -> None:

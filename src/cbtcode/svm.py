@@ -55,14 +55,6 @@ class LinearModel:
     scaler_std: np.ndarray | None = None
 
 
-def hinge_objective(
-    X: np.ndarray, y_signed: np.ndarray, sample_c: np.ndarray, w: np.ndarray, b: float
-) -> float:
-    """Primal objective value at (w, b)."""
-    margins = y_signed * (X @ w + b)
-    return 0.5 * float(np.dot(w, w)) + float(np.dot(sample_c, np.maximum(0.0, 1.0 - margins)))
-
-
 def _optimal_bias(u: np.ndarray, ys: np.ndarray, sample_c: np.ndarray, pos_c: np.ndarray) -> np.ndarray:
     """Exact minimizer of the piecewise-linear weighted hinge loss in b, per row.
 
@@ -348,11 +340,6 @@ def decision_function(model: LinearModel, X: np.ndarray) -> np.ndarray:
     return X @ model.weights + model.bias
 
 
-def predict(model: LinearModel, x: np.ndarray) -> bool:
-    """High iff w.x + b > 0; an exact zero score is labeled low."""
-    score = decision_function(model, np.atleast_2d(x))
-    return bool(score[0] > 0.0)
-
-
 def predict_many(model: LinearModel, X: np.ndarray) -> np.ndarray:
+    """High iff w.x + b > 0, per row of X; an exact zero score is labeled low."""
     return decision_function(model, X) > 0.0

@@ -95,9 +95,6 @@ class ChainCRF:
         ends = np.cumsum(lengths).tolist()
         return [paths[end - n : end] for end, n in zip(ends, lengths.tolist())]
 
-    def decode(self, feats_per_pos: FeatureSeq) -> list[int]:
-        return self.decode_many([feats_per_pos])[0].tolist()
-
 
 def feature_ids(
     sequences: Iterable[FeatureSeq], index: Mapping[str, int]
@@ -208,21 +205,17 @@ def _check_l2(l2: float) -> None:
 
 def train_chain_crf(
     data: Sequence[LabeledSequence],
-    labels: tuple[str, ...] | TagSet,
+    tag_set: TagSet,
     *,
     l2: float = 0.1,
-    scheme: str | None = None,
     tol: float = 1e-4,
     max_iter: int = 500,
     feature_template: str = UTTERANCE_FEATURE_TEMPLATE,
 ) -> ChainCRF:
-    """Fit a chain CRF by penalized maximum likelihood (deterministic)."""
+    """Fit a chain CRF over the tag set's labels by penalized maximum
+    likelihood (deterministic); the model's scheme is the tag set's name."""
     _check_l2(l2)
-    if isinstance(labels, TagSet):
-        scheme = scheme or labels.name
-        labels = labels.labels
-    if scheme is None:
-        scheme = "chain"
+    scheme, labels = tag_set.name, tag_set.labels
     names = sorted({f for feats_per_pos, _ in data for feats in feats_per_pos for f in feats})
     fun = crf_training_objective(data, labels, names, l2)
     theta0 = np.zeros(len(names) * len(labels) + len(labels) ** 2)
@@ -238,7 +231,7 @@ def train_chain_crf(
     T = res.x[len(names) * k :].reshape(k, k)
     return ChainCRF(
         scheme=scheme,
-        labels=tuple(labels),
+        labels=labels,
         feature_names=tuple(names),
         weights=W,
         transitions=T,
@@ -248,18 +241,6 @@ def train_chain_crf(
         converged=res.converged,
         feature_template=feature_template,
     )
-
-
-def crf_loglik_grad(model: ChainCRF, data: Sequence[LabeledSequence]) -> tuple[float, np.ndarray]:
-    """Penalized log-likelihood and its gradient at the model's weights.
-
-    The gradient is ordered [emission weights (row-major), transitions
-    (row-major)] and equals observed minus expected feature counts minus the
-    L2 term.
-    """
-    fun = crf_training_objective(data, model.labels, model.feature_names, model.l2)
-    nll, grad = fun(np.concatenate([model.weights.reshape(-1), model.transitions.reshape(-1)]))
-    return -nll, -grad
 
 
 def tag_da_sessions(sessions: Sequence[Sequence[Turn]], model: ChainCRF) -> list[list[Turn]]:

@@ -14,6 +14,9 @@ from collections import Counter
 import numpy as np
 
 from cbtcode.corpus import CODES, DA_TAG_SET, MC_TAG_SET, CodeScores, Session, Tokens, Turn
+from cbtcode.errors import ValidationError
+from cbtcode.evaluate import pooled_f1
+from cbtcode.segmenter import BOUNDARY
 from cbtcode.synth import _DA_BASE, _MC_BASE, _STYLE_A, _STYLE_B, SynthResult, _build_vocabulary, _tag_distribution
 
 
@@ -21,13 +24,20 @@ from cbtcode.synth import _DA_BASE, _MC_BASE, _STYLE_A, _STYLE_B, SynthResult, _
 # Chain-model enumeration oracle
 
 
+def path_scores(E: np.ndarray, T: np.ndarray, paths: np.ndarray) -> np.ndarray:
+    """The additive chain score of each row of paths, one tag path per row."""
+    n = E.shape[0]
+    scores = E[np.arange(n), paths].sum(axis=1)
+    if n > 1:
+        scores = scores + T[paths[:, :-1], paths[:, 1:]].sum(axis=1)
+    return scores
+
+
 def enumerate_chain(E: np.ndarray, T: np.ndarray):
     """Brute-force log-partition, marginals, pairwise marginals, best path."""
     n, k = E.shape
     seqs = np.array(list(itertools.product(range(k), repeat=n)), dtype=int)
-    scores = E[np.arange(n), seqs].sum(axis=1)
-    if n > 1:
-        scores = scores + T[seqs[:, :-1], seqs[:, 1:]].sum(axis=1)
+    scores = path_scores(E, T, seqs)
     m = scores.max()
     log_z = m + math.log(np.exp(scores - m).sum())
     probs = np.exp(scores - log_z)
@@ -75,6 +85,24 @@ def reference_emissions(feature_names, weights: np.ndarray, feats_per_pos) -> np
     return E
 
 
+def boundary_f1(predicted, gold) -> float:
+    """F1 of the BOUNDARY class over aligned label sequences."""
+    if len(predicted) != len(gold):
+        raise ValidationError(f"{len(predicted)} predicted sequences vs {len(gold)} gold")
+    tp = fp = fn = 0
+    for si, (p_seq, g_seq) in enumerate(zip(predicted, gold)):
+        if len(p_seq) != len(g_seq):
+            raise ValidationError(f"sequence {si}: length mismatch {len(p_seq)} vs {len(g_seq)}")
+        for p, g in zip(p_seq, g_seq):
+            if p == BOUNDARY and g == BOUNDARY:
+                tp += 1
+            elif p == BOUNDARY:
+                fp += 1
+            elif g == BOUNDARY:
+                fn += 1
+    return pooled_f1([(tp, fp, fn)])
+
+
 # ---------------------------------------------------------------------------
 # tf-idf brute-force oracle (pure python)
 
@@ -100,6 +128,14 @@ def brute_tfidf(docs: list[tuple[str, list[str]]], max_df: float, min_df: float)
 # Weighted-hinge subgradient oracle (independent of the SVM solver)
 
 
+def hinge_objective(
+    X: np.ndarray, y_signed: np.ndarray, sample_c: np.ndarray, w: np.ndarray, b: float
+) -> float:
+    """The weighted SVM primal objective at (w, b)."""
+    margins = y_signed * (X @ w + b)
+    return 0.5 * float(np.dot(w, w)) + float(np.dot(sample_c, np.maximum(0.0, 1.0 - margins)))
+
+
 def subgradient_hinge_oracle(
     X: np.ndarray,
     y_signed: np.ndarray,
@@ -108,15 +144,10 @@ def subgradient_hinge_oracle(
     iters_per_round: int = 400,
 ) -> float:
     """Long projected-subgradient run with a halving Polyak target."""
-
-    def obj(w: np.ndarray, b: float) -> float:
-        margins = y_signed * (X @ w + b)
-        return 0.5 * float(w @ w) + float(np.dot(sample_c, np.maximum(0.0, 1.0 - margins)))
-
     n, d = X.shape
     w = np.zeros(d)
     b = 0.0
-    f_best = obj(w, b)
+    f_best = hinge_objective(X, y_signed, sample_c, w, b)
     w_best, b_best = w.copy(), b
     delta = 0.5 * max(1.0, f_best)
     for _ in range(rounds):
@@ -127,7 +158,7 @@ def subgradient_hinge_oracle(
             gw = w - X[act].T @ (sample_c[act] * y_signed[act])
             gb = -float(np.sum(sample_c[act] * y_signed[act]))
             gn2 = float(gw @ gw) + gb * gb
-            f = obj(w, b)
+            f = hinge_objective(X, y_signed, sample_c, w, b)
             if f < f_best:
                 f_best, w_best, b_best = f, w.copy(), b
             if gn2 == 0.0:

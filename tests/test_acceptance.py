@@ -16,7 +16,7 @@ from cbtcode.evaluate import combined_f_statistic, five_by_two_cv_f_test, run_pr
 from cbtcode.features import fit_tfidf, tag_count_features, tfidf_matrix
 from cbtcode.pipeline import build_feature_matrix, segment_corpus, tag_corpus
 from cbtcode.segmenter import make_boundary_training_data, train_boundary_model
-from cbtcode.svm import class_weights, hinge_objective, train_svm
+from cbtcode.svm import class_weights, train_svm
 from cbtcode.synth import SynthConfig, generate_corpus
 from cbtcode.tagger import (
     DA_TAG_SET,
@@ -28,7 +28,7 @@ from cbtcode.tagger import (
     train_utterance_classifier,
     utterance_features,
 )
-from helpers import brute_tfidf, enumerate_chain, subgradient_hinge_oracle
+from helpers import brute_tfidf, enumerate_chain, hinge_objective, subgradient_hinge_oracle
 
 
 def report_line(num, ok, description):
@@ -45,13 +45,12 @@ def test_criterion_01_sequence_core_matches_enumeration():
         k = int(rng.integers(2, 5))
         E = rng.normal(size=(n, k)) * 2.0
         T = rng.normal(size=(k, k))
-        log_z, marg, pair = forward_backward(E, T)
+        (log_z,), marg, pair = forward_backward(E, T, [n])
         ez, em, ep, best_score, best_path = enumerate_chain(E, T)
         worst = max(worst, abs(log_z - ez), float(np.abs(marg - em).max()))
         if n > 1:
             worst = max(worst, float(np.abs(pair - ep).max()))
-        path = viterbi(E, T)
-        assert path == best_path
+        assert viterbi(E, T, [n]).tolist() == best_path
     # The same kernels on ragged batches, the form CRF training and decoding
     # use: each sequence's rows stacked, with the lengths.
     n_batched = 0

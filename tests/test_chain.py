@@ -4,21 +4,21 @@ import numpy as np
 import pytest
 
 from cbtcode import chain
-from cbtcode.chain import forward_backward, sequence_score, viterbi
+from cbtcode.chain import forward_backward, viterbi
+from cbtcode.corpus import TagSet
 from cbtcode.errors import ValidationError
 from cbtcode.optimize import minimize_lbfgs
 from cbtcode.tagger import (
     ChainCRF,
-    crf_loglik_grad,
     crf_training_objective,
     train_chain_crf,
 )
-from helpers import enumerate_chain, reference_viterbi
+from helpers import enumerate_chain, path_scores, reference_viterbi
 
 
 class TestForwardBackward:
     def test_length_one_symmetry(self):
-        log_z, marg, pair = forward_backward(np.zeros((1, 2)), np.zeros((2, 2)))
+        (log_z,), marg, pair = forward_backward(np.zeros((1, 2)), np.zeros((2, 2)), [1])
         assert abs(log_z - math.log(2)) < 1e-12
         assert np.allclose(marg, [[0.5, 0.5]], atol=1e-12)
         assert pair.shape == (0, 2, 2)
@@ -26,7 +26,7 @@ class TestForwardBackward:
     def test_zero_transitions_factorize(self):
         rng = np.random.default_rng(0)
         E = rng.normal(size=(5, 3))
-        log_z, marg, _ = forward_backward(E, np.zeros((3, 3)))
+        _, marg, _ = forward_backward(E, np.zeros((3, 3)), [5])
         soft = np.exp(E) / np.exp(E).sum(axis=1, keepdims=True)
         assert np.allclose(marg, soft, atol=1e-12)
 
@@ -37,7 +37,7 @@ class TestForwardBackward:
             k = int(rng.integers(2, 5))
             E = rng.normal(size=(n, k)) * 2
             T = rng.normal(size=(k, k))
-            log_z, marg, pair = forward_backward(E, T)
+            (log_z,), marg, pair = forward_backward(E, T, [n])
             ez, em, ep, _, _ = enumerate_chain(E, T)
             assert abs(log_z - ez) < 1e-9
             assert np.abs(marg - em).max() < 1e-9
@@ -48,7 +48,7 @@ class TestForwardBackward:
         rng = np.random.default_rng(2)
         E = rng.normal(size=(7, 4))
         T = rng.normal(size=(4, 4))
-        _, marg, pair = forward_backward(E, T)
+        _, marg, pair = forward_backward(E, T, [7])
         assert np.abs(marg.sum(axis=1) - 1.0).max() < 1e-9
         assert np.abs(pair.sum(axis=2) - marg[:-1]).max() < 1e-9
         assert np.abs(pair.sum(axis=1) - marg[1:]).max() < 1e-9
@@ -57,19 +57,19 @@ class TestForwardBackward:
         rng = np.random.default_rng(3)
         E = rng.normal(size=(6, 3))
         T = rng.normal(size=(3, 3))
-        _, marg, _ = forward_backward(E, T)
-        path = viterbi(E, T)
+        _, marg, _ = forward_backward(E, T, [6])
+        path = viterbi(E, T, [6])
         E2 = E.copy()
         E2[2] += 7.5
-        _, marg2, _ = forward_backward(E2, T)
-        assert viterbi(E2, T) == path
+        _, marg2, _ = forward_backward(E2, T, [6])
+        assert np.array_equal(viterbi(E2, T, [6]), path)
         assert np.abs(marg - marg2).max() < 1e-9
 
     def test_batch_lengths_rejected_when_malformed(self):
         E = np.zeros((4, 2))
         for kernel in (forward_backward, viterbi):
-            # sum != rows, a zero, a negative, floats, 2-D, none at all
-            for lengths in ([1, 2], [0, 4], [-1, 5], [1.0, 3.0], [[1, 3]], []):
+            # sum != rows, a zero, a negative, floats, 2-D, none at all, None
+            for lengths in ([1, 2], [0, 4], [-1, 5], [1.0, 3.0], [[1, 3]], [], None):
                 with pytest.raises(ValidationError, match="lengths"):
                     kernel(E, np.zeros((2, 2)), lengths)
             with pytest.raises(ValidationError, match="emissions"):
@@ -77,9 +77,9 @@ class TestForwardBackward:
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError):
-            forward_backward(np.array([[np.nan, 0.0]]), np.zeros((2, 2)))
+            forward_backward(np.array([[np.nan, 0.0]]), np.zeros((2, 2)), [1])
         with pytest.raises(ValidationError):
-            viterbi(np.array([[np.inf, 0.0]]), np.zeros((2, 2)))
+            viterbi(np.array([[np.inf, 0.0]]), np.zeros((2, 2)), [1])
 
 
 
@@ -137,8 +137,8 @@ class TestScaledRecursion:
                 assert np.abs(g - w).max(initial=0.0) < 1e-12  # pairwise is empty if every length is 1
         E = rng.normal(size=(6, 3))
         T = rng.normal(size=(3, 3))
-        log_z, marg, pair = forward_backward(E, T)
-        want_z, want_marg, want_pair = log_space(E, T)
+        (log_z,), marg, pair = forward_backward(E, T, [6])
+        (want_z,), want_marg, want_pair = log_space(E, T, [6])
         assert abs(log_z - want_z) < 1e-12
         assert np.abs(marg - want_marg).max() < 1e-12 and np.abs(pair - want_pair).max() < 1e-12
 
@@ -151,7 +151,7 @@ class TestScaledRecursion:
             # span of about 600, just inside the scaled recursion's.
             E = rng.normal(size=(m, k)) - 298.0 * (rng.random(size=(m, k)) < 0.4)
             T = rng.uniform(-75.0, 75.0, size=(k, k))
-            log_z, marg, pair = forward_backward(E, T)
+            (log_z,), marg, pair = forward_backward(E, T, [m])
             ez, em, ep, _, _ = enumerate_chain(E, T)
             assert abs(log_z - ez) < 1e-9
             assert np.abs(marg - em).max() < 1e-9
@@ -172,7 +172,7 @@ class TestScaledRecursion:
         # probability-space step after that underflows to 0.
         T = np.array([[0.0, 800.0], [-800.0, -800.0]])
         E = rng.normal(size=(5, 2))
-        log_z, marg, pair = forward_backward(E, T)
+        (log_z,), marg, pair = forward_backward(E, T, [5])
         assert calls == [5]
         ez, em, ep, _, _ = enumerate_chain(E, T)
         assert abs(log_z - ez) < 1e-9
@@ -197,7 +197,7 @@ class TestScaledRecursion:
             k = int(rng.integers(2, 5))
             E = rng.normal(size=(m, k)) * 2
             T = rng.normal(size=(k, k)) * 800
-            log_z, marg, pair = forward_backward(E, T)
+            (log_z,), marg, pair = forward_backward(E, T, [m])
             ez, em, ep, _, _ = enumerate_chain(E, T)
             assert abs(log_z - ez) < 1e-9
             assert np.abs(marg - em).max() < 1e-9
@@ -209,10 +209,10 @@ class TestScaledRecursion:
 
 class TestViterbi:
     def test_length_one_argmax(self):
-        assert viterbi(np.array([[0.1, 0.9, 0.3]]), np.zeros((3, 3))) == [1]
+        assert viterbi(np.array([[0.1, 0.9, 0.3]]), np.zeros((3, 3)), [1]).tolist() == [1]
 
     def test_all_equal_scores_takes_lowest_index(self):
-        assert viterbi(np.zeros((4, 3)), np.zeros((3, 3))) == [0, 0, 0, 0]
+        assert viterbi(np.zeros((4, 3)), np.zeros((3, 3)), [4]).tolist() == [0, 0, 0, 0]
         paths = viterbi(np.zeros((9, 4)), np.zeros((4, 4)), np.array([5, 1, 3]))
         assert paths.shape == (9,) and not paths.any()
 
@@ -223,10 +223,10 @@ class TestViterbi:
             k = int(rng.integers(2, 5))
             E = rng.normal(size=(n, k))
             T = rng.normal(size=(k, k))
-            path = viterbi(E, T)
+            path = viterbi(E, T, [n])
             _, _, _, best_score, best_path = enumerate_chain(E, T)
-            assert abs(sequence_score(E, T, path) - best_score) < 1e-9
-            assert path == best_path
+            assert abs(path_scores(E, T, path[None])[0] - best_score) < 1e-9
+            assert path.tolist() == best_path
 
 
     def test_ragged_tied_batches_match_one_at_a_time(self):
@@ -242,12 +242,22 @@ class TestViterbi:
                 assert path.tolist() == reference_viterbi(e, T)
 
 
+XY = TagSet("chain", ("X", "Y"))
+
+
 def tiny_dataset():
-    # Two short sequences over 2 tags with 3 named features.
+    # Two short sequences over the 2 tags of XY with 3 named features.
     return [
         ([["bias", "w=a"], ["bias", "w=b"]], ["X", "Y"]),
         ([["bias", "w=b"], ["bias", "w=a"], ["bias", "w=a"]], ["Y", "X", "X"]),
     ]
+
+
+def objective_at(model, data):
+    """The training objective at the model's weights: (negative penalized
+    log-likelihood, its gradient)."""
+    fun = crf_training_objective(data, model.labels, model.feature_names, model.l2)
+    return fun(np.concatenate([model.weights.reshape(-1), model.transitions.reshape(-1)]))
 
 
 class TestCrfGradient:
@@ -274,9 +284,10 @@ class TestCrfGradient:
 
     def test_loglik_nonpositive_without_regularization(self):
         rng = np.random.default_rng(6)
-        model = train_chain_crf(tiny_dataset(), ("X", "Y"), l2=0.0, max_iter=5)
-        ll, _ = crf_loglik_grad(model, tiny_dataset())
-        assert ll <= 0.0
+        with pytest.warns(UserWarning, match="stopped at max_iter=5"):
+            model = train_chain_crf(tiny_dataset(), XY, l2=0.0, max_iter=5)
+        nll, _ = objective_at(model, tiny_dataset())
+        assert nll >= 0.0
         # also at random weights
         m2 = ChainCRF(
             scheme="chain",
@@ -286,8 +297,8 @@ class TestCrfGradient:
             transitions=rng.normal(size=model.transitions.shape),
             l2=0.0,
         )
-        ll2, _ = crf_loglik_grad(m2, tiny_dataset())
-        assert ll2 <= 0.0
+        nll2, _ = objective_at(m2, tiny_dataset())
+        assert nll2 >= 0.0
 
     def test_overflowing_step_returns_nonfinite_value(self):
         # L-BFGS backtracks from a trial step whose value is not finite, so
@@ -322,20 +333,19 @@ class TestCrfTraining:
             gold = [labels[int(rng.integers(0, 3))] for _ in range(n)]
             feats = [["bias", "w=tok_" + g] for g in gold]
             data.append((feats, gold))
-        model = train_chain_crf(data, labels, l2=0.01)
-        for feats, gold in data:
-            decoded = [model.labels[i] for i in model.decode(feats)]
-            assert decoded == gold
+        model = train_chain_crf(data, TagSet("abc", labels), l2=0.01)
+        for (_, gold), path in zip(data, model.decode_many(feats for feats, _ in data), strict=True):
+            assert [model.labels[i] for i in path] == gold
 
     def test_stationarity_after_training(self):
         data = tiny_dataset()
-        model = train_chain_crf(data, ("X", "Y"), l2=0.2)
-        _, grad = crf_loglik_grad(model, data)
+        model = train_chain_crf(data, XY, l2=0.2)
+        _, grad = objective_at(model, data)
         assert float(np.linalg.norm(grad)) < 1e-4
 
     def test_deterministic_given_seed(self):
-        m1 = train_chain_crf(tiny_dataset(), ("X", "Y"), l2=0.1)
-        m2 = train_chain_crf(tiny_dataset(), ("X", "Y"), l2=0.1)
+        m1 = train_chain_crf(tiny_dataset(), XY, l2=0.1)
+        m2 = train_chain_crf(tiny_dataset(), XY, l2=0.1)
         assert np.array_equal(m1.weights, m2.weights)
         assert np.array_equal(m1.transitions, m2.transitions)
 
@@ -348,8 +358,8 @@ class TestCrfTraining:
 
     def test_unknown_gold_tag_rejected(self):
         with pytest.raises(ValidationError, match="unknown gold tag"):
-            train_chain_crf([([["bias"]], ["Q"])], ("X", "Y"))
+            train_chain_crf([([["bias"]], ["Q"])], XY)
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValidationError):
-            train_chain_crf([], ("X", "Y"))
+            train_chain_crf([], XY)

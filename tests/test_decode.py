@@ -9,7 +9,7 @@ and emissions and scores must equal the per-feature loop's bit for bit.
 import numpy as np
 
 import cbtcode.tagger as tagger
-from cbtcode.chain import forward_backward, viterbi
+from cbtcode.chain import viterbi
 from cbtcode.corpus import Session, Tokens, Turn, session_to_record
 from cbtcode.pipeline import segment_corpus, tag_corpus
 from cbtcode.segmenter import BOUNDARY, BOUNDARY_LABELS, boundary_features, pause_split
@@ -64,15 +64,6 @@ class TestBatchedViterbi:
             for end, n in zip(ends, lengths):
                 assert paths[end - n : end].tolist() == reference_viterbi(E[end - n : end], T)
 
-    def test_single_sequence_is_the_batch_of_one(self):
-        rng = np.random.default_rng(12)
-        E, T = rng.normal(size=(7, 3)), rng.normal(size=(3, 3))
-        assert viterbi(E, T) == viterbi(E, T, [7]).tolist() == reference_viterbi(E, T)
-        log_z, marg, pair = forward_backward(E, T)
-        batch_z, batch_marg, batch_pair = forward_backward(E, T, [7])
-        assert isinstance(log_z, float) and batch_z.tolist() == [log_z]
-        assert same_bits(marg, batch_marg) and same_bits(pair, batch_pair)
-
 
 class TestGather:
     def test_chain_emissions_are_bit_identical_with_unknown_and_repeated_features(self):
@@ -104,7 +95,7 @@ class TestGather:
             assert path.tolist() == [int(np.argmax(want))]
         bare = ChainCRF("mc", MC_TAG_SET.labels, ("w=x",), np.ones((1, 7)), np.zeros((7, 7)), 0.0)
         assert same_bits(bare.emission_matrix([utterance_features(["so"])]), np.zeros((1, 7)))
-        assert bare.decode([utterance_features(["so"])]) == [0]  # all tied: the first label
+        assert bare.decode_many([[utterance_features(["so"])]])[0].tolist() == [0]  # all tied: the first label
         assert bare.decode_many([]) == []
 
     def test_decode_many_matches_per_sequence_decoding(self):
@@ -118,7 +109,7 @@ class TestGather:
         for words, path in zip(fragments, paths):
             feats = boundary_features(words)
             want = reference_viterbi(reference_emissions(names, model.weights, feats), model.transitions) if words else []
-            assert path.tolist() == want == model.decode(feats)
+            assert path.tolist() == want
         assert model.decode_many([]) == []
 
 

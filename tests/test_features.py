@@ -117,7 +117,6 @@ class TestTfidfTransform:
         whole = tfidf_matrix(docs, space)
         for i, (_, tokens) in enumerate(docs):
             assert np.array_equal(tfidf_matrix([docs[i]], space)[0], whole[i])
-            assert np.array_equal(transform_tfidf(tokens, space), whole[i])
             assert np.array_equal(transform_tfidf(tokens, space, space.index()), whole[i])
         assert tfidf_matrix([], space).shape == (0, space.dim)
 

@@ -382,7 +382,7 @@ def use_model(kind, model):
     elif model.scheme == "mc":
         tag_mc(utts, model)
     else:
-        model.decode([["bias"], ["w=what"]])
+        model.decode_many([[["bias"], ["w=what"]]])
 
 
 @FUZZ

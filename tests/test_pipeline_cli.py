@@ -16,7 +16,7 @@ from cbtcode.cli import _build_parser, main
 from cbtcode.corpus import CODES
 from cbtcode.evaluate import make_folds
 from cbtcode.pipeline import PipelineConfig
-from cbtcode.serialize import load_chain_crf, load_linear_model, load_report, read_matrix
+from cbtcode.serialize import load_artifact, load_chain_crf, load_linear_model, read_matrix
 from cbtcode.svm import decision_function
 from cbtcode.synth import SynthConfig
 
@@ -136,9 +136,9 @@ def test_segment_tag_featurize_evaluate_chain(workspace, tmp_path):
         )
         == 0
     )
-    report = load_report(report_path)
-    assert report.feature_set == "mc-tfidf"
-    assert 0.0 <= report.per_code["total"].f1_high <= 1.0
+    report = load_artifact(report_path, "eval_report")
+    assert report["feature_set"] == "mc-tfidf"
+    assert 0.0 <= report["codes"]["total"]["f1"] <= 1.0
 
     # determinism: same invocation, byte-identical report
     report2 = tmp_path / "report2.json"
@@ -328,6 +328,34 @@ def test_compare_subcommand(workspace, tmp_path):
     )
     payload = json.loads(out.read_text())["payload"]
     assert payload["verdict"] == "no difference"
+
+
+def test_session_order_does_not_change_matrices_reports_or_compare(tmp_path):
+    """The same gold-tagged corpus with its session lines shuffled."""
+    data = tmp_path / "data"
+    assert main(["synth", "--n-sessions", "40", "--seed", "3", "--out", str(data)]) == 0
+    lines = (data / "gold_tags.jsonl").read_text(encoding="utf-8").splitlines(True)
+    shuffled = tmp_path / "shuffled.jsonl"
+    shuffled.write_text("".join(lines[i] for i in np.random.default_rng(0).permutation(len(lines))), "utf-8")
+    outputs = {}
+    for name, corpus in (("sorted", data / "gold_tags.jsonl"), ("shuffled", shuffled)):
+        out = tmp_path / name
+        for feature_set in ("tfidf", "mc-tfidf", "da"):
+            matrix = out / f"{feature_set}.mtx"
+            assert main(["featurize", "--set", feature_set, "--in", str(corpus), "--out", str(matrix)]) == 0
+            assert main(["evaluate", "--matrix", str(matrix), "--labels", str(data / "labels.csv"),
+                         "--k-grid", "8,16", "--report", str(out / f"{feature_set}.json")]) == 0
+        assert main(["compare", "--a", "mc-tfidf", "--b", "tfidf", "--in", str(corpus), "--labels",
+                     str(data / "labels.csv"), "--k-grid", "8,16", "--out", str(out / "compare.json")]) == 0
+        outputs[name] = out
+    for feature_set in ("tfidf", "mc-tfidf", "da"):
+        a, b = (read_matrix(outputs[name] / f"{feature_set}.mtx") for name in ("sorted", "shuffled"))
+        assert b.session_ids != a.session_ids and sorted(b.session_ids) == sorted(a.session_ids)
+        assert (b.set_name, b.names, b.selectable, b.provenance, b.fingerprint) == (
+            a.set_name, a.names, a.selectable, a.provenance, a.fingerprint)
+        assert np.array_equal(b.X[[b.session_ids.index(sid) for sid in a.session_ids]], a.X)
+    for report in ("tfidf.json", "mc-tfidf.json", "da.json", "compare.json"):
+        assert (outputs["shuffled"] / report).read_bytes() == (outputs["sorted"] / report).read_bytes(), report
 
 
 def test_featurize_space_out(workspace, tmp_path):
@@ -571,8 +599,8 @@ def test_evaluate_takes_the_feature_set_from_the_config(workspace, tmp_path):
         assert main([*pre, *run, *post, "--report", str(reports[name])]) == 0, name
     assert reports["config"].read_bytes() == reports["flag"].read_bytes()
     assert reports["flag over config"].read_bytes() == reports["default"].read_bytes()
-    assert load_report(reports["config"]).feature_set == "mc"
-    assert load_report(reports["default"]).feature_set == "tfidf"
+    assert load_artifact(reports["config"], "eval_report")["feature_set"] == "mc"
+    assert load_artifact(reports["default"], "eval_report")["feature_set"] == "tfidf"
 
 
 def test_synth_ignores_the_global_pipeline_config(tmp_path):
@@ -763,7 +791,7 @@ class TestExitCodes:
         config = tmp_path / "pipeline.json"
         config.write_text(json.dumps({"feature_set": "mc"}), encoding="utf-8")
         assert main(["--config", str(config), *run]) == 0
-        assert load_report(report).feature_set == "tfidf"
+        assert load_artifact(report, "eval_report")["feature_set"] == "tfidf"
         assert main([*run, "--set", "tfidf"]) == 0
 
     def test_corpus_without_scores_is_exit_2(self, tmp_path):
@@ -1191,6 +1219,59 @@ class TestExitCodes:
         out = tmp_path / "model.json"
         assert main(["train", "--what", what, "--in", str(source), flag, value, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {flag} applies only to --what {applies}, not --what {what}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mode, flag, value, applies",
+        [("matrix", "--max-df", "0.9", "tagged|turn-level"), ("matrix", "--min-df", "0.1", "tagged|turn-level"),
+         ("matrix", "--word-denominator", "session", "tagged|turn-level"), ("matrix", "--pause", "3", "turn-level"),
+         ("matrix", "--no-segmentation", None, "turn-level"),
+         ("matrix", "--boundary-model", "nothere.json", "turn-level"), ("tagged", "--pause", "3", "turn-level"),
+         ("tagged", "--no-segmentation", None, "turn-level"), ("tagged", "--da-model", "da.json", "turn-level"),
+         ("tagged", "--mc-model", "mc.json", "turn-level"), ("tagged", "--out-dir", "artifacts", "turn-level")],
+    )
+    def test_evaluate_flag_that_its_input_ignores_is_exit_2(self, workspace, tmp_path, capsys, mode, flag, value,
+                                                            applies):
+        data = workspace["data"]
+        if mode == "matrix":
+            matrix = tmp_path / "t.mtx"
+            assert main(["featurize", "--set", "tfidf", "--in", str(data / "gold_tags.jsonl"), "--out", str(matrix)]) == 0
+            source = ["--matrix", str(matrix)]
+        else:
+            source = ["--set", "tfidf", "--in", str(data / "gold_tags.jsonl")]
+        report = tmp_path / "r.json"
+        argv = ["evaluate", *source, "--labels", str(data / "labels.csv"), "--k-grid", "8", "--report", str(report)]
+        capsys.readouterr()
+        assert main([*argv, flag, *([value] if value else [])]) == 2
+        assert capsys.readouterr().err == f"error: {flag} applies only to {applies} input, not {mode} input\n"
+        assert not report.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare", "train", "embedded"])
+    def test_missing_labels_name_their_source_and_at_most_five_sessions(self, workspace, tmp_path, capsys, command):
+        """Labels for 2 of the 60 sessions, from a --labels file or from the
+        scores embedded in a corpus."""
+        data = workspace["data"]
+        gold, matrix, out = data / "gold_tags.jsonl", tmp_path / "t.mtx", tmp_path / "out.json"
+        short = tmp_path / "short.csv"
+        short.write_text("".join((data / "labels.csv").read_text(encoding="utf-8").splitlines(True)[:3]), "utf-8")
+        assert main(["featurize", "--set", "tfidf", "--in", str(gold), "--out", str(matrix)]) == 0
+        partial = tmp_path / "partial.jsonl"
+        records = [json.loads(line) for line in gold.read_text(encoding="utf-8").splitlines()]
+        partial.write_text("".join(json.dumps({**r, "scores": r["scores"] if i < 2 else None}) + "\n"
+                                   for i, r in enumerate(records)), encoding="utf-8")
+        argv, source = {
+            "evaluate": (["evaluate", "--matrix", str(matrix), "--labels", str(short), "--report", str(out)], short),
+            "compare": (["compare", "--a", "mc-tfidf", "--b", "tfidf", "--in", str(gold), "--labels", str(short),
+                         "--out", str(out)], short),
+            "train": (["train", "--what", "svm", "--code", "total", "--features", str(matrix), "--labels", str(short),
+                       "--out", str(out)], short),
+            "embedded": (["evaluate", "--set", "tfidf", "--in", str(partial), "--report", str(out)], partial),
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {source}: missing labels for 58 of 60 sessions: 's02', 's03', 's04', 's05', 's06', ...\n"
+        )
         assert not out.exists()
 
     @staticmethod

@@ -7,7 +7,6 @@ from cbtcode.segmenter import (
     BOUNDARY,
     BOUNDARY_LABELS,
     INSIDE,
-    boundary_f1,
     boundary_features,
     make_boundary_training_data,
     pause_split,
@@ -16,7 +15,7 @@ from cbtcode.segmenter import (
     train_boundary_model,
 )
 from cbtcode.tagger import ChainCRF
-from helpers import enumerate_chain, joined, random_session
+from helpers import boundary_f1, enumerate_chain, joined, random_session
 
 
 def turn_with_gaps(gaps, speaker="therapist"):
@@ -176,7 +175,7 @@ class TestSegment:
             )
             E = model.emission_matrix(boundary_features(words))
             _, _, _, best_score, best_path = enumerate_chain(E, model.transitions)
-            assert model.decode(boundary_features(words)) == best_path
+            assert model.decode_many([boundary_features(words)])[0].tolist() == best_path
 
     def test_session_concatenation_identity(self):
         rng = np.random.default_rng(4)
@@ -213,10 +212,8 @@ class TestBoundaryTraining:
         train = self.make_sentinel_corpus(rng, 200)
         held = self.make_sentinel_corpus(rng, 60)
         model = train_boundary_model(train, l2=0.01)
-        predicted = []
-        for tokens, _ in held:
-            path = model.decode(boundary_features(tokens))
-            predicted.append([model.labels[i] for i in path])
+        paths = model.decode_many(boundary_features(tokens) for tokens, _ in held)
+        predicted = [[model.labels[i] for i in path] for path in paths]
         score = boundary_f1(predicted, [labels for _, labels in held])
         assert score >= 0.99
 
@@ -235,8 +232,7 @@ class TestBoundaryTraining:
         assert float(np.abs(model.weights).max()) < 1e-3
         assert float(np.abs(model.transitions).max()) < 1e-3
         # majority label is INSIDE; near-zero weights decode to it via tie-break
-        for tokens, _ in data[:10]:
-            path = model.decode(boundary_features(tokens))
+        for path in model.decode_many(boundary_features(tokens) for tokens, _ in data[:10]):
             majority = {0: INSIDE}  # index 0 wins ties
             assert all(model.labels[i] == INSIDE for i in path)
 

@@ -13,15 +13,13 @@ from cbtcode.svm import (
     SvmProblem,
     class_weights,
     decision_function,
-    hinge_objective,
-    predict,
     predict_many,
     train_svm,
     train_svms,
     _optimal_bias,
 )
 from cbtcode.synth import SynthConfig, generate_corpus
-from helpers import _reference_bias, smo_one_problem, subgradient_hinge_oracle
+from helpers import _reference_bias, hinge_objective, smo_one_problem, subgradient_hinge_oracle
 
 
 class TestClassWeights:
@@ -62,8 +60,7 @@ class TestTrainSvm:
         X = np.array([[-1.0], [1.0]])
         y = [False, True]
         model = train_svm(X, y, C=10.0)
-        assert predict(model, np.array([-1.0])) is False
-        assert predict(model, np.array([1.0])) is True
+        assert predict_many(model, np.array([[-1.0], [1.0]])).tolist() == [False, True]
         assert abs(model.bias) < 1e-6
         assert abs(model.weights[0] - 1.0) < 1e-3
 
@@ -380,14 +377,14 @@ class TestPredict:
         )
 
     def test_zero_vector_positive_bias(self):
-        assert predict(self.model_with([1.0, 1.0], 0.5), np.zeros(2)) is True
+        assert predict_many(self.model_with([1.0, 1.0], 0.5), np.zeros((1, 2))).tolist() == [True]
 
     def test_exact_zero_score_is_low(self):
-        assert predict(self.model_with([1.0, 1.0], 0.0), np.zeros(2)) is False
+        assert predict_many(self.model_with([1.0, 1.0], 0.0), np.zeros((1, 2))).tolist() == [False]
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            predict(self.model_with([1.0, 2.0], 0.0), np.zeros(3))
+            predict_many(self.model_with([1.0, 2.0], 0.0), np.zeros((1, 3)))
 
     def test_decision_function_matrix(self):
         model = self.model_with([2.0, -1.0], 0.25)

@@ -131,7 +131,7 @@ def planted_mc_corpus(rng, n):
 
 
 def predict_mc(model, words):
-    return model.labels[model.decode([utterance_features(words)])[0]]
+    return model.labels[model.decode_many([[utterance_features(words)]])[0][0]]
 
 
 class TestUtteranceClassifier:
