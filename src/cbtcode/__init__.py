@@ -70,7 +70,5 @@ from .synth import SignalRule, SynthConfig, generate_corpus  # noqa: E402
 from .pipeline import (  # noqa: E402
     FEATURE_SETS,
     PipelineConfig,
-    PipelineModels,
     build_feature_matrix,
-    run_end_to_end,
 )

@@ -21,15 +21,7 @@ from . import __version__
 from .corpus import embedded_scores, parse_corpus, read_scores_table, write_corpus, write_scores_table
 from .errors import CbtCodeError, MissingArtifactError, MissingLabelsError, ValidationError
 from .evaluate import LABEL_COLUMNS, FoldTask, fit_folds_and_count, five_by_two_cv_f_test, label_matrix, run_protocol
-from .pipeline import (
-    FEATURE_SETS,
-    PipelineConfig,
-    PipelineModels,
-    build_feature_matrix,
-    run_end_to_end,
-    segment_corpus,
-    tag_corpus,
-)
+from .pipeline import FEATURE_SETS, PipelineConfig, build_feature_matrix, segment_corpus, tag_corpus
 from .segmenter import make_boundary_training_data, train_boundary_model
 from .serialize import (
     load_chain_crf,
@@ -144,17 +136,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", help="feature matrix file (skips featurization)")
     p.add_argument("--features", "--set", dest="feature_set", choices=FEATURE_SETS,
                    help=f"feature set with --in (default {PipelineConfig.feature_set}); a matrix names its own")
-    p.add_argument("--in", dest="input", help="corpus (turn-level) or tagged corpus JSONL")
+    p.add_argument("--in", dest="input", help="tagged corpus JSONL")
     p.add_argument("--labels", help="labels CSV keyed by session id")
     _add_stage_flags(p, "folds", "seed", "k_grid", "svm_c", "max_df", "min_df", "word_denominator")
     p.add_argument("--report", required=True, help="report JSON output")
     p.add_argument("--table", help="plain-text table output")
-    p.add_argument("--out-dir", help="directory for intermediate artifacts (end-to-end mode)")
-    p.add_argument("--boundary-model")
-    p.add_argument("--da-model")
-    p.add_argument("--mc-model")
-    _add_stage_flags(p, "pause_threshold")
-    p.add_argument("--no-segmentation", action="store_const", const=False, dest="segmentation")
     p.add_argument("--config", help="pipeline config JSON (flags passed override it)")
 
     p = sub.add_parser("compare", help="combined 5x2cv F test between two feature sets")
@@ -267,15 +253,9 @@ _FLAG_USES = {
         "svm_c": ("--c", ("svm",)),
     },
     "evaluate": {
-        "max_df": ("--max-df", ("tagged", "turn-level")),
-        "min_df": ("--min-df", ("tagged", "turn-level")),
-        "word_denominator": ("--word-denominator", ("tagged", "turn-level")),
-        "pause_threshold": ("--pause", ("turn-level",)),
-        "segmentation": ("--no-segmentation", ("turn-level",)),
-        "boundary_model": ("--boundary-model", ("turn-level",)),
-        "da_model": ("--da-model", ("turn-level",)),
-        "mc_model": ("--mc-model", ("turn-level",)),
-        "out_dir": ("--out-dir", ("turn-level",)),
+        "max_df": ("--max-df", ("tagged",)),
+        "min_df": ("--min-df", ("tagged",)),
+        "word_denominator": ("--word-denominator", ("tagged",)),
     },
 }
 _MODE_NAMES = {"train": "--what {}", "evaluate": "{} input"}
@@ -354,37 +334,27 @@ def _cmd_evaluate(args) -> int:
     config = _config(args)
     if not (args.matrix or args.input):
         raise ValidationError("evaluate needs --matrix or --in")
-    mode = "matrix" if args.matrix else ("turn-level" if sniff_corpus_kind(args.input) == "turns" else "tagged")
-    _check_flag_uses(args, mode)
-    where = ""
-    if mode == "turn-level":
-        models = PipelineModels(boundary=args.boundary_model, da=args.da_model, mc=args.mc_model)
-        out_dir = args.out_dir or str(Path(args.report).parent / "artifacts")
-        table_scores = read_scores_table(args.labels) if args.labels else None
-        with _reading(args.labels or args.input, MissingLabelsError):
-            report, _ = run_end_to_end(config, args.input, models, out_dir, scores=table_scores)
-        where = f" (artifacts in {out_dir})"
+    _check_flag_uses(args, "matrix" if args.matrix else "tagged")
+    if args.matrix:
+        matrix = read_matrix(args.matrix)
+        if args.feature_set not in (None, matrix.set_name):
+            raise ValidationError(
+                f"{args.matrix} holds feature set {matrix.set_name!r}, not --set {args.feature_set!r}"
+            )
+        scores = _scores_for(args.labels, args.input)
     else:
-        if args.matrix:
-            matrix = read_matrix(args.matrix)
-            if args.feature_set not in (None, matrix.set_name):
-                raise ValidationError(
-                    f"{args.matrix} holds feature set {matrix.set_name!r}, not --set {args.feature_set!r}"
-                )
-            scores = _scores_for(args.labels, args.input)
-        else:
-            sessions = read_tagged_corpus(args.input)
-            with _reading(args.input):
-                matrix = build_feature_matrix(sessions, config.feature_set, config.max_df, config.min_df,
-                                              config.word_denominator)
-            scores = read_scores_table(args.labels) if args.labels else embedded_scores(sessions)
-        with _reading(args.labels or args.input, MissingLabelsError):
-            report = run_protocol(matrix, scores, config.folds, config.seed, config.k_grid, config.svm_c)
+        sessions = read_tagged_corpus(args.input)
+        with _reading(args.input):
+            matrix = build_feature_matrix(sessions, config.feature_set, config.max_df, config.min_df,
+                                          config.word_denominator)
+        scores = read_scores_table(args.labels) if args.labels else embedded_scores(sessions)
+    with _reading(args.labels or args.input, MissingLabelsError):
+        report = run_protocol(matrix, scores, config.folds, config.seed, config.k_grid, config.svm_c)
     save_report(report, args.report)
     if args.table:
         Path(args.table).write_text(report.format_table(), encoding="utf-8")
     print(report.format_table(), end="")
-    print(f"report -> {args.report}{where}")
+    print(f"report -> {args.report}")
     return 0
 
 

@@ -29,13 +29,19 @@ from .svm import LinearModel, SvmProblem, class_weights, lockstep_batches, predi
 LABEL_COLUMNS = (*CODES, "total")
 
 
-def label_matrix(session_ids: Sequence[str], scores_by_id: Mapping[str, CodeScores]) -> np.ndarray:
-    """The binarized labels of the sessions, one row per id in order and one
-    column per LABEL_COLUMNS entry; True means high."""
-    missing = sorted(sid for sid in session_ids if sid not in scores_by_id)
+def check_labels(session_ids: Sequence[str], labels_by_id: Mapping[str, object]) -> None:
+    """Every session must have a label; the error gives the count and at most
+    the first 5 ids without one."""
+    missing = sorted(sid for sid in session_ids if sid not in labels_by_id)
     if missing:
         shown = ", ".join(map(repr, missing[:5])) + (", ..." if len(missing) > 5 else "")
         raise MissingLabelsError(f"missing labels for {len(missing)} of {len(session_ids)} sessions: {shown}")
+
+
+def label_matrix(session_ids: Sequence[str], scores_by_id: Mapping[str, CodeScores]) -> np.ndarray:
+    """The binarized labels of the sessions, one row per id in order and one
+    column per LABEL_COLUMNS entry; True means high."""
+    check_labels(session_ids, scores_by_id)
     rows = [binarize_scores(scores_by_id[sid]) for sid in session_ids]
     return np.array([(*r.per_code, r.total) for r in rows], dtype=bool).reshape(-1, len(LABEL_COLUMNS))
 

@@ -291,14 +291,12 @@ def select_k_by_cv(
     fold.  Ties prefer the smallest k.  Returns 0 when no feature is
     selectable (pure tag-count sets).
     """
-    from .evaluate import best_k, fit_folds_and_count, k_candidates, select_k_tasks
+    from .evaluate import best_k, check_labels, fit_folds_and_count, k_candidates, select_k_tasks
 
     selectable = np.asarray(selectable, dtype=bool)
     if not k_candidates(k_grid, selectable):
         return 0
-    missing = [sid for sid in session_ids if sid not in y_total]
-    if missing:
-        raise ValidationError(f"missing labels for sessions: {missing}")
+    check_labels(session_ids, y_total)
     y = np.array([y_total[sid] for sid in session_ids], dtype=bool)
     ks, tasks = select_k_tasks(X, session_ids, selectable, y, k_grid, folds, seed)
     return best_k(ks, fit_folds_and_count(tasks, svm_c))

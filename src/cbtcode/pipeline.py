@@ -1,4 +1,4 @@
-"""Pipeline configuration, feature-set assembly, and the end-to-end run.
+"""Pipeline configuration and the segment, tag and featurize stages.
 
 The seven feature sets: tfidf (therapist unigrams), da / mc (14-dim
 tag-count blocks), tfidf+da / tfidf+mc (concatenation), and da-tfidf /
@@ -14,9 +14,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import TAG_SETS, THERAPIST, CodeScores, Session, embedded_scores, parse_corpus, write_corpus
-from .errors import MissingArtifactError, ValidationError
-from .evaluate import EvalReport, run_protocol
+from .corpus import TAG_SETS, THERAPIST, Session
+from .errors import ValidationError
 from .features import (
     FeatureMatrix,
     augment_tokens,
@@ -28,13 +27,6 @@ from .features import (
     tfidf_matrix,
 )
 from .segmenter import DEFAULT_PAUSE_THRESHOLD, BoundaryModel, segment_sessions
-from .serialize import (
-    load_chain_crf,
-    save_artifact,
-    save_report,
-    write_matrix,
-    write_tagged_corpus,
-)
 from .tagger import ChainCRF, tag_da_sessions, tag_mc_sessions
 from .util import corpus_fingerprint, read_config
 
@@ -199,91 +191,3 @@ def build_feature_matrix(
         X=X,
         space=space,
     )
-
-
-@dataclass(frozen=True)
-class PipelineModels:
-    """Paths to the trained models the pipeline may need."""
-
-    boundary: str | None = None
-    da: str | None = None
-    mc: str | None = None
-
-
-def _load_boundary(models: PipelineModels) -> BoundaryModel:
-    if models.boundary is None:
-        raise MissingArtifactError(
-            "segmentation is enabled but no boundary model was given (--boundary-model)"
-        )
-    return load_chain_crf(models.boundary, expect_scheme="boundary")
-
-
-def _load_tagger(scheme: str, models: PipelineModels) -> ChainCRF:
-    path = models.da if scheme == "da" else models.mc
-    if path is None:
-        raise MissingArtifactError(
-            f"feature set requires the {scheme} tagger model but none was given (--{scheme}-model)"
-        )
-    return load_chain_crf(path, expect_scheme=scheme)
-
-
-def run_end_to_end(
-    config: PipelineConfig,
-    corpus_path: str | Path,
-    models: PipelineModels,
-    out_dir: str | Path,
-    scores: Mapping[str, CodeScores] | None = None,
-) -> tuple[EvalReport, dict[str, Path]]:
-    """segment (unless disabled) -> tag -> featurize -> evaluate, writing artifacts.
-
-    With segmentation disabled, each pause-split fragment is one utterance.
-    The evaluation report depends only on the feature matrix, labels, and
-    protocol parameters, so feature sets that ignore utterance boundaries
-    produce identical reports with segmentation on or off.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sessions = parse_corpus(corpus_path)
-
-    boundary = _load_boundary(models) if config.segmentation else None
-    segmented = segment_corpus(sessions, boundary, config.pause_threshold)
-    segmented_path = out_dir / "corpus_segmented.jsonl"
-    write_corpus(segmented, segmented_path)
-
-    scheme = required_scheme(config.feature_set)
-    if scheme is not None:
-        tagger_model = _load_tagger(scheme, models)
-        tagged = tag_corpus(segmented, scheme, tagger_model)
-    else:
-        tagged = segmented
-    tagged_path = out_dir / "corpus_tagged.jsonl"
-    write_tagged_corpus(tagged, tagged_path)
-
-    matrix = build_feature_matrix(
-        tagged,
-        config.feature_set,
-        config.max_df,
-        config.min_df,
-        config.word_denominator,
-    )
-    matrix_path = out_dir / f"features_{config.feature_set.replace('+', '_')}.mtx"
-    write_matrix(matrix, matrix_path)
-
-    if scores is None:
-        scores = embedded_scores(sessions)
-    report = run_protocol(matrix, scores, config.folds, config.seed, config.k_grid, config.svm_c)
-    report_path = out_dir / "report.json"
-    save_report(report, report_path)
-    table_path = out_dir / "report.txt"
-    table_path.write_text(report.format_table(), encoding="utf-8")
-    manifest_path = out_dir / "run_manifest.json"
-    save_artifact(manifest_path, "run_manifest", {"config": config.to_payload()})
-
-    return report, {
-        "segmented": segmented_path,
-        "tagged": tagged_path,
-        "matrix": matrix_path,
-        "report": report_path,
-        "table": table_path,
-        "manifest": manifest_path,
-    }

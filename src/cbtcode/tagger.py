@@ -275,7 +275,6 @@ def train_utterance_classifier(
     """Fit the per-utterance tagger: a chain CRF whose sequences are single
     (words, tag) utterances, so it is a multinomial classifier and its
     transitions get no data gradient and stay 0 (deterministic)."""
-    _check_l2(l2)
     if not data:
         raise ValidationError("no training utterances")
     present = {lab for _, lab in data}

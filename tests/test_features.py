@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cbtcode.corpus import Session, Tokens, Turn
-from cbtcode.errors import ValidationError
+from cbtcode.errors import MissingLabelsError, ValidationError
 from cbtcode.features import (
     anova_f_scores,
     apply_scaler,
@@ -420,6 +420,14 @@ class TestSelectK:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError):
             select_k_by_cv(np.ones((4, 2)), ["a", "b", "c", "d"], [True, True], {}, [], 2, 0)
+
+    def test_labels_for_2_of_40_sessions_give_the_count_and_5_ids(self):
+        """The same message as `label_matrix` gives, not every missing id."""
+        ids = [f"s{i:02d}" for i in range(40)]
+        X = np.random.default_rng(10).normal(size=(40, 8))
+        with pytest.raises(MissingLabelsError) as info:
+            select_k_by_cv(X, ids, [True] * 8, {"s00": True, "s01": False}, [4, 8], folds=4, seed=0)
+        assert str(info.value) == "missing labels for 38 of 40 sessions: 's02', 's03', 's04', 's05', 's06', ..."
 
 
 class TestScaler:

@@ -163,93 +163,24 @@ def test_segment_tag_featurize_evaluate_chain(workspace, tmp_path):
     assert report_path.read_bytes() == report2.read_bytes()
 
 
-def test_end_to_end_equals_composed_subcommands(workspace, tmp_path):
-    data, models = workspace["data"], workspace["models"]
-    # one-shot end-to-end evaluate on the raw corpus
-    e2e_report = tmp_path / "e2e_report.json"
-    assert (
-        main(
-            [
-                "evaluate",
-                "--set",
-                "mc-tfidf",
-                "--in",
-                str(data / "corpus.jsonl"),
-                "--boundary-model",
-                str(models / "boundary.json"),
-                "--mc-model",
-                str(models / "mc.json"),
-                "--k-grid",
-                "8,16",
-                "--seed",
-                "1",
-                "--report",
-                str(e2e_report),
-                "--out-dir",
-                str(tmp_path / "artifacts"),
-            ]
-        )
-        == 0
-    )
-    # manual chain
-    seg = tmp_path / "seg.jsonl"
-    main(["segment", "--model", str(models / "boundary.json"), "--in", str(data / "corpus.jsonl"), "--out", str(seg)])
-    tagged = tmp_path / "tagged.jsonl"
-    main(["tag", "--scheme", "mc", "--model", str(models / "mc.json"), "--in", str(seg), "--out", str(tagged)])
-    matrix_path = tmp_path / "m.mtx"
-    main(["featurize", "--set", "mc-tfidf", "--in", str(tagged), "--out", str(matrix_path)])
-    chain_report = tmp_path / "chain_report.json"
-    main(
-        [
-            "evaluate",
-            "--matrix",
-            str(matrix_path),
-            "--labels",
-            str(data / "labels.csv"),
-            "--k-grid",
-            "8,16",
-            "--seed",
-            "1",
-            "--report",
-            str(chain_report),
-        ]
-    )
-    assert e2e_report.read_bytes() == chain_report.read_bytes()
-    # intermediate artifacts byte-match too
-    assert (tmp_path / "artifacts" / "corpus_segmented.jsonl").read_bytes() == seg.read_bytes()
-    assert (tmp_path / "artifacts" / "corpus_tagged.jsonl").read_bytes() == tagged.read_bytes()
-    assert (tmp_path / "artifacts" / "features_mc-tfidf.mtx").read_bytes() == matrix_path.read_bytes()
-
-
 def test_tfidf_report_identical_with_and_without_segmentation(workspace, tmp_path):
+    """tfidf ignores utterance boundaries, and its step-by-step path needs one
+    tag pass with either tagger."""
     data, models = workspace["data"], workspace["models"]
-    args_common = [
-        "--set",
-        "tfidf",
-        "--in",
-        str(data / "corpus.jsonl"),
-        "--k-grid",
-        "8,16",
-        "--seed",
-        "2",
-    ]
-    r_on = tmp_path / "on.json"
-    assert (
-        main(
-            ["evaluate", *args_common, "--boundary-model", str(models / "boundary.json"),
-             "--report", str(r_on), "--out-dir", str(tmp_path / "on")]
-        )
-        == 0
-    )
-    r_off = tmp_path / "off.json"
-    assert (
-        main(
-            ["evaluate", *args_common, "--no-segmentation", "--report", str(r_off),
-             "--out-dir", str(tmp_path / "off")]
-        )
-        == 0
-    )
-    assert r_on.read_bytes() == r_off.read_bytes()
+    segmented, reports = [], []
+    for name, segment in (("on", ["--model", str(models / "boundary.json")]), ("off", ["--disable"])):
+        seg, tagged, matrix = tmp_path / f"{name}_seg.jsonl", tmp_path / f"{name}_tagged.jsonl", tmp_path / f"{name}.mtx"
+        assert main(["segment", *segment, "--in", str(data / "corpus.jsonl"), "--out", str(seg)]) == 0
+        assert main(["tag", "--scheme", "da", "--model", str(models / "da.json"), "--in", str(seg),
+                     "--out", str(tagged)]) == 0
+        assert main(["featurize", "--set", "tfidf", "--in", str(tagged), "--out", str(matrix)]) == 0
+        report = tmp_path / f"{name}.json"
+        assert main(["evaluate", "--matrix", str(matrix), "--in", str(tagged), "--k-grid", "8,16", "--seed", "2",
+                     "--report", str(report)]) == 0
+        segmented.append(seg.read_bytes())
+        reports.append(report.read_bytes())
+    assert segmented[0] != segmented[1]
+    assert reports[0] == reports[1]
 
 
 def test_threads_do_not_change_output(workspace, tmp_path):
@@ -394,23 +325,6 @@ def test_global_seed_flag_matches_local(workspace, tmp_path):
     assert r_local.read_bytes() == r_global.read_bytes()
 
 
-def test_manifest_identical_across_thread_counts(workspace, tmp_path):
-    data = workspace["data"]
-    manifests = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        assert (
-            main(
-                ["--threads", threads, "evaluate", "--set", "tfidf", "--in", str(data / "corpus.jsonl"),
-                 "--no-segmentation", "--k-grid", "8", "--report", str(out / "report.json"),
-                 "--out-dir", str(out / "artifacts")]
-            )
-            == 0
-        )
-        manifests.append((out / "artifacts" / "run_manifest.json").read_bytes())
-    assert manifests[0] == manifests[1]
-
-
 def _add_seed_key(src, dst):
     """Copy a model file, adding the "seed" field that older versions wrote."""
     doc = json.loads(src.read_text(encoding="utf-8"))
@@ -480,36 +394,47 @@ def test_pipeline_config_with_threads_field_still_loads(tmp_path):
         PipelineConfig.from_payload({"workers": 2})
 
 
-def _evaluate_with_config(workspace, tmp_path, config, *flags):
-    """End-to-end evaluate of the workspace corpus under a pipeline config file;
-    returns the manifest's config and the report."""
-    data, models = workspace["data"], workspace["models"]
+def _written(tmp_path, name, argv, out_flag="--out"):
+    """The bytes that a successful run of argv writes to a new file."""
+    out = tmp_path / name
+    assert main([*argv, out_flag, str(out)]) == 0, argv
+    return out.read_bytes()
+
+
+def _global_config(tmp_path, values):
     path = tmp_path / "pipeline.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
-    report = tmp_path / "report.json"
-    rc = main(["evaluate", "--set", "tfidf", "--in", str(data / "corpus.jsonl"), "--config", str(path),
-               "--boundary-model", str(models / "boundary.json"), "--report", str(report),
-               "--out-dir", str(tmp_path / "artifacts"), *flags])
-    assert rc == 0
-    manifest = json.loads((tmp_path / "artifacts" / "run_manifest.json").read_text(encoding="utf-8"))
-    return manifest["payload"]["config"], json.loads(report.read_text(encoding="utf-8"))["payload"]
+    path.write_text(json.dumps(values), encoding="utf-8")
+    return ["--config", str(path)]
 
 
 def test_evaluate_config_values_reach_the_run(workspace, tmp_path):
-    config = {"folds": 3, "pause_threshold": 3.5, "k_grid": [16], "seed": 4}
-    recorded, report = _evaluate_with_config(workspace, tmp_path, config)
-    assert {name: recorded[name] for name in config} == config
+    """The protocol fields reach `evaluate`'s report, and the segmentation
+    fields `segment`'s output, under one config file."""
+    data = workspace["data"]
+    run = _global_config(tmp_path, {"folds": 3, "pause_threshold": 3.5, "segmentation": False, "k_grid": [16],
+                                    "seed": 4})
+    evaluate = ["evaluate", "--set", "tfidf", "--in", str(data / "gold_tags.jsonl")]
+    report = json.loads(_written(tmp_path, "r.json", [*run, *evaluate], "--report"))["payload"]
     assert (report["n_folds"], report["chosen_k"], report["seed"]) == (3, 16, 4)
+    segment = ["segment", "--in", str(data / "corpus.jsonl")]
+    segmented = _written(tmp_path, "config.jsonl", [*run, *segment])
+    assert segmented == _written(tmp_path, "flags.jsonl", [*segment, "--disable", "--pause", "3.5"])
+    assert segmented != _written(tmp_path, "default_pause.jsonl", [*segment, "--disable"])
 
 
 def test_evaluate_flags_passed_override_the_config(workspace, tmp_path):
-    config = {"folds": 3, "pause_threshold": 3.5, "k_grid": [16], "seed": 4, "max_df": 0.9}
-    recorded, report = _evaluate_with_config(
-        workspace, tmp_path, config, "--folds", "2", "--k-grid", "8", "--seed", "6", "--no-segmentation"
-    )
-    assert (recorded["folds"], recorded["k_grid"], recorded["seed"], recorded["segmentation"]) == (2, [8], 6, False)
-    assert (recorded["pause_threshold"], recorded["max_df"]) == (3.5, 0.9)
+    data = workspace["data"]
+    run = _global_config(tmp_path, {"folds": 3, "pause_threshold": 3.5, "k_grid": [16], "seed": 4, "max_df": 0.9})
+    evaluate = ["evaluate", "--set", "tfidf", "--in", str(data / "gold_tags.jsonl")]
+    flags = ["--folds", "2", "--k-grid", "8", "--seed", "6"]
+    under_config = _written(tmp_path, "config.json", [*run, *evaluate, *flags], "--report")
+    report = json.loads(under_config)["payload"]
     assert (report["n_folds"], report["chosen_k"], report["seed"]) == (2, 8, 6)
+    assert under_config == _written(tmp_path, "flags.json", [*evaluate, *flags, "--max-df", "0.9"], "--report")
+    segment = ["segment", "--disable", "--in", str(data / "corpus.jsonl")]
+    segmented = _written(tmp_path, "config.jsonl", [*run, *segment])
+    assert segmented == _written(tmp_path, "flag.jsonl", [*segment, "--pause", "3.5"])
+    assert segmented != _written(tmp_path, "default.jsonl", segment)
 
 
 def test_nan_pause_is_exit_2_and_inf_is_accepted(workspace, tmp_path, capsys):
@@ -519,10 +444,6 @@ def test_nan_pause_is_exit_2_and_inf_is_accepted(workspace, tmp_path, capsys):
     assert "pause_threshold must be positive" in capsys.readouterr().err
     assert not (tmp_path / "nan.jsonl").exists()
     assert main(["segment", *common, "--pause", "inf", "--out", str(tmp_path / "inf.jsonl")]) == 0
-    rc = main(["evaluate", "--set", "tfidf", "--in", str(data / "corpus.jsonl"), "--pause", "nan",
-               "--no-segmentation", "--report", str(tmp_path / "r.json")])
-    assert rc == 2
-    assert "pause_threshold must be positive" in capsys.readouterr().err
     with pytest.raises(cbtcode.errors.ValidationError, match="pause_threshold"):
         PipelineConfig(pause_threshold=float("nan"))
 
@@ -530,36 +451,34 @@ def test_nan_pause_is_exit_2_and_inf_is_accepted(workspace, tmp_path, capsys):
 def test_nan_pause_in_a_pipeline_config_is_exit_2(workspace, tmp_path, capsys):
     config = tmp_path / "pipeline.json"
     config.write_text('{"pause_threshold": NaN}', encoding="utf-8")  # Python's json reads NaN
-    rc = main(["evaluate", "--set", "tfidf", "--in", str(workspace["data"] / "corpus.jsonl"), "--config", str(config),
-               "--no-segmentation", "--report", str(tmp_path / "r.json")])
+    out = tmp_path / "seg.jsonl"
+    rc = main(["--config", str(config), "segment", "--disable", "--in", str(workspace["data"] / "corpus.jsonl"),
+               "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
     assert f"error: {config}: " in err and "pause_threshold" in err, err
+    assert not out.exists()
 
 
 def test_one_global_config_gives_the_same_report_step_by_step_and_one_shot(workspace, tmp_path):
+    """Under one config, `evaluate --matrix` after `featurize` and `evaluate`
+    on the tagged corpus write the same report."""
     data, models = workspace["data"], workspace["models"]
-    config = tmp_path / "pipeline.json"
-    config.write_text(json.dumps({"max_df": 0.5, "min_df": 0.2, "k_grid": [2, 8], "seed": 3, "svm_c": 0.5,
-                                  "pause_threshold": 1.5}), encoding="utf-8")
-    run = ["--config", str(config)]
-    e2e = tmp_path / "e2e.json"
-    assert main([*run, "evaluate", "--set", "mc-tfidf", "--in", str(data / "corpus.jsonl"),
-                 "--boundary-model", str(models / "boundary.json"), "--mc-model", str(models / "mc.json"),
-                 "--report", str(e2e), "--out-dir", str(tmp_path / "artifacts")]) == 0
+    run = _global_config(tmp_path, {"max_df": 0.5, "min_df": 0.2, "k_grid": [2, 8], "seed": 3, "svm_c": 0.5,
+                                    "pause_threshold": 1.5})
     seg, tagged, matrix = tmp_path / "seg.jsonl", tmp_path / "tagged.jsonl", tmp_path / "m.mtx"
-    assert main([*run, "segment", "--model", str(models / "boundary.json"), "--in", str(data / "corpus.jsonl"),
-                 "--out", str(seg)]) == 0
+    segment = ["segment", "--model", str(models / "boundary.json"), "--in", str(data / "corpus.jsonl")]
+    assert main([*run, *segment, "--out", str(seg)]) == 0
+    assert seg.read_bytes() == _written(tmp_path, "pause.jsonl", [*segment, "--pause", "1.5"])
     assert main([*run, "tag", "--scheme", "mc", "--model", str(models / "mc.json"), "--in", str(seg),
                  "--out", str(tagged)]) == 0
     assert main([*run, "featurize", "--set", "mc-tfidf", "--in", str(tagged), "--out", str(matrix)]) == 0
-    chain = tmp_path / "chain.json"
-    assert main([*run, "evaluate", "--matrix", str(matrix), "--labels", str(data / "labels.csv"),
-                 "--report", str(chain)]) == 0
-    assert (tmp_path / "artifacts" / "corpus_segmented.jsonl").read_bytes() == seg.read_bytes()
-    assert (tmp_path / "artifacts" / "features_mc-tfidf.mtx").read_bytes() == matrix.read_bytes()
-    assert e2e.read_bytes() == chain.read_bytes()
-    report = json.loads(chain.read_text(encoding="utf-8"))["payload"]
+    labels = ["--labels", str(data / "labels.csv")]
+    chain = _written(tmp_path, "chain.json", [*run, "evaluate", "--matrix", str(matrix), *labels], "--report")
+    one_shot = _written(tmp_path, "one_shot.json", [*run, "evaluate", "--set", "mc-tfidf", "--in", str(tagged), *labels],
+                        "--report")
+    assert one_shot == chain
+    report = json.loads(chain)["payload"]
     assert report["seed"] == 3 and report["chosen_k"] in (2, 8)
 
 
@@ -711,8 +630,8 @@ def test_bad_synth_config_is_exit_2_and_names_the_file(tmp_path, capsys, body):
 def test_bad_pipeline_config_is_exit_2_and_names_the_file(workspace, tmp_path, capsys, body):
     config = tmp_path / "pipeline.json"
     config.write_bytes(body)
-    rc = main(["evaluate", "--set", "tfidf", "--in", str(workspace["data"] / "corpus.jsonl"), "--config", str(config),
-               "--no-segmentation", "--report", str(tmp_path / "r.json")])
+    rc = main(["evaluate", "--set", "tfidf", "--in", str(workspace["data"] / "gold_tags.jsonl"), "--config",
+               str(config), "--report", str(tmp_path / "r.json")])
     assert rc == 2
     err = capsys.readouterr().err
     assert f"error: {config}: " in err and err.count(str(config)) == 1, err
@@ -794,31 +713,27 @@ class TestExitCodes:
         assert load_artifact(report, "eval_report")["feature_set"] == "tfidf"
         assert main([*run, "--set", "tfidf"]) == 0
 
-    def test_corpus_without_scores_is_exit_2(self, tmp_path):
+    def test_corpus_without_scores_is_exit_2(self, tmp_path, capsys):
         corpus = tmp_path / "bare.jsonl"
-        record = {
-            "format_version": 1,
-            "id": "s1",
-            "turns": [
-                {"speaker": "therapist", "tokens": [{"text": "hi", "start_s": 0.0, "end_s": 0.2}]}
-            ],
-            "scores": None,
-        }
+        token = {"text": "hi", "start_s": 0.0, "end_s": 0.2}
+        utterance = {"speaker": "therapist", "index": 0, "tokens": [token], "da": None, "mc": None}
+        record = {"format_version": 1, "id": "s1", "utterances": [utterance], "scores": None}
         corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        rc = main(
-            ["evaluate", "--set", "tfidf", "--in", str(corpus), "--no-segmentation",
-             "--report", str(tmp_path / "r.json"), "--out-dir", str(tmp_path / "a")]
-        )
+        report = tmp_path / "r.json"
+        # the df bounds keep the one session's vocabulary, so the labels are what fails
+        rc = main(["evaluate", "--set", "tfidf", "--in", str(corpus), "--max-df", "1", "--min-df", "0",
+                   "--report", str(report)])
         assert rc == 2
+        assert capsys.readouterr().err == f"error: {corpus}: missing labels for 1 of 1 sessions: 's1'\n"
+        assert not report.exists()
 
-    def test_missing_tagger_model_is_exit_3(self, workspace, tmp_path):
-        data, models = workspace["data"], workspace["models"]
-        rc = main(
-            ["evaluate", "--set", "mc-tfidf", "--in", str(data / "corpus.jsonl"),
-             "--boundary-model", str(models / "boundary.json"),
-             "--report", str(tmp_path / "r.json"), "--out-dir", str(tmp_path / "a")]
-        )
+    def test_missing_tagger_model_is_exit_3(self, workspace, tmp_path, capsys):
+        missing, out = tmp_path / "missing.json", tmp_path / "tagged.jsonl"
+        rc = main(["tag", "--scheme", "mc", "--model", str(missing), "--in", str(workspace["data"] / "gold_tags.jsonl"),
+                   "--out", str(out)])
         assert rc == 3
+        assert str(missing) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_wrong_scheme_model_is_exit_2(self, workspace, tmp_path):
         data, models = workspace["data"], workspace["models"]
@@ -1169,14 +1084,15 @@ class TestExitCodes:
         lines = corpus.read_text(encoding="utf-8").splitlines()[:1] + gold.read_text(encoding="utf-8").splitlines()[1:3]
         mixed.write_text("\n".join(lines) + "\n", encoding="utf-8")
         cases = [
-            (["segment", "--disable", "--in", str(gold)], gold, 1, "turns", "utterances"),
-            (["tag", "--scheme", "mc", "--model", str(models / "mc.json"), "--in", str(mixed)], mixed, 2, "turns",
-             "utterances"),
-            (["featurize", "--set", "tfidf", "--in", str(corpus)], corpus, 1, "utterances", "turns"),
+            (["segment", "--disable", "--in", str(gold), "--out"], gold, 1, "turns", "utterances"),
+            (["tag", "--scheme", "mc", "--model", str(models / "mc.json"), "--in", str(mixed), "--out"], mixed, 2,
+             "turns", "utterances"),
+            (["featurize", "--set", "tfidf", "--in", str(corpus), "--out"], corpus, 1, "utterances", "turns"),
+            (["evaluate", "--set", "tfidf", "--in", str(corpus), "--report"], corpus, 1, "utterances", "turns"),
         ]
         for argv, path, line, expected, held in cases:
             out = tmp_path / "out.jsonl"
-            assert main([*argv, "--out", str(out)]) == 2, argv
+            assert main([*argv, str(out)]) == 2, argv
             err = capsys.readouterr().err
             assert f"{path}, line {line}: expected a list of {expected}; the record holds {held}" in err
             assert not out.exists()
@@ -1222,29 +1138,40 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "mode, flag, value, applies",
-        [("matrix", "--max-df", "0.9", "tagged|turn-level"), ("matrix", "--min-df", "0.1", "tagged|turn-level"),
-         ("matrix", "--word-denominator", "session", "tagged|turn-level"), ("matrix", "--pause", "3", "turn-level"),
-         ("matrix", "--no-segmentation", None, "turn-level"),
-         ("matrix", "--boundary-model", "nothere.json", "turn-level"), ("tagged", "--pause", "3", "turn-level"),
-         ("tagged", "--no-segmentation", None, "turn-level"), ("tagged", "--da-model", "da.json", "turn-level"),
-         ("tagged", "--mc-model", "mc.json", "turn-level"), ("tagged", "--out-dir", "artifacts", "turn-level")],
+        "flag, value",
+        [("--max-df", "0.9"), ("--min-df", "0.1"), ("--word-denominator", "session")],
     )
-    def test_evaluate_flag_that_its_input_ignores_is_exit_2(self, workspace, tmp_path, capsys, mode, flag, value,
-                                                            applies):
+    def test_evaluate_flag_that_its_input_ignores_is_exit_2(self, workspace, tmp_path, capsys, flag, value):
         data = workspace["data"]
-        if mode == "matrix":
-            matrix = tmp_path / "t.mtx"
-            assert main(["featurize", "--set", "tfidf", "--in", str(data / "gold_tags.jsonl"), "--out", str(matrix)]) == 0
-            source = ["--matrix", str(matrix)]
-        else:
-            source = ["--set", "tfidf", "--in", str(data / "gold_tags.jsonl")]
+        matrix = tmp_path / "t.mtx"
+        assert main(["featurize", "--set", "tfidf", "--in", str(data / "gold_tags.jsonl"), "--out", str(matrix)]) == 0
         report = tmp_path / "r.json"
-        argv = ["evaluate", *source, "--labels", str(data / "labels.csv"), "--k-grid", "8", "--report", str(report)]
+        argv = ["evaluate", "--matrix", str(matrix), "--labels", str(data / "labels.csv"), "--k-grid", "8",
+                "--report", str(report)]
         capsys.readouterr()
-        assert main([*argv, flag, *([value] if value else [])]) == 2
-        assert capsys.readouterr().err == f"error: {flag} applies only to {applies} input, not {mode} input\n"
+        assert main([*argv, flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {flag} applies only to tagged input, not matrix input\n"
         assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--out-dir", "artifacts"), ("--boundary-model", "boundary.json"), ("--da-model", "da.json"),
+         ("--mc-model", "mc.json"), ("--pause", "3"), ("--no-segmentation", None)],
+    )
+    def test_evaluate_takes_no_segmentation_or_tagging_flag(self, workspace, tmp_path, capsys, flag, value):
+        """`evaluate` runs no segmenter or tagger: segment, tag and featurize do."""
+        data = workspace["data"]
+        report = tmp_path / "r.json"
+        argv = ["evaluate", "--set", "tfidf", "--in", str(data / "gold_tags.jsonl"), "--labels",
+                str(data / "labels.csv"), "--k-grid", "8", "--report", str(report)]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, flag, *([value] if value else [])])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not report.exists()
+        sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        evaluate = sub.choices["evaluate"]
+        assert flag not in evaluate.format_help()
 
     @pytest.mark.parametrize("command", ["evaluate", "compare", "train", "embedded"])
     def test_missing_labels_name_their_source_and_at_most_five_sessions(self, workspace, tmp_path, capsys, command):

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import cbtcode.tagger
 from cbtcode.corpus import Tokens, Turn
 from cbtcode.errors import ValidationError
 from cbtcode.tagger import (
@@ -190,6 +191,18 @@ class TestUtteranceClassifier:
         m2 = train_utterance_classifier(train, l2=0.1)
         assert np.array_equal(m1.weights, m2.weights)
         assert np.array_equal(m1.transitions, m2.transitions)
+
+    def test_l2_is_checked_once_per_call(self, monkeypatch):
+        calls = []
+        check = cbtcode.tagger._check_l2
+        monkeypatch.setattr(cbtcode.tagger, "_check_l2", lambda l2: (calls.append(l2), check(l2))[1])
+        train_utterance_classifier(planted_mc_corpus(np.random.default_rng(12), 120), l2=0.1)
+        assert calls == [0.1]
+
+    @pytest.mark.parametrize("l2", [float("nan"), float("inf"), -1.0])
+    def test_nonfinite_or_negative_l2_is_a_validation_error(self, l2):
+        with pytest.raises(ValidationError, match="l2 must be finite and non-negative"):
+            train_utterance_classifier(planted_mc_corpus(np.random.default_rng(12), 120), l2=l2)
 
     def test_transitions_stay_zero(self):
         # One-position sequences give the transitions no data gradient, so
