@@ -113,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="tagged corpus JSONL")
 
     p = sub.add_parser("featurize", help="build a feature matrix from a tagged corpus")
-    p.add_argument("--set", "--features", dest="feature_set", choices=FEATURE_SETS, required=True)
+    p.add_argument("--set", dest="feature_set", choices=FEATURE_SETS, required=True)
     p.add_argument("--in", dest="input", required=True, help="tagged corpus JSONL")
     p.add_argument("--out", required=True, help="matrix file")
     _add_stage_flags(p, "max_df", "min_df", "word_denominator")
@@ -123,9 +123,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--what", choices=("svm", "boundary", "da", "mc"), default="svm")
     p.add_argument("--code", choices=LABEL_COLUMNS, help="code task (svm)")
     p.add_argument("--features", help="feature matrix file (svm)")
-    p.add_argument("--in", dest="input", help="training input (boundary text / tagged corpus)")
-    p.add_argument("--labels", help="labels CSV (svm; falls back to --scores-from)")
-    p.add_argument("--scores-from", help="corpus/tagged JSONL with embedded scores (svm)")
+    p.add_argument("--in", dest="input",
+                   help="training input (boundary text / tagged corpus; svm: corpus with embedded scores)")
+    p.add_argument("--labels", help="labels CSV (svm; falls back to the scores embedded in --in)")
     p.add_argument("--k", type=int, help="keep the k best features by F score, >= 1 (svm)")
     _add_stage_flags(p, "svm_c")
     p.add_argument("--l2", type=float, help="L2 strength, finite and >= 0 (boundary/da/mc; default 0.1)")
@@ -133,15 +133,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="model file")
 
     p = sub.add_parser("evaluate", help="run the cross-validated evaluation protocol")
-    p.add_argument("--matrix", help="feature matrix file (skips featurization)")
-    p.add_argument("--features", "--set", dest="feature_set", choices=FEATURE_SETS,
-                   help=f"feature set with --in (default {PipelineConfig.feature_set}); a matrix names its own")
-    p.add_argument("--in", dest="input", help="tagged corpus JSONL")
-    p.add_argument("--labels", help="labels CSV keyed by session id")
-    _add_stage_flags(p, "folds", "seed", "k_grid", "svm_c", "max_df", "min_df", "word_denominator")
+    p.add_argument("--matrix", required=True, help="feature matrix file")
+    p.add_argument("--in", dest="input", help="corpus JSONL with embedded scores (labels without --labels)")
+    p.add_argument("--labels", help="labels CSV keyed by session id (falls back to the scores embedded in --in)")
+    _add_stage_flags(p, "folds", "seed", "k_grid", "svm_c")
     p.add_argument("--report", required=True, help="report JSON output")
     p.add_argument("--table", help="plain-text table output")
-    p.add_argument("--config", help="pipeline config JSON (flags passed override it)")
 
     p = sub.add_parser("compare", help="combined 5x2cv F test between two feature sets")
     p.add_argument("--a", dest="set_a", choices=FEATURE_SETS, required=True)
@@ -155,12 +152,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args, cls=PipelineConfig):
-    """`cls` from --config (the subcommand's, else the global one, which is a
-    pipeline config) or its defaults, with every flag passed for one of its
-    fields applied; the global --seed stands in for a subcommand --seed not
-    passed."""
-    path = getattr(args, "config", None) or (args.global_config if cls is PipelineConfig else None)
+def _config(args):
+    """The synth config from `synth --config`, else the pipeline config from
+    the global --config, or its defaults, with every flag passed for one of
+    its fields applied; the global --seed stands in for a subcommand --seed
+    not passed."""
+    cls, path = (SynthConfig, args.config) if args.command == "synth" else (PipelineConfig, args.global_config)
     config = cls.from_file(path) if path else cls()
     passed = {name: value for name, value in vars(args).items()
               if name in cls.__dataclass_fields__ and value is not None}
@@ -181,7 +178,7 @@ def _reading(path, errors=ValidationError):
 
 
 def _cmd_synth(args) -> int:
-    config = _config(args, SynthConfig)
+    config = _config(args)
     result = generate_corpus(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -221,7 +218,7 @@ def _cmd_featurize(args) -> int:
     config = _config(args)
     sessions = read_tagged_corpus(args.input)
     with _reading(args.input):
-        matrix = build_feature_matrix(sessions, config.feature_set, config.max_df, config.min_df,
+        matrix = build_feature_matrix(sessions, args.feature_set, config.max_df, config.min_df,
                                       config.word_denominator)
     write_matrix(matrix, args.out)
     if args.space_out:
@@ -230,46 +227,30 @@ def _cmd_featurize(args) -> int:
     return 0
 
 
-def _scores_for(labels_path, scores_from_path):
+def _scores_for(labels_path, corpus_path):
     if labels_path:
         return read_scores_table(labels_path)
-    if scores_from_path:
-        return embedded_scores(parse_corpus(scores_from_path, sniff_corpus_kind(scores_from_path)))
+    if corpus_path:
+        return embedded_scores(parse_corpus(corpus_path, sniff_corpus_kind(corpus_path)))
     raise ValidationError("no label source: pass --labels or an input with embedded scores")
 
 
-# The flags that only some modes of a subcommand read, by dest: the flag and
-# those modes.  A train mode is its --what value, an evaluate mode its input;
-# _MODE_NAMES says how an error names them.
-_FLAG_USES = {
-    "train": {
-        "max_sequences": ("--max-sequences", ("boundary",)),
-        "l2": ("--l2", ("boundary", "da", "mc")),
-        "code": ("--code", ("svm",)),
-        "features": ("--features", ("svm",)),
-        "labels": ("--labels", ("svm",)),
-        "scores_from": ("--scores-from", ("svm",)),
-        "k": ("--k", ("svm",)),
-        "svm_c": ("--c", ("svm",)),
-    },
-    "evaluate": {
-        "max_df": ("--max-df", ("tagged",)),
-        "min_df": ("--min-df", ("tagged",)),
-        "word_denominator": ("--word-denominator", ("tagged",)),
-    },
+# The train flags that only some --what values read, by dest: the flag and those values.
+_TRAIN_FLAG_USES = {
+    "max_sequences": ("--max-sequences", ("boundary",)),
+    "l2": ("--l2", ("boundary", "da", "mc")),
+    "code": ("--code", ("svm",)),
+    "features": ("--features", ("svm",)),
+    "labels": ("--labels", ("svm",)),
+    "k": ("--k", ("svm",)),
+    "svm_c": ("--c", ("svm",)),
 }
-_MODE_NAMES = {"train": "--what {}", "evaluate": "{} input"}
-
-
-def _check_flag_uses(args, mode: str) -> None:
-    name = _MODE_NAMES[args.command].format
-    for dest, (flag, modes) in _FLAG_USES[args.command].items():
-        if getattr(args, dest) is not None and mode not in modes:
-            raise ValidationError(f"{flag} applies only to {name('|'.join(modes))}, not {name(mode)}")
 
 
 def _cmd_train(args) -> int:
-    _check_flag_uses(args, args.what)
+    for dest, (flag, whats) in _TRAIN_FLAG_USES.items():
+        if getattr(args, dest) is not None and args.what not in whats:
+            raise ValidationError(f"{flag} applies only to --what {'|'.join(whats)}, not --what {args.what}")
     l2 = 0.1 if args.l2 is None else args.l2
     if not 0.0 <= l2 < math.inf:  # NaN too
         raise ValidationError(f"--l2 must be finite and non-negative, got {l2}")
@@ -280,9 +261,8 @@ def _cmd_train(args) -> int:
             raise ValidationError(f"--k must be at least 1, got {args.k}")
         svm_c = _config(args).svm_c
         matrix = read_matrix(args.features)
-        scores_from = args.scores_from or args.input
-        scores = _scores_for(args.labels, scores_from)
-        with _reading(args.labels or scores_from, MissingLabelsError):
+        scores = _scores_for(args.labels, args.input)
+        with _reading(args.labels or args.input, MissingLabelsError):
             y = label_matrix(matrix.session_ids, scores)[:, LABEL_COLUMNS.index(args.code)]
         selectable = np.asarray(matrix.selectable, dtype=bool)
         k = args.k if args.k is not None else int(selectable.sum())
@@ -332,22 +312,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     config = _config(args)
-    if not (args.matrix or args.input):
-        raise ValidationError("evaluate needs --matrix or --in")
-    _check_flag_uses(args, "matrix" if args.matrix else "tagged")
-    if args.matrix:
-        matrix = read_matrix(args.matrix)
-        if args.feature_set not in (None, matrix.set_name):
-            raise ValidationError(
-                f"{args.matrix} holds feature set {matrix.set_name!r}, not --set {args.feature_set!r}"
-            )
-        scores = _scores_for(args.labels, args.input)
-    else:
-        sessions = read_tagged_corpus(args.input)
-        with _reading(args.input):
-            matrix = build_feature_matrix(sessions, config.feature_set, config.max_df, config.min_df,
-                                          config.word_denominator)
-        scores = read_scores_table(args.labels) if args.labels else embedded_scores(sessions)
+    matrix = read_matrix(args.matrix)
+    scores = _scores_for(args.labels, args.input)
     with _reading(args.labels or args.input, MissingLabelsError):
         report = run_protocol(matrix, scores, config.folds, config.seed, config.k_grid, config.svm_c)
     save_report(report, args.report)

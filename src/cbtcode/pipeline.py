@@ -47,7 +47,6 @@ DEFAULT_K_GRID = (16, 32, 64, 128)
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    feature_set: str = "tfidf"
     pause_threshold: float = DEFAULT_PAUSE_THRESHOLD
     segmentation: bool = True
     max_df: float = 0.95
@@ -59,8 +58,6 @@ class PipelineConfig:
     word_denominator: str = "therapist"
 
     def __post_init__(self) -> None:
-        if self.feature_set not in FEATURE_SETS:
-            raise ValidationError(f"unknown feature set {self.feature_set!r}; expected one of {FEATURE_SETS}")
         if not self.pause_threshold > 0:  # NaN too
             raise ValidationError("pause_threshold must be positive")
         if self.folds < 2:
@@ -81,9 +78,7 @@ class PipelineConfig:
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "PipelineConfig":
-        """Build a config; the "threads" field of older configs is accepted and dropped."""
         kwargs = dict(payload)
-        kwargs.pop("threads", None)
         if "k_grid" in kwargs:
             kwargs["k_grid"] = tuple(int(k) for k in kwargs["k_grid"])
         unknown = set(kwargs) - set(cls.__dataclass_fields__)

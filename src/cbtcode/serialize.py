@@ -24,6 +24,7 @@ from .corpus import DA_TAG_SET, MC_TAG_SET, Session, parse_corpus, read_json_fil
 from .errors import MissingArtifactError, ParseError, ValidationError
 from .evaluate import EvalReport, FiveByTwoResult
 from .features import FeatureMatrix
+from .pipeline import FEATURE_SETS
 from .segmenter import BOUNDARY_TAG_SET
 from .svm import LinearModel
 from .tagger import ChainCRF
@@ -266,7 +267,7 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
     if not path.exists():
         raise MissingArtifactError(f"feature matrix not found: {path}")
     headers: dict[str, str] = {}
-    shape_line = None
+    shape_line = set_line = None
     rows: dict[str, None] = {}
     col_names: list[str] = []
     col_sel: list[bool] = []
@@ -289,6 +290,8 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
             headers[key] = value
             if key == "shape":
                 shape_line = lineno
+            elif key == "set":
+                set_line = lineno
         else:
             try:
                 r, c, v = line.split(" ")
@@ -299,6 +302,12 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
         raise ValidationError(f"{path}: not a feature matrix file")
     if headers.get("format_version") != str(FORMAT_VERSION):
         raise ValidationError(f"{path}: unsupported format_version {headers.get('format_version')!r}")
+    if set_line is None:
+        raise ParseError(f"{path}: expected a '#set <feature set>' header")
+    if headers["set"] not in FEATURE_SETS:
+        raise ParseError(
+            f"{path}, line {set_line}: unknown feature set {headers['set']!r}; expected one of {FEATURE_SETS}"
+        )
     if shape_line is None:
         raise ParseError(f"{path}: expected a '#shape <rows> <cols>' header")
     try:
@@ -318,7 +327,7 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
             raise ParseError(f"{path}, line {lineno}: value {v!r} is not finite")
         X[r, c] = v
     return FeatureMatrix(
-        set_name=headers.get("set", ""),
+        set_name=headers["set"],
         names=tuple(col_names),
         selectable=tuple(col_sel),
         provenance=headers.get("provenance", "tfidf"),

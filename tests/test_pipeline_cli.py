@@ -73,7 +73,9 @@ def workspace(tmp_path_factory):
             )
             == 0
         )
-    return {"root": root, "data": data, "models": models}
+    tfidf = root / "tfidf.mtx"
+    assert main(["featurize", "--set", "tfidf", "--in", str(data / "gold_tags.jsonl"), "--out", str(tfidf)]) == 0
+    return {"root": root, "data": data, "models": models, "tfidf": tfidf}
 
 
 def test_synth_outputs_exist(workspace):
@@ -384,16 +386,6 @@ def test_negative_seed_is_a_validation_error(build):
         build()
 
 
-def test_pipeline_config_with_threads_field_still_loads(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({**PipelineConfig().to_payload(), "threads": 4}), encoding="utf-8")
-    config = PipelineConfig.from_file(path)
-    assert config == PipelineConfig()
-    assert "threads" not in config.to_payload()
-    with pytest.raises(cbtcode.errors.ValidationError, match="unknown pipeline config fields"):
-        PipelineConfig.from_payload({"workers": 2})
-
-
 def _written(tmp_path, name, argv, out_flag="--out"):
     """The bytes that a successful run of argv writes to a new file."""
     out = tmp_path / name
@@ -413,7 +405,7 @@ def test_evaluate_config_values_reach_the_run(workspace, tmp_path):
     data = workspace["data"]
     run = _global_config(tmp_path, {"folds": 3, "pause_threshold": 3.5, "segmentation": False, "k_grid": [16],
                                     "seed": 4})
-    evaluate = ["evaluate", "--set", "tfidf", "--in", str(data / "gold_tags.jsonl")]
+    evaluate = ["evaluate", "--matrix", str(workspace["tfidf"]), "--in", str(data / "gold_tags.jsonl")]
     report = json.loads(_written(tmp_path, "r.json", [*run, *evaluate], "--report"))["payload"]
     assert (report["n_folds"], report["chosen_k"], report["seed"]) == (3, 16, 4)
     segment = ["segment", "--in", str(data / "corpus.jsonl")]
@@ -423,14 +415,19 @@ def test_evaluate_config_values_reach_the_run(workspace, tmp_path):
 
 
 def test_evaluate_flags_passed_override_the_config(workspace, tmp_path):
+    """Flags passed override the config's protocol fields; its max_df reaches `featurize`."""
     data = workspace["data"]
     run = _global_config(tmp_path, {"folds": 3, "pause_threshold": 3.5, "k_grid": [16], "seed": 4, "max_df": 0.9})
-    evaluate = ["evaluate", "--set", "tfidf", "--in", str(data / "gold_tags.jsonl")]
+    featurize = ["featurize", "--set", "tfidf", "--in", str(data / "gold_tags.jsonl")]
+    matrix = tmp_path / "config.mtx"
+    assert main([*run, *featurize, "--out", str(matrix)]) == 0
+    assert matrix.read_bytes() == _written(tmp_path, "flag.mtx", [*featurize, "--max-df", "0.9"])
+    evaluate = ["evaluate", "--matrix", str(matrix), "--in", str(data / "gold_tags.jsonl")]
     flags = ["--folds", "2", "--k-grid", "8", "--seed", "6"]
     under_config = _written(tmp_path, "config.json", [*run, *evaluate, *flags], "--report")
     report = json.loads(under_config)["payload"]
     assert (report["n_folds"], report["chosen_k"], report["seed"]) == (2, 8, 6)
-    assert under_config == _written(tmp_path, "flags.json", [*evaluate, *flags, "--max-df", "0.9"], "--report")
+    assert under_config == _written(tmp_path, "flags.json", [*evaluate, *flags], "--report")
     segment = ["segment", "--disable", "--in", str(data / "corpus.jsonl")]
     segmented = _written(tmp_path, "config.jsonl", [*run, *segment])
     assert segmented == _written(tmp_path, "flag.jsonl", [*segment, "--pause", "3.5"])
@@ -460,9 +457,9 @@ def test_nan_pause_in_a_pipeline_config_is_exit_2(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_one_global_config_gives_the_same_report_step_by_step_and_one_shot(workspace, tmp_path):
-    """Under one config, `evaluate --matrix` after `featurize` and `evaluate`
-    on the tagged corpus write the same report."""
+def test_one_global_config_gives_the_same_files_step_by_step_as_its_flags(workspace, tmp_path):
+    """Under one config, `segment`, `tag`, `featurize` and `evaluate --matrix`
+    write what the same values passed as flags write."""
     data, models = workspace["data"], workspace["models"]
     run = _global_config(tmp_path, {"max_df": 0.5, "min_df": 0.2, "k_grid": [2, 8], "seed": 3, "svm_c": 0.5,
                                     "pause_threshold": 1.5})
@@ -472,12 +469,13 @@ def test_one_global_config_gives_the_same_report_step_by_step_and_one_shot(works
     assert seg.read_bytes() == _written(tmp_path, "pause.jsonl", [*segment, "--pause", "1.5"])
     assert main([*run, "tag", "--scheme", "mc", "--model", str(models / "mc.json"), "--in", str(seg),
                  "--out", str(tagged)]) == 0
-    assert main([*run, "featurize", "--set", "mc-tfidf", "--in", str(tagged), "--out", str(matrix)]) == 0
-    labels = ["--labels", str(data / "labels.csv")]
-    chain = _written(tmp_path, "chain.json", [*run, "evaluate", "--matrix", str(matrix), *labels], "--report")
-    one_shot = _written(tmp_path, "one_shot.json", [*run, "evaluate", "--set", "mc-tfidf", "--in", str(tagged), *labels],
-                        "--report")
-    assert one_shot == chain
+    featurize = ["featurize", "--set", "mc-tfidf", "--in", str(tagged)]
+    assert main([*run, *featurize, "--out", str(matrix)]) == 0
+    assert matrix.read_bytes() == _written(tmp_path, "flags.mtx", [*featurize, "--max-df", "0.5", "--min-df", "0.2"])
+    evaluate = ["evaluate", "--matrix", str(matrix), "--labels", str(data / "labels.csv")]
+    chain = _written(tmp_path, "chain.json", [*run, *evaluate], "--report")
+    flags = _written(tmp_path, "flags.json", [*evaluate, "--k-grid", "2,8", "--seed", "3", "--c", "0.5"], "--report")
+    assert flags == chain
     report = json.loads(chain)["payload"]
     assert report["seed"] == 3 and report["chosen_k"] in (2, 8)
 
@@ -505,23 +503,6 @@ def test_featurize_and_compare_under_the_config_equal_the_same_flags(workspace, 
         assert outputs[0] != outputs[2], name
 
 
-def test_evaluate_takes_the_feature_set_from_the_config(workspace, tmp_path):
-    data = workspace["data"]
-    config = tmp_path / "pipeline.json"
-    config.write_text(json.dumps({"feature_set": "mc"}), encoding="utf-8")
-    run = ["evaluate", "--in", str(data / "gold_tags.jsonl"), "--labels", str(data / "labels.csv"), "--k-grid", "8"]
-    reports = {}
-    for name, pre, post in (("config", ["--config", str(config)], []), ("flag", [], ["--set", "mc"]),
-                            ("flag over config", ["--config", str(config)], ["--set", "tfidf"]),
-                            ("default", [], [])):
-        reports[name] = tmp_path / f"{name}.json"
-        assert main([*pre, *run, *post, "--report", str(reports[name])]) == 0, name
-    assert reports["config"].read_bytes() == reports["flag"].read_bytes()
-    assert reports["flag over config"].read_bytes() == reports["default"].read_bytes()
-    assert load_artifact(reports["config"], "eval_report")["feature_set"] == "mc"
-    assert load_artifact(reports["default"], "eval_report")["feature_set"] == "tfidf"
-
-
 def test_synth_ignores_the_global_pipeline_config(tmp_path):
     config = tmp_path / "pipeline.json"
     config.write_text(json.dumps({"max_df": 0.5, "k_grid": [2], "seed": 3}), encoding="utf-8")
@@ -544,7 +525,7 @@ def test_every_flag_of_a_config_field_defaults_to_none():
             if action.dest in fields:
                 assert action.default is None, (command, action.option_strings)
                 checked.add(action.dest)
-    assert checked == {"feature_set", "pause_threshold", "segmentation", "max_df", "min_df", "k_grid", "svm_c",
+    assert checked == {"pause_threshold", "segmentation", "max_df", "min_df", "k_grid", "svm_c",
                        "folds", "seed", "word_denominator", "n_sessions"}
 
 
@@ -623,18 +604,23 @@ def test_bad_synth_config_is_exit_2_and_names_the_file(tmp_path, capsys, body):
 
 
 @pytest.mark.parametrize(
-    "body",
-    [b"[1, 2]", b'{"folds": 5', b'{"folds": "x"}', b'{"k_grid": [16, "32"]}', b'{"max_df": "\xff"}'],
-    ids=["list", "truncated", "string-field", "string-in-list", "not-utf8"],
+    "body, message",
+    [(b"[1, 2]", None), (b'{"folds": 5', None), (b'{"folds": "x"}', None), (b'{"k_grid": [16, "32"]}', None),
+     (b'{"max_df": "\xff"}', None), (b'{"threads": 4}', "unknown pipeline config fields: ['threads']"),
+     (b'{"feature_set": "tfidf", "seed": 1}', "unknown pipeline config fields: ['feature_set']")],
+    ids=["list", "truncated", "string-field", "string-in-list", "not-utf8", "threads", "feature-set"],
 )
-def test_bad_pipeline_config_is_exit_2_and_names_the_file(workspace, tmp_path, capsys, body):
-    config = tmp_path / "pipeline.json"
+def test_bad_pipeline_config_is_exit_2_and_names_the_file(workspace, tmp_path, capsys, body, message):
+    config, report = tmp_path / "pipeline.json", tmp_path / "r.json"
     config.write_bytes(body)
-    rc = main(["evaluate", "--set", "tfidf", "--in", str(workspace["data"] / "gold_tags.jsonl"), "--config",
-               str(config), "--report", str(tmp_path / "r.json")])
+    rc = main(["--config", str(config), "evaluate", "--matrix", str(workspace["tfidf"]), "--labels",
+               str(workspace["data"] / "labels.csv"), "--report", str(report)])
     assert rc == 2
     err = capsys.readouterr().err
     assert f"error: {config}: " in err and err.count(str(config)) == 1, err
+    if message:
+        assert err == f"error: {config}: {message}\n"
+    assert not report.exists()
 
 
 _SCIPY_PROBE = """
@@ -688,30 +674,11 @@ class TestExitCodes:
         assert rc == 3
 
     def test_validation_error_is_exit_2(self, workspace, tmp_path):
-        data = workspace["data"]
         rc = main(
-            ["evaluate", "--set", "tfidf", "--in", str(data / "gold_tags.jsonl"),
+            ["evaluate", "--matrix", str(workspace["tfidf"]), "--labels", str(workspace["data"] / "labels.csv"),
              "--k-grid", "not,numbers", "--report", str(tmp_path / "r.json")]
         )
         assert rc == 2
-
-    def test_evaluate_set_that_disagrees_with_the_matrix_is_exit_2(self, workspace, tmp_path, capsys):
-        data = workspace["data"]
-        matrix, report = tmp_path / "t.mtx", tmp_path / "r.json"
-        assert main(["featurize", "--set", "tfidf", "--in", str(data / "gold_tags.jsonl"), "--out", str(matrix)]) == 0
-        run = ["evaluate", "--matrix", str(matrix), "--labels", str(data / "labels.csv"), "--k-grid", "8",
-               "--report", str(report)]
-        capsys.readouterr()
-        assert main([*run, "--set", "mc"]) == 2
-        err = capsys.readouterr().err
-        assert str(matrix) in err and "'tfidf'" in err and "'mc'" in err
-        assert not report.exists()
-        # the config's feature_set is not checked: --matrix mode uses the set the matrix names
-        config = tmp_path / "pipeline.json"
-        config.write_text(json.dumps({"feature_set": "mc"}), encoding="utf-8")
-        assert main(["--config", str(config), *run]) == 0
-        assert load_artifact(report, "eval_report")["feature_set"] == "tfidf"
-        assert main([*run, "--set", "tfidf"]) == 0
 
     def test_corpus_without_scores_is_exit_2(self, tmp_path, capsys):
         corpus = tmp_path / "bare.jsonl"
@@ -719,10 +686,12 @@ class TestExitCodes:
         utterance = {"speaker": "therapist", "index": 0, "tokens": [token], "da": None, "mc": None}
         record = {"format_version": 1, "id": "s1", "utterances": [utterance], "scores": None}
         corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        report = tmp_path / "r.json"
+        matrix, report = tmp_path / "m.mtx", tmp_path / "r.json"
         # the df bounds keep the one session's vocabulary, so the labels are what fails
-        rc = main(["evaluate", "--set", "tfidf", "--in", str(corpus), "--max-df", "1", "--min-df", "0",
-                   "--report", str(report)])
+        assert main(["featurize", "--set", "tfidf", "--in", str(corpus), "--max-df", "1", "--min-df", "0",
+                     "--out", str(matrix)]) == 0
+        capsys.readouterr()
+        rc = main(["evaluate", "--matrix", str(matrix), "--in", str(corpus), "--report", str(report)])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {corpus}: missing labels for 1 of 1 sessions: 's1'\n"
         assert not report.exists()
@@ -793,17 +762,27 @@ class TestExitCodes:
         assert f"{corpus}, line 1:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "body, line",
-        [("#row s1\n#row s1\n#col 1 a\n0 0 1.0\n", 5), ("#row s1\n#row s2\n#col 1 a\n1 0 nan\n", 7)],
-        ids=["duplicate-row", "nan-value"],
+        "set_header, body, error",
+        [("#set tfidf\n", "#row s1\n#row s1\n#col 1 a\n0 0 1.0\n", ", line 6: duplicate session id 's1'"),
+         ("#set tfidf\n", "#row s1\n#row s2\n#col 1 a\n1 0 nan\n", ", line 8: value nan is not finite"),
+         ("", "#row s1\n#row s2\n#col 1 a\n0 0 1.0\n", ": expected a '#set <feature set>' header"),
+         ("#set bogus\n", "#row s1\n#row s2\n#col 1 a\n0 0 1.0\n", ", line 3: unknown feature set 'bogus'; "),
+         ("#set \n", "#row s1\n#row s2\n#col 1 a\n0 0 1.0\n", ", line 3: unknown feature set ''; ")],
+        ids=["duplicate-row", "nan-value", "no-set", "unknown-set", "empty-set"],
     )
-    def test_bad_matrix_line_is_exit_2(self, tmp_path, capsys, body, line):
-        matrix = tmp_path / "bad.mtx"
-        matrix.write_text("#format_version 1\n#kind feature_matrix\n#shape 2 1\n" + body, encoding="utf-8")
-        rc = main(["evaluate", "--matrix", str(matrix), "--labels", str(tmp_path / "labels.csv"),
-                   "--report", str(tmp_path / "r.json")])
-        assert rc == 2
-        assert f"{matrix}, line {line}:" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["evaluate", "train"])
+    def test_bad_matrix_line_is_exit_2(self, tmp_path, capsys, command, set_header, body, error):
+        matrix, out = tmp_path / "bad.mtx", tmp_path / "out.json"
+        matrix.write_text("#format_version 1\n#kind feature_matrix\n" + set_header + "#shape 2 1\n" + body,
+                          encoding="utf-8")
+        labels = ["--labels", str(tmp_path / "labels.csv")]
+        if command == "evaluate":
+            argv = ["evaluate", "--matrix", str(matrix), *labels, "--report", str(out)]
+        else:
+            argv = ["train", "--what", "svm", "--code", "total", "--features", str(matrix), *labels, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {matrix}{error}")
+        assert not out.exists()
 
     def test_tagged_utterance_with_infinite_index_is_exit_2(self, tmp_path, capsys):
         corpus = tmp_path / "tagged.jsonl"
@@ -867,7 +846,8 @@ class TestExitCodes:
     def test_train_svm_with_zero_c_is_exit_2(self, tmp_path, capsys):
         matrix = tmp_path / "m.mtx"
         matrix.write_text(
-            "#format_version 1\n#kind feature_matrix\n#shape 2 1\n#row s1\n#row s2\n#col 1 a\n0 0 1.0\n1 0 -1.0\n",
+            "#format_version 1\n#kind feature_matrix\n#set tfidf\n#shape 2 1\n#row s1\n#row s2\n#col 1 a\n0 0 1.0\n"
+            "1 0 -1.0\n",
             encoding="utf-8",
         )
         labels = tmp_path / "labels.csv"
@@ -934,9 +914,8 @@ class TestExitCodes:
         else:
             config = tmp_path / "config.json"
             config.write_text(json.dumps({**body, "seed": -1}), encoding="utf-8")
-            # only synth and evaluate take a --config of their own; the others read the global one
-            own = command in ("synth", "evaluate")
-            argv = [*argv, "--config", str(config)] if own else ["--config", str(config), *argv]
+            # only synth takes a --config of its own; the others read the global one
+            argv = [*argv, "--config", str(config)] if command == "synth" else ["--config", str(config), *argv]
         assert main(argv) == 2
         assert "seed must be non-negative, got -1" in capsys.readouterr().err
 
@@ -1088,7 +1067,8 @@ class TestExitCodes:
             (["tag", "--scheme", "mc", "--model", str(models / "mc.json"), "--in", str(mixed), "--out"], mixed, 2,
              "turns", "utterances"),
             (["featurize", "--set", "tfidf", "--in", str(corpus), "--out"], corpus, 1, "utterances", "turns"),
-            (["evaluate", "--set", "tfidf", "--in", str(corpus), "--report"], corpus, 1, "utterances", "turns"),
+            (["evaluate", "--matrix", str(workspace["tfidf"]), "--in", str(mixed), "--report"], mixed, 2,
+             "turns", "utterances"),
         ]
         for argv, path, line, expected, held in cases:
             out = tmp_path / "out.jsonl"
@@ -1127,8 +1107,7 @@ class TestExitCodes:
         "what, flag, value, applies",
         [("mc", "--max-sequences", "3", "boundary"), ("svm", "--l2", "5", "boundary|da|mc"),
          ("da", "--c", "3", "svm"), ("boundary", "--code", "total", "svm"), ("mc", "--features", "m.mtx", "svm"),
-         ("da", "--labels", "labels.csv", "svm"), ("boundary", "--scores-from", "gold.jsonl", "svm"),
-         ("mc", "--k", "4", "svm")],
+         ("da", "--labels", "labels.csv", "svm"), ("mc", "--k", "4", "svm")],
     )
     def test_train_flag_that_its_what_ignores_is_exit_2(self, workspace, tmp_path, capsys, what, flag, value, applies):
         source = workspace["data"] / ("boundary_text.txt" if what == "boundary" else "gold_tags.jsonl")
@@ -1139,31 +1118,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--max-df", "0.9"), ("--min-df", "0.1"), ("--word-denominator", "session")],
-    )
-    def test_evaluate_flag_that_its_input_ignores_is_exit_2(self, workspace, tmp_path, capsys, flag, value):
-        data = workspace["data"]
-        matrix = tmp_path / "t.mtx"
-        assert main(["featurize", "--set", "tfidf", "--in", str(data / "gold_tags.jsonl"), "--out", str(matrix)]) == 0
-        report = tmp_path / "r.json"
-        argv = ["evaluate", "--matrix", str(matrix), "--labels", str(data / "labels.csv"), "--k-grid", "8",
-                "--report", str(report)]
-        capsys.readouterr()
-        assert main([*argv, flag, value]) == 2
-        assert capsys.readouterr().err == f"error: {flag} applies only to tagged input, not matrix input\n"
-        assert not report.exists()
-
-    @pytest.mark.parametrize(
-        "flag, value",
         [("--out-dir", "artifacts"), ("--boundary-model", "boundary.json"), ("--da-model", "da.json"),
-         ("--mc-model", "mc.json"), ("--pause", "3"), ("--no-segmentation", None)],
+         ("--mc-model", "mc.json"), ("--pause", "3"), ("--no-segmentation", None), ("--set", "tfidf"),
+         ("--features", "tfidf"), ("--max-df", "0.9"), ("--min-df", "0.1"), ("--word-denominator", "session"),
+         ("--config", "pipeline.json")],
     )
     def test_evaluate_takes_no_segmentation_or_tagging_flag(self, workspace, tmp_path, capsys, flag, value):
-        """`evaluate` runs no segmenter or tagger: segment, tag and featurize do."""
+        """`evaluate` runs no segmenter, tagger or featurizer: segment, tag and featurize do."""
         data = workspace["data"]
         report = tmp_path / "r.json"
-        argv = ["evaluate", "--set", "tfidf", "--in", str(data / "gold_tags.jsonl"), "--labels",
-                str(data / "labels.csv"), "--k-grid", "8", "--report", str(report)]
+        argv = ["evaluate", "--matrix", str(workspace["tfidf"]), "--labels", str(data / "labels.csv"), "--k-grid", "8",
+                "--report", str(report)]
         with pytest.raises(SystemExit) as exit_info:
             main([*argv, flag, *([value] if value else [])])
         assert exit_info.value.code == 2
@@ -1172,6 +1137,25 @@ class TestExitCodes:
         sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         evaluate = sub.choices["evaluate"]
         assert flag not in evaluate.format_help()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["evaluate", "--labels", "{labels}", "--report", "{out}"], "the following arguments are required: --matrix"),
+         (["featurize", "--set", "tfidf", "--in", "{gold}", "--out", "{out}", "--features", "mc"],
+          "unrecognized arguments: --features mc"),
+         (["train", "--what", "svm", "--code", "total", "--features", "{matrix}", "--in", "{gold}", "--out", "{out}",
+           "--scores-from", "{gold}"], "unrecognized arguments: --scores-from")],
+        ids=["evaluate-without-matrix", "featurize-features", "train-scores-from"],
+    )
+    def test_missing_or_removed_flag_is_an_argparse_error(self, workspace, tmp_path, capsys, argv, message):
+        """`evaluate` needs --matrix; the second spellings of a value are gone."""
+        paths = dict(labels=workspace["data"] / "labels.csv", gold=workspace["data"] / "gold_tags.jsonl",
+                     matrix=workspace["tfidf"], out=tmp_path / "out")
+        with pytest.raises(SystemExit) as exit_info:
+            main([arg.format(**paths) for arg in argv])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not paths["out"].exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "compare", "train", "embedded"])
     def test_missing_labels_name_their_source_and_at_most_five_sessions(self, workspace, tmp_path, capsys, command):
@@ -1192,7 +1176,7 @@ class TestExitCodes:
                          "--out", str(out)], short),
             "train": (["train", "--what", "svm", "--code", "total", "--features", str(matrix), "--labels", str(short),
                        "--out", str(out)], short),
-            "embedded": (["evaluate", "--set", "tfidf", "--in", str(partial), "--report", str(out)], partial),
+            "embedded": (["evaluate", "--matrix", str(matrix), "--in", str(partial), "--report", str(out)], partial),
         }[command]
         capsys.readouterr()
         assert main(argv) == 2
@@ -1216,15 +1200,13 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [["featurize", "--set", "mc-tfidf"], ["featurize", "--set", "tfidf+mc"], ["featurize", "--set", "mc"],
-         ["evaluate", "--set", "tfidf+mc"], ["compare", "--a", "tfidf", "--b", "mc-tfidf"],
-         ["train", "--what", "mc"]],
-        ids=["featurize-mc-tfidf", "featurize-tfidf+mc", "featurize-mc", "evaluate-in", "compare", "train"],
+         ["compare", "--a", "tfidf", "--b", "mc-tfidf"], ["train", "--what", "mc"]],
+        ids=["featurize-mc-tfidf", "featurize-tfidf+mc", "featurize-mc", "compare", "train"],
     )
     def test_utterance_without_a_tag_is_exit_2_naming_file_session_and_index(self, workspace, tmp_path, capsys, argv):
         path, sid, index = self._drop_mc_tag(workspace, tmp_path)
         out = tmp_path / "out"
-        out_flag = "--report" if argv[0] == "evaluate" else "--out"
-        assert main([*argv, "--in", str(path), out_flag, str(out)]) == 2
+        assert main([*argv, "--in", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {path}: session {sid}, utterance {index}: no mc tag\n"
         assert not out.exists()
 
