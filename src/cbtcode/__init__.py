@@ -48,7 +48,6 @@ from .features import (  # noqa: E402
     anova_f_scores,
     apply_scaler,
     augment_tokens,
-    concat_spaces,
     fit_scaler,
     fit_tfidf,
     fuse_concat,

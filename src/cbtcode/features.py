@@ -23,30 +23,13 @@ from .corpus import TagSet, Turn
 from .errors import ValidationError
 from .util import corpus_fingerprint
 
-PROVENANCES = ("tfidf", "tag_counts", "augmented_tfidf", "concat")
-
 
 @dataclass(frozen=True)
 class FeatureSpace:
-    """A named, ordered feature vocabulary with document statistics."""
+    """A fitted tf-idf vocabulary: the term names, in column order, and their idf."""
 
     names: tuple[str, ...]
-    df: tuple[int, ...]
     idf: np.ndarray
-    max_df: float
-    min_df: float
-    provenance: str
-    n_docs: int
-    fingerprint: str
-    selectable: tuple[bool, ...]
-
-    def __post_init__(self) -> None:
-        if self.provenance not in PROVENANCES:
-            raise ValidationError(f"unknown provenance {self.provenance!r}")
-        if len(set(self.names)) != len(self.names):
-            raise ValidationError("feature names must be unique")
-        if len(self.names) != len(self.selectable) or len(self.names) != len(self.idf):
-            raise ValidationError("feature space fields disagree in length")
 
     @property
     def dim(self) -> int:
@@ -60,13 +43,8 @@ class FeatureSpace:
 # tf-idf
 
 
-def fit_tfidf(
-    documents: Sequence[tuple[str, Sequence[str]]],
-    max_df: float = 0.95,
-    min_df: float = 0.05,
-    provenance: str = "tfidf",
-) -> FeatureSpace:
-    """Fit a unigram tf-idf vocabulary over (session_id, tokens) documents.
+def fit_tfidf(documents: Sequence[Sequence[str]], max_df: float = 0.95, min_df: float = 0.05) -> FeatureSpace:
+    """Fit a unigram tf-idf vocabulary over documents, each a token sequence.
 
     A term is retained iff min_df <= df/N <= max_df with both bounds
     inclusive; idf(t) = ln((1+N)/(1+df(t))) + 1.
@@ -76,28 +54,16 @@ def fit_tfidf(
     if not (0.0 <= min_df < max_df <= 1.0):
         raise ValidationError(f"need 0 <= min_df < max_df <= 1, got min_df={min_df}, max_df={max_df}")
     n = len(documents)
-    df_counter: Counter[str] = Counter()
-    for _, tokens in documents:
-        df_counter.update(set(tokens))
-    kept = [t for t in sorted(df_counter) if min_df <= df_counter[t] / n <= max_df]
+    df: Counter[str] = Counter()
+    for tokens in documents:
+        df.update(set(tokens))
+    kept = tuple(t for t in sorted(df) if min_df <= df[t] / n <= max_df)
     if not kept:
         raise ValidationError(
             f"tf-idf vocabulary is empty after document-frequency pruning "
             f"(min_df={min_df}, max_df={max_df}); widen the bounds"
         )
-    df = tuple(df_counter[t] for t in kept)
-    idf = np.array([math.log((1 + n) / (1 + d)) + 1.0 for d in df])
-    return FeatureSpace(
-        names=tuple(kept),
-        df=df,
-        idf=idf,
-        max_df=max_df,
-        min_df=min_df,
-        provenance=provenance,
-        n_docs=n,
-        fingerprint=corpus_fingerprint([sid for sid, _ in documents]),
-        selectable=tuple(True for _ in kept),
-    )
+    return FeatureSpace(names=kept, idf=np.array([math.log((1 + n) / (1 + df[t])) + 1.0 for t in kept]))
 
 
 def transform_tfidf(tokens: Sequence[str], space: FeatureSpace, index: Mapping[str, int]) -> np.ndarray:
@@ -115,35 +81,17 @@ def transform_tfidf(tokens: Sequence[str], space: FeatureSpace, index: Mapping[s
     return row
 
 
-def tfidf_matrix(documents: Sequence[tuple[str, Sequence[str]]], space: FeatureSpace) -> np.ndarray:
-    """Dense (len(documents), space.dim) tf-idf rows of (session_id, tokens) documents."""
+def tfidf_matrix(documents: Sequence[Sequence[str]], space: FeatureSpace) -> np.ndarray:
+    """Dense (len(documents), space.dim) tf-idf rows of documents, each a token sequence."""
     index = space.index()
     X = np.zeros((len(documents), space.dim))
-    for row, (_, tokens) in zip(X, documents):
+    for row, tokens in zip(X, documents):
         row[:] = transform_tfidf(tokens, space, index)
     return X
 
 
 # ---------------------------------------------------------------------------
 # Tag-count blocks and word augmentation
-
-
-def tag_block_space(scheme: TagSet, fingerprint: str, n_docs: int) -> FeatureSpace:
-    """The 14-dim feature space of a tag-count block (not subject to selection)."""
-    names = [f"{scheme.name}:utt:{t}" for t in scheme.labels]
-    names += [f"{scheme.name}:wrd:{t}" for t in scheme.labels]
-    k = len(names)
-    return FeatureSpace(
-        names=tuple(names),
-        df=tuple(n_docs for _ in names),
-        idf=np.ones(k),
-        max_df=1.0,
-        min_df=0.0,
-        provenance="tag_counts",
-        n_docs=n_docs,
-        fingerprint=fingerprint,
-        selectable=tuple(False for _ in names),
-    )
 
 
 def tag_count_features(
@@ -200,33 +148,11 @@ def augment_tokens(tagged: Sequence[Turn], scheme: TagSet) -> list[str]:
 # Fusion by concatenation
 
 
-def concat_spaces(word_space: FeatureSpace, block_space: FeatureSpace) -> FeatureSpace:
-    """Concatenated space: word-level features first, tag block second."""
-    if word_space.fingerprint != block_space.fingerprint:
+def fuse_concat(word_X: np.ndarray, block_X: np.ndarray) -> np.ndarray:
+    """Rows of a concatenated set: word-level columns first, tag block second."""
+    if word_X.shape[0] != block_X.shape[0]:
         raise ValidationError(
-            "cannot concatenate feature spaces fitted on different corpora "
-            f"({word_space.fingerprint} vs {block_space.fingerprint})"
-        )
-    names = tuple(f"{word_space.provenance}:{n}" for n in word_space.names) + block_space.names
-    return FeatureSpace(
-        names=names,
-        df=word_space.df + block_space.df,
-        idf=np.concatenate([word_space.idf, block_space.idf]),
-        max_df=word_space.max_df,
-        min_df=word_space.min_df,
-        provenance="concat",
-        n_docs=word_space.n_docs,
-        fingerprint=word_space.fingerprint,
-        selectable=word_space.selectable + block_space.selectable,
-    )
-
-
-def fuse_concat(word_X: np.ndarray, block_X: np.ndarray, fused: FeatureSpace) -> np.ndarray:
-    """Rows of the concatenated space: word-level columns first, tag block second."""
-    if word_X.shape[0] != block_X.shape[0] or word_X.shape[1] + block_X.shape[1] != fused.dim:
-        raise ValidationError(
-            f"dimension mismatch: {word_X.shape} word rows and {block_X.shape} tag-block rows "
-            f"do not fill a {fused.dim}-dim fused space"
+            f"dimension mismatch: {word_X.shape[0]} word-level rows and {block_X.shape[0]} tag-block rows"
         )
     return np.hstack([word_X, block_X])
 
@@ -320,18 +246,16 @@ class ScalerStats:
 class FeatureMatrix:
     """Per-session feature rows plus the metadata the protocol needs.
 
-    space carries the fitted FeatureSpace when the matrix was built in
-    process; it is not stored in the matrix file.
+    idf is each column's idf (1.0 for a tag-block column) when the matrix
+    was built in process; it is not stored in the matrix file.
     """
 
     set_name: str
     names: tuple[str, ...]
     selectable: tuple[bool, ...]
-    provenance: str
-    fingerprint: str
     session_ids: tuple[str, ...]
     X: np.ndarray
-    space: "FeatureSpace | None" = None
+    idf: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.X.shape != (len(self.session_ids), len(self.names)):
@@ -343,6 +267,11 @@ class FeatureMatrix:
             raise ValidationError("selectable flags disagree with feature names")
         if len(set(self.session_ids)) != len(self.session_ids):
             raise ValidationError("duplicate session ids in feature matrix")
+
+    @property
+    def fingerprint(self) -> str:
+        """The digest of the session ids the features were computed from."""
+        return corpus_fingerprint(self.session_ids)
 
 
 def fit_scaler(X: np.ndarray) -> ScalerStats:

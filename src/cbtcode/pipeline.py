@@ -19,16 +19,14 @@ from .errors import ValidationError
 from .features import (
     FeatureMatrix,
     augment_tokens,
-    concat_spaces,
     fit_tfidf,
     fuse_concat,
-    tag_block_space,
     tag_count_features,
     tfidf_matrix,
 )
 from .segmenter import DEFAULT_PAUSE_THRESHOLD, BoundaryModel, segment_sessions
 from .tagger import ChainCRF, tag_da_sessions, tag_mc_sessions
-from .util import corpus_fingerprint, read_config
+from .util import read_config
 
 FEATURE_SETS = ("tfidf", "da", "mc", "tfidf+da", "tfidf+mc", "da-tfidf", "mc-tfidf")
 
@@ -131,7 +129,8 @@ def build_feature_matrix(
 
     Word-level sets are tf-idf over therapist tokens, or over word|TAG
     tokens for da-tfidf / mc-tfidf; tfidf+da / tfidf+mc append the tag
-    block; da / mc are the tag block alone.
+    block, and name each word column tfidf:<word>; da / mc are the tag
+    block alone.
     """
     scheme_name = required_scheme(feature_set)
     if not sessions:
@@ -144,21 +143,20 @@ def build_feature_matrix(
             for i, u in enumerate(s.turns):
                 if u.speaker == THERAPIST and u.tag(scheme_name) is None:
                     raise ValidationError(f"session {s.id}, utterance {i}: no {scheme_name} tag")
-    fingerprint = corpus_fingerprint(ids)
     therapist = [s.therapist_turns() for s in sessions]
     scheme = TAG_SETS[scheme_name] if scheme_name else None
     augmented = feature_set in ("da-tfidf", "mc-tfidf")
 
-    space = X = None
+    names, idf, X = (), np.zeros(0), np.zeros((len(sessions), 0))
     if feature_set not in ("da", "mc"):
         if augmented:
-            docs = [(s.id, augment_tokens(utts, scheme)) for s, utts in zip(sessions, therapist)]
+            docs = [augment_tokens(utts, scheme) for utts in therapist]
         else:
-            docs = [(s.id, [w for u in utts for w in u.tokens.texts]) for s, utts in zip(sessions, therapist)]
-        space = fit_tfidf(docs, max_df, min_df, provenance="augmented_tfidf" if augmented else "tfidf")
-        X = tfidf_matrix(docs, space)
+            docs = [[w for u in utts for w in u.tokens.texts] for utts in therapist]
+        space = fit_tfidf(docs, max_df, min_df)
+        names, idf, X = space.names, space.idf, tfidf_matrix(docs, space)
+    n_selectable = len(names)
     if scheme is not None and not augmented:
-        tag_space = tag_block_space(scheme, fingerprint, len(sessions))
         rows = [
             tag_count_features(
                 utts,
@@ -169,20 +167,17 @@ def build_feature_matrix(
             )
             for s, utts in zip(sessions, therapist)
         ]
-        block = np.array(rows).reshape(len(sessions), tag_space.dim)
-        if space is None:
-            space, X = tag_space, block
-        else:
-            space = concat_spaces(space, tag_space)
-            X = fuse_concat(X, block, space)
+        block = np.array(rows).reshape(len(sessions), 2 * len(scheme.labels))
+        names = tuple(f"tfidf:{n}" for n in names)
+        names += tuple(f"{scheme.name}:{kind}:{t}" for kind in ("utt", "wrd") for t in scheme.labels)
+        idf = np.concatenate([idf, np.ones(block.shape[1])])
+        X = fuse_concat(X, block)
 
     return FeatureMatrix(
         set_name=feature_set,
-        names=space.names,
-        selectable=space.selectable,
-        provenance=space.provenance,
-        fingerprint=fingerprint,
+        names=names,
+        selectable=(True,) * n_selectable + (False,) * (len(names) - n_selectable),
         session_ids=ids,
         X=X,
-        space=space,
+        idf=idf,
     )

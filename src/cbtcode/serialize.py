@@ -216,24 +216,19 @@ def _array(p: dict, path: Path, name: str, shape: tuple[int, ...] | None = None)
 
 
 def save_feature_space(matrix: FeatureMatrix, path: str | Path) -> None:
-    """Write the fitted feature space (names, df, idf, bounds, provenance)."""
-    if matrix.space is None:
+    """Write what a matrix built in process was computed from: its set, the
+    fingerprint of its sessions, and each column's name, idf and selectable flag."""
+    if matrix.idf is None:
         raise ValidationError("this matrix was loaded from disk and carries no fitted space")
-    space = matrix.space
     save_artifact(
         path,
         "feature_space",
         {
             "set": matrix.set_name,
-            "provenance": space.provenance,
-            "fingerprint": space.fingerprint,
-            "n_docs": space.n_docs,
-            "max_df": space.max_df,
-            "min_df": space.min_df,
-            "names": list(space.names),
-            "df": list(space.df),
-            "idf": [float(v) for v in space.idf],
-            "selectable": [bool(s) for s in space.selectable],
+            "fingerprint": matrix.fingerprint,
+            "names": list(matrix.names),
+            "idf": [float(v) for v in matrix.idf],
+            "selectable": [bool(s) for s in matrix.selectable],
         },
     )
 
@@ -250,7 +245,6 @@ def write_matrix(matrix: FeatureMatrix, path: str | Path) -> None:
         fh.write("#kind feature_matrix\n")
         fh.write(f"#tool cbtcode {__version__}\n")
         fh.write(f"#set {matrix.set_name}\n")
-        fh.write(f"#provenance {matrix.provenance}\n")
         fh.write(f"#fingerprint {matrix.fingerprint}\n")
         fh.write(f"#shape {len(matrix.session_ids)} {len(matrix.names)}\n")
         for sid in matrix.session_ids:
@@ -267,7 +261,7 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
     if not path.exists():
         raise MissingArtifactError(f"feature matrix not found: {path}")
     headers: dict[str, str] = {}
-    shape_line = set_line = None
+    shape_line = set_line = fingerprint_line = None
     rows: dict[str, None] = {}
     col_names: list[str] = []
     col_sel: list[bool] = []
@@ -292,6 +286,8 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
                 shape_line = lineno
             elif key == "set":
                 set_line = lineno
+            elif key == "fingerprint":
+                fingerprint_line = lineno
         else:
             try:
                 r, c, v = line.split(" ")
@@ -308,6 +304,8 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
         raise ParseError(
             f"{path}, line {set_line}: unknown feature set {headers['set']!r}; expected one of {FEATURE_SETS}"
         )
+    if fingerprint_line is None:
+        raise ParseError(f"{path}: expected a '#fingerprint <digest>' header")
     if shape_line is None:
         raise ParseError(f"{path}: expected a '#shape <rows> <cols>' header")
     try:
@@ -326,15 +324,14 @@ def read_matrix(path: str | Path) -> FeatureMatrix:
         if not math.isfinite(v):
             raise ParseError(f"{path}, line {lineno}: value {v!r} is not finite")
         X[r, c] = v
-    return FeatureMatrix(
-        set_name=headers["set"],
-        names=tuple(col_names),
-        selectable=tuple(col_sel),
-        provenance=headers.get("provenance", "tfidf"),
-        fingerprint=headers.get("fingerprint", ""),
-        session_ids=tuple(rows),
-        X=X,
-    )
+    matrix = FeatureMatrix(set_name=headers["set"], names=tuple(col_names), selectable=tuple(col_sel),
+                           session_ids=tuple(rows), X=X)
+    if headers["fingerprint"] != matrix.fingerprint:
+        raise ParseError(
+            f"{path}, line {fingerprint_line}: fingerprint {headers['fingerprint']!r} disagrees with "
+            f"the #row session ids, whose fingerprint is {matrix.fingerprint!r}"
+        )
+    return matrix
 
 
 # ---------------------------------------------------------------------------

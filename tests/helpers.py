@@ -107,10 +107,10 @@ def boundary_f1(predicted, gold) -> float:
 # tf-idf brute-force oracle (pure python)
 
 
-def brute_tfidf(docs: list[tuple[str, list[str]]], max_df: float, min_df: float):
+def brute_tfidf(docs: list[list[str]], max_df: float, min_df: float):
     n = len(docs)
     df: Counter[str] = Counter()
-    for _, toks in docs:
+    for toks in docs:
         df.update(set(toks))
     vocab = sorted(t for t in df if min_df <= df[t] / n <= max_df)
     idf = {t: math.log((1 + n) / (1 + df[t])) + 1.0 for t in vocab}

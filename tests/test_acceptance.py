@@ -134,19 +134,16 @@ def test_criterion_03_tfidf_matches_bruteforce_oracle():
     worst = 0.0
     for _ in range(50):
         vocab = [f"t{i}" for i in range(25)]
-        docs = [
-            (f"d{i}", [vocab[int(j)] for j in rng.integers(0, 25, size=int(rng.integers(1, 30)))])
-            for i in range(10)
-        ]
+        docs = [[vocab[int(j)] for j in rng.integers(0, 25, size=int(rng.integers(1, 30)))] for _ in range(10)]
         space = fit_tfidf(docs, max_df=0.95, min_df=0.05)
         vocab_o, idf_o, transform_o = brute_tfidf(list(docs), 0.95, 0.05)
         assert list(space.names) == vocab_o
         mine = tfidf_matrix(docs, space)
-        theirs = np.array([transform_o(toks) for _, toks in docs])
+        theirs = np.array([transform_o(toks) for toks in docs])
         worst = max(worst, float(np.abs(mine - theirs).max()))
     # document-frequency boundary cases at exactly 5% and 95% of 20 docs
-    docs20 = [(f"d{i}", ["lower"] if i == 0 else ["upper"]) for i in range(20)]
-    docs20 = [(sid, toks + ["mid"] if i % 2 else toks) for i, (sid, toks) in enumerate(docs20)]
+    docs20 = [["lower"] if i == 0 else ["upper"] for i in range(20)]
+    docs20 = [toks + ["mid"] if i % 2 else toks for i, toks in enumerate(docs20)]
     space20 = fit_tfidf(docs20, max_df=0.95, min_df=0.05)
     boundaries_kept = "lower" in space20.names and "upper" in space20.names
     report_line(
@@ -257,8 +254,6 @@ def test_criterion_07_five_by_two_statistic():
         set_name="x",
         names=tuple(f"f{j}" for j in range(5)),
         selectable=(True,) * 5,
-        provenance="tfidf",
-        fingerprint="fp",
         session_ids=tuple(f"s{i}" for i in range(n)),
         X=X,
     )

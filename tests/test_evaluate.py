@@ -133,8 +133,6 @@ def build_matrix(X, name="test"):
         set_name=name,
         names=tuple(f"f{j}" for j in range(d)),
         selectable=tuple(True for _ in range(d)),
-        provenance="tfidf",
-        fingerprint="abc123",
         session_ids=tuple(f"s{i}" for i in range(n)),
         X=X,
     )

@@ -10,12 +10,10 @@ from cbtcode.features import (
     anova_f_scores,
     apply_scaler,
     augment_tokens,
-    concat_spaces,
     fit_scaler,
     fit_tfidf,
     fuse_concat,
     select_k_by_cv,
-    tag_block_space,
     tag_count_features,
     tfidf_matrix,
     top_k_mask,
@@ -33,49 +31,48 @@ def tagged(words, mc=None, da=None, speaker="therapist"):
 
 class TestTfidfFit:
     def test_inclusive_upper_bound(self):
-        docs = [(f"d{i}", ["common"] if i < 19 else ["rare"]) for i in range(20)]
+        docs = [["common"] if i < 19 else ["rare"] for i in range(20)]
         space = fit_tfidf(docs, max_df=0.95, min_df=0.0)
         assert "common" in space.names  # df 19/20 = 0.95 retained
 
     def test_above_upper_bound_pruned(self):
-        docs = [(f"d{i}", ["everywhere", f"u{i}"]) for i in range(20)]
+        docs = [["everywhere", f"u{i}"] for i in range(20)]
         space = fit_tfidf(docs, max_df=0.95, min_df=0.05)
         assert "everywhere" not in space.names  # df 1.0 > 0.95
 
     def test_inclusive_lower_bound(self):
-        docs = [(f"d{i}", ["one"] if i == 0 else ["filler"]) for i in range(20)]
+        docs = [["one"] if i == 0 else ["filler"] for i in range(20)]
         space = fit_tfidf(docs, max_df=1.0, min_df=0.05)
         assert "one" in space.names  # df 1/20 = 0.05 retained
 
     def test_idf_formula(self):
-        docs = [("a", ["t"]), ("b", ["t"]), ("c", ["x"]), ("d", ["x", "y", "t2"])]
+        docs = [["t"], ["t"], ["x"], ["x", "y", "t2"]]
         space = fit_tfidf(docs, max_df=1.0, min_df=0.0)
-        i = space.names.index("t")
-        assert space.df[i] == 2
-        assert abs(space.idf[i] - (math.log(5 / 3) + 1.0)) < 1e-12
+        idf = dict(zip(space.names, space.idf))
+        assert abs(idf["t"] - (math.log(5 / 3) + 1.0)) < 1e-12  # holds only for df 2 of N 4
 
     def test_empty_vocabulary_advises_bounds(self):
-        docs = [("a", ["t"]), ("b", ["t"])]
+        docs = [["t"], ["t"]]
         with pytest.raises(ValidationError, match="bounds"):
             fit_tfidf(docs, max_df=0.95, min_df=0.05)
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValidationError):
-            fit_tfidf([("a", ["t"])], max_df=0.5, min_df=0.5)
+            fit_tfidf([["t"]], max_df=0.5, min_df=0.5)
 
 
 class TestTfidfTransform:
     def test_hand_computed_single_doc(self):
-        docs = [("a", ["a", "a", "b"])]
+        docs = [["a", "a", "b"]]
         space = fit_tfidf(docs, max_df=1.0, min_df=0.0)
         X = tfidf_matrix(docs, space)
         assert X.shape == (1, 2)
         assert np.abs(X[0] - np.array([2, 1]) / math.sqrt(5)).max() < 1e-12
 
     def test_oov_only_gives_zero_vector(self):
-        docs = [("a", ["x", "y"]), ("b", ["x"])]
+        docs = [["x", "y"], ["x"]]
         space = fit_tfidf(docs, max_df=1.0, min_df=0.0)
-        X = tfidf_matrix([("c", ["zz", "qq"]), ("d", []), ("a", ["x", "y"])], space)
+        X = tfidf_matrix([["zz", "qq"], [], ["x", "y"]], space)
         assert X.shape == (3, space.dim)
         assert np.all(X[:2] == 0.0)
         assert abs(np.linalg.norm(X[2]) - 1.0) < 1e-12
@@ -84,38 +81,33 @@ class TestTfidfTransform:
         rng = np.random.default_rng(0)
         for _ in range(25):
             vocab = [f"t{i}" for i in range(30)]
-            docs = [
-                (f"d{i}", [vocab[int(j)] for j in rng.integers(0, 30, size=int(rng.integers(1, 40)))])
-                for i in range(10)
-            ]
+            docs = [[vocab[int(j)] for j in rng.integers(0, 30, size=int(rng.integers(1, 40)))] for _ in range(10)]
             space = fit_tfidf(docs, max_df=0.95, min_df=0.05)
             vocab_o, idf_o, transform_o = brute_tfidf(list(docs), 0.95, 0.05)
             assert list(space.names) == vocab_o
             for name in space.names:
                 assert abs(space.idf[space.names.index(name)] - idf_o[name]) < 1e-12
             # Besides the fitted documents: one with no vocabulary term, and an empty one.
-            queries = docs + [("oov", ["unseen", "words"]), ("empty", [])]
+            queries = docs + [["unseen", "words"], []]
             mine = tfidf_matrix(queries, space)
-            theirs = np.array([transform_o(toks) for _, toks in queries])
+            theirs = np.array([transform_o(toks) for toks in queries])
             assert mine.shape == theirs.shape == (len(queries), space.dim)
             assert np.abs(mine - theirs).max() < 1e-9
             assert np.all(mine[-2:] == 0.0)
 
     def test_unit_norm_or_zero(self):
         rng = np.random.default_rng(1)
-        docs = [
-            (f"d{i}", [f"t{int(j)}" for j in rng.integers(0, 15, size=20)]) for i in range(12)
-        ]
+        docs = [[f"t{int(j)}" for j in rng.integers(0, 15, size=20)] for _ in range(12)]
         space = fit_tfidf(docs, max_df=1.0, min_df=0.0)
         for norm in np.linalg.norm(tfidf_matrix(docs, space), axis=1):
             assert abs(norm - 1.0) < 1e-9 or norm == 0.0
 
     def test_rows_do_not_depend_on_the_rest_of_the_corpus(self):
         rng = np.random.default_rng(12)
-        docs = [(f"d{i}", [f"t{int(j)}" for j in rng.integers(0, 20, size=15)]) for i in range(8)]
+        docs = [[f"t{int(j)}" for j in rng.integers(0, 20, size=15)] for _ in range(8)]
         space = fit_tfidf(docs, max_df=1.0, min_df=0.0)
         whole = tfidf_matrix(docs, space)
-        for i, (_, tokens) in enumerate(docs):
+        for i, tokens in enumerate(docs):
             assert np.array_equal(tfidf_matrix([docs[i]], space)[0], whole[i])
             assert np.array_equal(transform_tfidf(tokens, space, space.index()), whole[i])
         assert tfidf_matrix([], space).shape == (0, space.dim)
@@ -243,11 +235,10 @@ class TestAugmentation:
 
 
 class TestConcatFusion:
-    def make_word_space(self, n_terms=500, n_docs=2):
-        docs = [
-            (f"d{i}", [f"t{j}" for j in range(i, n_terms, n_docs)]) for i in range(n_docs)
-        ]
-        return fit_tfidf(docs, max_df=0.95, min_df=0.05), docs
+    def make_disjoint_corpus(self, n_terms, n_sessions):
+        """One tagged therapist utterance per session; session i says the terms t{j}, j = i mod n_sessions."""
+        words = [[f"t{j}" for j in range(i, n_terms, n_sessions)] for i in range(n_sessions)]
+        return [Session(id=f"d{i}", turns=(tagged(w, mc="RE", da="Question"),)) for i, w in enumerate(words)]
 
     def make_corpus(self, n_sessions=12):
         """Tagged sessions; the last one has no therapist utterance, so its tag block is zero."""
@@ -272,11 +263,11 @@ class TestConcatFusion:
             return build_feature_matrix(sessions, feature_set)
 
     def test_dimensions_add(self):
-        word_space, docs = self.make_word_space(500, 2)
-        assert word_space.dim == 500
-        block_space = tag_block_space(MC_TAG_SET, word_space.fingerprint, 2)
-        fused = concat_spaces(word_space, block_space)
-        assert fused.dim == 514
+        sessions = self.make_disjoint_corpus(500, 2)
+        assert self.build(sessions, "tfidf").X.shape == (2, 500)
+        fused = self.build(sessions, "tfidf+mc")
+        assert fused.X.shape == (2, 514)
+        assert len(fused.names) == len(fused.idf) == 514
 
     def test_zero_block_leaves_word_values(self):
         sessions = self.make_corpus()
@@ -294,7 +285,7 @@ class TestConcatFusion:
         block = self.build(sessions, "mc")
         fused = self.build(sessions, "tfidf+mc")
         d = word.X.shape[1]
-        assert fused.names == fused.space.names
+        assert np.array_equal(fused.idf, np.concatenate([word.idf, np.ones(14)]))
         assert fused.names[:d] == tuple(f"tfidf:{n}" for n in word.names)
         assert fused.names[d:] == block.names
         assert np.array_equal(fused.X[:, d:], block.X)
@@ -302,28 +293,17 @@ class TestConcatFusion:
         assert again.names == fused.names
         assert again.X.tobytes() == fused.X.tobytes()
 
-    def test_fuse_concat_rejects_rows_that_do_not_fill_the_space(self):
-        word_space, docs = self.make_word_space(40, 3)
-        fused = concat_spaces(word_space, tag_block_space(MC_TAG_SET, word_space.fingerprint, 3))
-        word_X = tfidf_matrix(docs, word_space)
-        assert fuse_concat(word_X, np.ones((3, 14)), fused).shape == (3, fused.dim)
+    def test_fuse_concat_rejects_blocks_of_another_row_count(self):
+        word_X = self.build(self.make_disjoint_corpus(40, 3), "tfidf").X
+        assert fuse_concat(word_X, np.ones((3, 14))).shape == (3, 54)
         with pytest.raises(ValidationError, match="dimension mismatch"):
-            fuse_concat(word_X, np.ones((3, 13)), fused)
-        with pytest.raises(ValidationError, match="dimension mismatch"):
-            fuse_concat(word_X, np.ones((2, 14)), fused)
+            fuse_concat(word_X, np.ones((2, 14)))
 
     def test_selection_flags_preserved(self):
-        word_space, _ = self.make_word_space(30, 2)
-        block_space = tag_block_space(MC_TAG_SET, word_space.fingerprint, 2)
-        fused = concat_spaces(word_space, block_space)
-        assert all(fused.selectable[: word_space.dim])
-        assert not any(fused.selectable[word_space.dim :])
-
-    def test_mismatched_corpus_rejected(self):
-        word_space, _ = self.make_word_space(30, 2)
-        other_block = tag_block_space(MC_TAG_SET, "deadbeefdeadbeef", 2)
-        with pytest.raises(ValidationError, match="different corpora"):
-            concat_spaces(word_space, other_block)
+        sessions = self.make_disjoint_corpus(30, 2)
+        for feature_set in ("tfidf+da", "tfidf+mc"):
+            fused = self.build(sessions, feature_set)
+            assert fused.selectable == (True,) * 30 + (False,) * 14
 
 
 class TestAnovaF:

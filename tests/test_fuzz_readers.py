@@ -158,8 +158,6 @@ def valid_matrix_lines(tmp_path):
         set_name="tfidf",
         names=("a", "b", "c"),
         selectable=(True, True, False),
-        provenance="tfidf",
-        fingerprint="0123456789abcdef",
         session_ids=("s1", "s2"),
         X=np.array([[0.6, 0.0, 0.8], [0.0, 1.0, 0.0]]),
     )

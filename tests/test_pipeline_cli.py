@@ -13,10 +13,11 @@ import pytest
 
 import cbtcode
 from cbtcode.cli import _build_parser, main
-from cbtcode.corpus import CODES
+from cbtcode.corpus import CODES, MC_TAG_SET
 from cbtcode.evaluate import make_folds
 from cbtcode.pipeline import PipelineConfig
-from cbtcode.serialize import load_artifact, load_chain_crf, load_linear_model, read_matrix
+from cbtcode.features import augment_tokens, fit_tfidf
+from cbtcode.serialize import load_artifact, load_chain_crf, load_linear_model, read_matrix, read_tagged_corpus
 from cbtcode.svm import decision_function
 from cbtcode.synth import SynthConfig
 
@@ -284,31 +285,59 @@ def test_session_order_does_not_change_matrices_reports_or_compare(tmp_path):
     for feature_set in ("tfidf", "mc-tfidf", "da"):
         a, b = (read_matrix(outputs[name] / f"{feature_set}.mtx") for name in ("sorted", "shuffled"))
         assert b.session_ids != a.session_ids and sorted(b.session_ids) == sorted(a.session_ids)
-        assert (b.set_name, b.names, b.selectable, b.provenance, b.fingerprint) == (
-            a.set_name, a.names, a.selectable, a.provenance, a.fingerprint)
+        assert (b.set_name, b.names, b.selectable, b.fingerprint) == (a.set_name, a.names, a.selectable, a.fingerprint)
         assert np.array_equal(b.X[[b.session_ids.index(sid) for sid in a.session_ids]], a.X)
     for report in ("tfidf.json", "mc-tfidf.json", "da.json", "compare.json"):
         assert (outputs["shuffled"] / report).read_bytes() == (outputs["sorted"] / report).read_bytes(), report
 
 
-def test_featurize_space_out(workspace, tmp_path):
+def test_matrix_with_an_older_provenance_header_reads_and_evaluates_the_same(workspace, tmp_path):
+    """Matrices of earlier versions carry a '#provenance' line after '#set'; it is read and ignored."""
+    new = workspace["tfidf"]
+    old = tmp_path / "old.mtx"
+    old.write_text(new.read_text(encoding="utf-8").replace("#set tfidf\n", "#set tfidf\n#provenance tfidf\n", 1),
+                   encoding="utf-8")
+    a, b = read_matrix(new), read_matrix(old)
+    assert (b.set_name, b.names, b.selectable, b.session_ids, b.fingerprint) == (
+        a.set_name, a.names, a.selectable, a.session_ids, a.fingerprint)
+    assert np.array_equal(b.X, a.X)
+    for name, matrix in (("new", new), ("old", old)):
+        assert main(["evaluate", "--matrix", str(matrix), "--labels", str(workspace["data"] / "labels.csv"),
+                     "--k-grid", "8,16", "--report", str(tmp_path / f"{name}.json"),
+                     "--table", str(tmp_path / f"{name}.txt")]) == 0
+    assert (tmp_path / "old.json").read_bytes() == (tmp_path / "new.json").read_bytes()
+    assert (tmp_path / "old.txt").read_bytes() == (tmp_path / "new.txt").read_bytes()
+
+
+@pytest.mark.parametrize("feature_set", ["mc-tfidf", "tfidf+mc"])
+def test_featurize_space_out(workspace, tmp_path, feature_set):
     data, models = workspace["data"], workspace["models"]
     seg = tmp_path / "seg.jsonl"
     main(["segment", "--model", str(models / "boundary.json"), "--in", str(data / "corpus.jsonl"), "--out", str(seg)])
     tagged = tmp_path / "tagged.jsonl"
     main(["tag", "--scheme", "mc", "--model", str(models / "mc.json"), "--in", str(seg), "--out", str(tagged)])
-    space_path = tmp_path / "space.json"
+    space_path, matrix_path = tmp_path / "space.json", tmp_path / "m.mtx"
     assert (
         main(
-            ["featurize", "--set", "mc-tfidf", "--in", str(tagged), "--out", str(tmp_path / "m.mtx"),
+            ["featurize", "--set", feature_set, "--in", str(tagged), "--out", str(matrix_path),
              "--space-out", str(space_path)]
         )
         == 0
     )
     payload = json.loads(space_path.read_text())["payload"]
-    assert payload["provenance"] == "augmented_tfidf"
-    assert payload["max_df"] == 0.95 and payload["min_df"] == 0.05
-    assert len(payload["names"]) == len(payload["df"]) == len(payload["idf"])
+    assert sorted(payload) == ["fingerprint", "idf", "names", "selectable", "set"]
+    matrix = read_matrix(matrix_path)
+    assert payload["set"] == feature_set and payload["fingerprint"] == matrix.fingerprint
+    assert payload["names"] == list(matrix.names) and payload["selectable"] == list(matrix.selectable)
+    therapist = [s.therapist_turns() for s in read_tagged_corpus(tagged)]
+    if feature_set == "mc-tfidf":
+        docs = [augment_tokens(utts, MC_TAG_SET) for utts in therapist]
+    else:
+        docs = [[w for u in utts for w in u.tokens.texts] for utts in therapist]
+    word_idf = list(fit_tfidf(docs, 0.95, 0.05).idf)
+    n_block = 0 if feature_set == "mc-tfidf" else 14
+    assert payload["idf"] == word_idf + [1.0] * n_block
+    assert payload["selectable"] == [True] * len(word_idf) + [False] * n_block
 
 
 def test_global_seed_flag_matches_local(workspace, tmp_path):
@@ -665,6 +694,10 @@ def test_only_training_loads_scipy(workspace, tmp_path):
     assert "scipy.sparse" in loaded["train --what da"]
 
 
+# The '#fingerprint' header of a matrix whose rows are s1 and s2.
+FP_S1_S2 = "#fingerprint 1695f73d72a33187\n"
+
+
 class TestExitCodes:
     def test_missing_artifact_is_exit_3(self, tmp_path):
         rc = main(
@@ -762,18 +795,22 @@ class TestExitCodes:
         assert f"{corpus}, line 1:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "set_header, body, error",
-        [("#set tfidf\n", "#row s1\n#row s1\n#col 1 a\n0 0 1.0\n", ", line 6: duplicate session id 's1'"),
-         ("#set tfidf\n", "#row s1\n#row s2\n#col 1 a\n1 0 nan\n", ", line 8: value nan is not finite"),
-         ("", "#row s1\n#row s2\n#col 1 a\n0 0 1.0\n", ": expected a '#set <feature set>' header"),
-         ("#set bogus\n", "#row s1\n#row s2\n#col 1 a\n0 0 1.0\n", ", line 3: unknown feature set 'bogus'; "),
-         ("#set \n", "#row s1\n#row s2\n#col 1 a\n0 0 1.0\n", ", line 3: unknown feature set ''; ")],
-        ids=["duplicate-row", "nan-value", "no-set", "unknown-set", "empty-set"],
+        "header, body, error",
+        [(f"#set tfidf\n{FP_S1_S2}", "#row s1\n#row s1\n#col 1 a\n0 0 1.0\n", ", line 7: duplicate session id 's1'"),
+         (f"#set tfidf\n{FP_S1_S2}", "#row s1\n#row s2\n#col 1 a\n1 0 nan\n", ", line 9: value nan is not finite"),
+         (FP_S1_S2, "#row s1\n#row s2\n#col 1 a\n0 0 1.0\n", ": expected a '#set <feature set>' header"),
+         (f"#set bogus\n{FP_S1_S2}", "#row s1\n#row s2\n#col 1 a\n0 0 1.0\n", ", line 3: unknown feature set 'bogus'; "),
+         (f"#set \n{FP_S1_S2}", "#row s1\n#row s2\n#col 1 a\n0 0 1.0\n", ", line 3: unknown feature set ''; "),
+         ("#set tfidf\n", "#row s1\n#row s2\n#col 1 a\n0 0 1.0\n", ": expected a '#fingerprint <digest>' header"),
+         ("#set tfidf\n#fingerprint deadbeefdeadbeef\n", "#row s1\n#row s2\n#col 1 a\n0 0 1.0\n",
+          ", line 4: fingerprint 'deadbeefdeadbeef' disagrees with the #row session ids, whose fingerprint is "
+          "'1695f73d72a33187'")],
+        ids=["duplicate-row", "nan-value", "no-set", "unknown-set", "empty-set", "no-fingerprint", "wrong-fingerprint"],
     )
     @pytest.mark.parametrize("command", ["evaluate", "train"])
-    def test_bad_matrix_line_is_exit_2(self, tmp_path, capsys, command, set_header, body, error):
+    def test_bad_matrix_line_is_exit_2(self, tmp_path, capsys, command, header, body, error):
         matrix, out = tmp_path / "bad.mtx", tmp_path / "out.json"
-        matrix.write_text("#format_version 1\n#kind feature_matrix\n" + set_header + "#shape 2 1\n" + body,
+        matrix.write_text("#format_version 1\n#kind feature_matrix\n" + header + "#shape 2 1\n" + body,
                           encoding="utf-8")
         labels = ["--labels", str(tmp_path / "labels.csv")]
         if command == "evaluate":
@@ -781,7 +818,9 @@ class TestExitCodes:
         else:
             argv = ["train", "--what", "svm", "--code", "total", "--features", str(matrix), *labels, "--out", str(out)]
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith(f"error: {matrix}{error}")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {matrix}{error}"), err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_tagged_utterance_with_infinite_index_is_exit_2(self, tmp_path, capsys):
@@ -846,8 +885,8 @@ class TestExitCodes:
     def test_train_svm_with_zero_c_is_exit_2(self, tmp_path, capsys):
         matrix = tmp_path / "m.mtx"
         matrix.write_text(
-            "#format_version 1\n#kind feature_matrix\n#set tfidf\n#shape 2 1\n#row s1\n#row s2\n#col 1 a\n0 0 1.0\n"
-            "1 0 -1.0\n",
+            f"#format_version 1\n#kind feature_matrix\n#set tfidf\n{FP_S1_S2}#shape 2 1\n#row s1\n#row s2\n"
+            "#col 1 a\n0 0 1.0\n1 0 -1.0\n",
             encoding="utf-8",
         )
         labels = tmp_path / "labels.csv"
