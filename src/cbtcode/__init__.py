@@ -12,15 +12,12 @@ from .corpus import (  # noqa: E402
     CODES,
     DA_TAG_SET,
     MC_TAG_SET,
-    CodeLabels,
     CodeScores,
     Session,
     TagSet,
     Tokens,
     Turn,
-    binarize_scores,
     parse_corpus,
-    total_ctrs,
     write_corpus,
 )
 from .chain import forward_backward, viterbi  # noqa: E402

@@ -64,8 +64,6 @@ _STAGE_FLAGS = {
     "pause_threshold": ("--pause", dict(type=float, help="pause threshold in seconds")),
     "max_df": ("--max-df", dict(type=float, help="keep words in at most this share of sessions")),
     "min_df": ("--min-df", dict(type=float, help="keep words in at least this share of sessions")),
-    "word_denominator": ("--word-denominator", dict(choices=("therapist", "session"),
-                                                   help="words the tag counts are divided by")),
     "k_grid": ("--k-grid", dict(help="comma-separated K values")),
     "svm_c": ("--c", dict(type=float, help="SVM C")),
     "folds": ("--folds", dict(type=int, help="cross-validation folds")),
@@ -88,7 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"cbtcode {__version__}")
     parser.add_argument("--threads", type=int, default=1, help="accepted for compatibility; currently has no effect")
-    parser.add_argument("--seed", type=int, dest="global_seed", help="default seed for subcommands")
     parser.add_argument("--config", dest="global_config", help="default config file for subcommands")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -116,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", dest="feature_set", choices=FEATURE_SETS, required=True)
     p.add_argument("--in", dest="input", required=True, help="tagged corpus JSONL")
     p.add_argument("--out", required=True, help="matrix file")
-    _add_stage_flags(p, "max_df", "min_df", "word_denominator")
+    _add_stage_flags(p, "max_df", "min_df")
     p.add_argument("--space-out", help="also write the fitted feature-space file")
 
     p = sub.add_parser("train", help="train a model (SVM, boundary labeler, or tagger)")
@@ -155,14 +152,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config(args):
     """The synth config from `synth --config`, else the pipeline config from
     the global --config, or its defaults, with every flag passed for one of
-    its fields applied; the global --seed stands in for a subcommand --seed
-    not passed."""
+    its fields applied."""
     cls, path = (SynthConfig, args.config) if args.command == "synth" else (PipelineConfig, args.global_config)
     config = cls.from_file(path) if path else cls()
     passed = {name: value for name, value in vars(args).items()
               if name in cls.__dataclass_fields__ and value is not None}
-    if "seed" not in passed and args.global_seed is not None:
-        passed["seed"] = args.global_seed
     if "k_grid" in passed:
         passed["k_grid"] = _parse_k_grid(passed["k_grid"])
     return replace(config, **passed)
@@ -193,6 +187,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_segment(args) -> int:
     config = _config(args)
+    if not config.segmentation and args.model:
+        raise ValidationError("--model applies only with segmentation on, not with --disable or segmentation: false")
     sessions = parse_corpus(args.input)
     model = None
     if config.segmentation:
@@ -218,8 +214,7 @@ def _cmd_featurize(args) -> int:
     config = _config(args)
     sessions = read_tagged_corpus(args.input)
     with _reading(args.input):
-        matrix = build_feature_matrix(sessions, args.feature_set, config.max_df, config.min_df,
-                                      config.word_denominator)
+        matrix = build_feature_matrix(sessions, args.feature_set, config.max_df, config.min_df)
     write_matrix(matrix, args.out)
     if args.space_out:
         save_feature_space(matrix, args.space_out)
@@ -333,8 +328,7 @@ def _cmd_compare(args) -> int:
     with _reading(args.input):
         for name in (args.set_a, args.set_b):
             if name not in matrices:
-                matrices[name] = build_feature_matrix(sessions, name, config.max_df, config.min_df,
-                                                      config.word_denominator)
+                matrices[name] = build_feature_matrix(sessions, name, config.max_df, config.min_df)
     with _reading(args.labels or args.input, MissingLabelsError):
         result = five_by_two_cv_f_test(matrices[args.set_a], matrices[args.set_b], scores, code=args.code,
                                        seed=config.seed, k_grid=config.k_grid, svm_c=config.svm_c)

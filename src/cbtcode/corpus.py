@@ -1,11 +1,11 @@
-"""Transcript and label data model, file ingestion, and score binarization.
+"""Transcript and score data model, and file ingestion.
 
 A corpus is a list of sessions; each session is an ordered list of turns;
 each turn is a single speaker's ordered, timestamped words.  A segmented
 session is the same kind of value: its turns are its utterances, which may
 carry a dialog-act (DA) and an MI skill-code (MC) tag.  Sessions optionally
-carry one 0..6 score per behavioral code, which binarize_scores turns into
-low/high labels (per-code anchor 4, total threshold 40).
+carry one 0..6 score per behavioral code, which `evaluate.label_matrix`
+turns into low/high labels.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ ROLES = (THERAPIST, PATIENT)
 
 SCORE_MIN = 0
 SCORE_MAX = 6
-HIGH_ANCHOR = 4
-TOTAL_THRESHOLD = 40
 
 FORMAT_VERSION = 1
 
@@ -196,19 +194,6 @@ class CodeScores:
 
 
 @dataclass(frozen=True)
-class CodeLabels:
-    """Binary high/low label per code plus the total; True means high."""
-
-    per_code: tuple[bool, ...]
-    total: bool
-
-    def __getitem__(self, code: str) -> bool:
-        if code == "total":
-            return self.total
-        return self.per_code[CODES.index(code)]
-
-
-@dataclass(frozen=True)
 class Session:
     """One recorded session: an id, ordered turns (or utterances), and
     optional scores.  Ids are non-empty strings written one per line
@@ -228,19 +213,6 @@ class Session:
 
     def therapist_turns(self) -> list[Turn]:
         return [t for t in self.turns if t.speaker == THERAPIST]
-
-
-def total_ctrs(scores: CodeScores) -> int:
-    """Sum of the 11 code scores; range [0, 66]."""
-    return sum(scores.values)
-
-
-def binarize_scores(scores: CodeScores) -> CodeLabels:
-    """Per-code label is high iff score >= 4; total is high iff the sum >= 40."""
-    return CodeLabels(
-        per_code=tuple(v >= HIGH_ANCHOR for v in scores.values),
-        total=total_ctrs(scores) >= TOTAL_THRESHOLD,
-    )
 
 
 def embedded_scores(sessions: Iterable[Session]) -> dict[str, CodeScores]:

@@ -13,7 +13,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import CODES, CodeScores, binarize_scores
+from .corpus import CODES, CodeScores
 from .errors import MissingLabelsError, ValidationError
 from .features import (
     FeatureMatrix,
@@ -27,6 +27,9 @@ from .svm import LinearModel, SvmProblem, class_weights, lockstep_batches, predi
 
 # The columns of `label_matrix`: one task per code, then the total score.
 LABEL_COLUMNS = (*CODES, "total")
+# A code is high at this score or above, the total at this sum of the 11 scores.
+HIGH_ANCHOR = 4
+TOTAL_THRESHOLD = 40
 
 
 def check_labels(session_ids: Sequence[str], labels_by_id: Mapping[str, object]) -> None:
@@ -40,10 +43,11 @@ def check_labels(session_ids: Sequence[str], labels_by_id: Mapping[str, object])
 
 def label_matrix(session_ids: Sequence[str], scores_by_id: Mapping[str, CodeScores]) -> np.ndarray:
     """The binarized labels of the sessions, one row per id in order and one
-    column per LABEL_COLUMNS entry; True means high."""
+    column per LABEL_COLUMNS entry; True means high: a code's score is at
+    least HIGH_ANCHOR, or the sum of the 11 scores at least TOTAL_THRESHOLD."""
     check_labels(session_ids, scores_by_id)
-    rows = [binarize_scores(scores_by_id[sid]) for sid in session_ids]
-    return np.array([(*r.per_code, r.total) for r in rows], dtype=bool).reshape(-1, len(LABEL_COLUMNS))
+    values = np.array([scores_by_id[sid].values for sid in session_ids], dtype=np.int64).reshape(-1, len(CODES))
+    return np.column_stack([values >= HIGH_ANCHOR, values.sum(axis=1) >= TOTAL_THRESHOLD])
 
 
 def _check_both_classes(labels: np.ndarray, codes: Sequence[str]) -> None:

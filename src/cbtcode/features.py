@@ -94,18 +94,11 @@ def tfidf_matrix(documents: Sequence[Sequence[str]], space: FeatureSpace) -> np.
 # Tag-count blocks and word augmentation
 
 
-def tag_count_features(
-    tagged: Sequence[Turn],
-    scheme: TagSet,
-    *,
-    total_words: int | None = None,
-) -> np.ndarray:
+def tag_count_features(tagged: Sequence[Turn], scheme: TagSet) -> np.ndarray:
     """Utterance- and word-proportion counts per tag (2 x 7 = 14 values).
 
     The first 7 entries are utterance proportions in tag order, the last 7
-    word proportions.  total_words overrides the word denominator (used when
-    word proportions are normalized by the whole session rather than the
-    therapist side); it must be at least the tagged utterances' word count.
+    word proportions, both over the tagged utterances (the therapist's).
     """
     k = len(scheme.labels)
     out = np.zeros(2 * k)
@@ -124,12 +117,9 @@ def tag_count_features(
         utt_counts[j] += 1
         word_counts[j] += w
         n_words += w
-    denom_words = n_words if total_words is None else int(total_words)
-    if denom_words < n_words:
-        raise ValidationError("total_words is smaller than the tagged utterances' word count")
     out[:k] = utt_counts / len(tagged)
-    if denom_words > 0:
-        out[k:] = word_counts / denom_words
+    if n_words > 0:
+        out[k:] = word_counts / n_words
     return out
 
 

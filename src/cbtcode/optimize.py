@@ -17,6 +17,9 @@ from .errors import NumericalError
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
+# The number of (s, y) curvature pairs kept.
+HISTORY = 10
+
 
 @dataclass(frozen=True)
 class OptResult:
@@ -34,7 +37,6 @@ def minimize_lbfgs(
     *,
     tol: float = 1e-4,
     max_iter: int = 500,
-    history: int = 10,
 ) -> OptResult:
     """Minimize fun, returning the iterate with ||grad||_2 <= tol if reached.
 
@@ -86,7 +88,7 @@ def minimize_lbfgs(
             s_hist.append(s)
             y_hist.append(y)
             rho_hist.append(1.0 / sy)
-            if len(s_hist) > history:
+            if len(s_hist) > HISTORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
                 rho_hist.pop(0)

@@ -53,7 +53,6 @@ class PipelineConfig:
     svm_c: float = 1.0
     folds: int = 5
     seed: int = 0
-    word_denominator: str = "therapist"
 
     def __post_init__(self) -> None:
         if not self.pause_threshold > 0:  # NaN too
@@ -64,8 +63,6 @@ class PipelineConfig:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if not self.k_grid or any((not isinstance(k, int)) or k < 1 for k in self.k_grid):
             raise ValidationError("k_grid must be a non-empty list of positive integers")
-        if self.word_denominator not in ("therapist", "session"):
-            raise ValidationError("word_denominator must be 'therapist' or 'session'")
         if not 0 <= self.min_df < self.max_df <= 1:  # NaN too
             raise ValidationError(f"need 0 <= min_df < max_df <= 1, got min_df={self.min_df}, max_df={self.max_df}")
         if not 0 < self.svm_c < math.inf:  # NaN too
@@ -123,18 +120,19 @@ def build_feature_matrix(
     feature_set: str,
     max_df: float = PipelineConfig.max_df,
     min_df: float = PipelineConfig.min_df,
-    word_denominator: str = PipelineConfig.word_denominator,
 ) -> FeatureMatrix:
     """Featurize a tagged corpus into one of the seven feature sets.
 
     Word-level sets are tf-idf over therapist tokens, or over word|TAG
     tokens for da-tfidf / mc-tfidf; tfidf+da / tfidf+mc append the tag
     block, and name each word column tfidf:<word>; da / mc are the tag
-    block alone.
+    block alone.  Rows are in session-id order, so the matrix does not
+    depend on the order of the corpus.
     """
     scheme_name = required_scheme(feature_set)
     if not sessions:
         raise ValidationError("no sessions to featurize")
+    sessions = sorted(sessions, key=lambda s: s.id)
     ids = tuple(s.id for s in sessions)
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate session ids in corpus")
@@ -157,17 +155,7 @@ def build_feature_matrix(
         names, idf, X = space.names, space.idf, tfidf_matrix(docs, space)
     n_selectable = len(names)
     if scheme is not None and not augmented:
-        rows = [
-            tag_count_features(
-                utts,
-                scheme,
-                total_words=sum(len(u.tokens) for u in s.turns)
-                if word_denominator == "session"
-                else None,
-            )
-            for s, utts in zip(sessions, therapist)
-        ]
-        block = np.array(rows).reshape(len(sessions), 2 * len(scheme.labels))
+        block = np.array([tag_count_features(utts, scheme) for utts in therapist])
         names = tuple(f"tfidf:{n}" for n in names)
         names += tuple(f"{scheme.name}:{kind}:{t}" for kind in ("utt", "wrd") for t in scheme.labels)
         idf = np.concatenate([idf, np.ones(block.shape[1])])

@@ -30,8 +30,6 @@ BOUNDARY_TAG_SET = TagSet("boundary", BOUNDARY_LABELS)
 
 SENTENCE_FINAL = frozenset({".", "?", "!"})
 
-BOUNDARY_FEATURE_TEMPLATE = "current/prev/next lowercased token + position bucket + bias"
-
 BoundaryModel = ChainCRF
 
 
@@ -113,7 +111,6 @@ def train_boundary_model(
     data: Sequence[tuple[Sequence[str], Sequence[str]]],
     *,
     l2: float = 0.1,
-    tol: float = 1e-4,
     max_iter: int = 500,
 ) -> BoundaryModel:
     """Train the INSIDE/BOUNDARY labeler on (tokens, labels) pairs."""
@@ -129,8 +126,7 @@ def train_boundary_model(
     labeled: list[LabeledSequence] = [
         (boundary_features([str(w) for w in words]), list(labels)) for words, labels in data
     ]
-    return train_chain_crf(labeled, BOUNDARY_TAG_SET, l2=l2, tol=tol, max_iter=max_iter,
-                           feature_template=BOUNDARY_FEATURE_TEMPLATE)
+    return train_chain_crf(labeled, BOUNDARY_TAG_SET, l2=l2, max_iter=max_iter)
 
 
 def _utterance_ends(fragments: Sequence[Turn], model: BoundaryModel) -> list[list[int]]:

@@ -127,7 +127,6 @@ def load_chain_crf(path: str | Path, expect_scheme: str | None = None) -> ChainC
         n_iter=_field(p, path, "n_iter", "count"),
         grad_norm=float(_field(p, path, "grad_norm", "number")),
         converged=_field(p, path, "converged", "bool"),
-        feature_template=_field(p, path, "feature_template", "str", ""),
     )
 
 
@@ -139,8 +138,8 @@ def save_utterance_classifier(model: ChainCRF, path: str | Path) -> None:
     save_chain_crf(model, path)
 
 
-def load_utterance_classifier(path: str | Path, expect_scheme: str | None = "mc") -> ChainCRF:
-    return load_chain_crf(path, expect_scheme)
+def load_utterance_classifier(path: str | Path) -> ChainCRF:
+    return load_chain_crf(path, "mc")
 
 
 def save_linear_model(model: LinearModel, path: str | Path, code: str | None = None) -> None:
@@ -181,14 +180,11 @@ _KINDS: dict[str, tuple[str, Callable[[object], bool]]] = {
     "strs": ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v)),
     "counts": ("a list of indices", lambda v: type(v) is list and all(type(i) is int and i >= 0 for i in v)),
 }
-_MISSING = object()
 _SCHEME_LABELS = {tags.name: tags.labels for tags in (BOUNDARY_TAG_SET, DA_TAG_SET, MC_TAG_SET)}
 
 
-def _field(p: dict, path: Path, name: str, kind: str, default: object = _MISSING):
-    """p[name], of the kind named; a missing field gives default if there is one."""
-    if name not in p and default is not _MISSING:
-        return default
+def _field(p: dict, path: Path, name: str, kind: str):
+    """p[name], of the kind named."""
     if name not in p:
         raise ValidationError(f"{path}: payload field {name!r} is missing")
     want, ok = _KINDS[kind]

@@ -179,7 +179,6 @@ class SynthResult:
     sessions: tuple[Session, ...]
     tagged: tuple[Session, ...]  # the same sessions segmented into gold-tagged utterances
     boundary_lines: tuple[str, ...]
-    config: SynthConfig
 
 
 def _build_vocabulary(config: SynthConfig) -> list[str]:
@@ -404,5 +403,4 @@ def generate_corpus(config: SynthConfig) -> SynthResult:
         sessions=tuple(sessions),
         tagged=tuple(tagged_sessions),
         boundary_lines=tuple(boundary_lines),
-        config=config,
     )

@@ -30,8 +30,8 @@ if TYPE_CHECKING:
 FeatureSeq = Sequence[Sequence[str]]
 LabeledSequence = tuple[FeatureSeq, Sequence[str]]
 
-
-UTTERANCE_FEATURE_TEMPLATE = "unigram+bigram+length-bucket+bias"
+# Training stops once the gradient's L2 norm is at most this.
+TOL = 1e-4
 
 
 def _length_bucket(n: int) -> str:
@@ -72,7 +72,6 @@ class ChainCRF:
     n_iter: int = 0
     grad_norm: float = 0.0
     converged: bool = True
-    feature_template: str = UTTERANCE_FEATURE_TEMPLATE
 
     @cached_property
     def _feature_index(self) -> dict[str, int]:
@@ -208,9 +207,7 @@ def train_chain_crf(
     tag_set: TagSet,
     *,
     l2: float = 0.1,
-    tol: float = 1e-4,
     max_iter: int = 500,
-    feature_template: str = UTTERANCE_FEATURE_TEMPLATE,
 ) -> ChainCRF:
     """Fit a chain CRF over the tag set's labels by penalized maximum
     likelihood (deterministic); the model's scheme is the tag set's name."""
@@ -219,11 +216,11 @@ def train_chain_crf(
     names = sorted({f for feats_per_pos, _ in data for feats in feats_per_pos for f in feats})
     fun = crf_training_objective(data, labels, names, l2)
     theta0 = np.zeros(len(names) * len(labels) + len(labels) ** 2)
-    res = minimize_lbfgs(fun, theta0, tol=tol, max_iter=max_iter)
+    res = minimize_lbfgs(fun, theta0, tol=TOL, max_iter=max_iter)
     if not res.converged:
         warnings.warn(
             f"chain CRF training of the {scheme} model stopped at max_iter={max_iter} with gradient norm "
-            f"{res.grad_norm:.3e} > {tol:.0e}",
+            f"{res.grad_norm:.3e} > {TOL:.0e}",
             stacklevel=2,
         )
     k = len(labels)
@@ -239,7 +236,6 @@ def train_chain_crf(
         n_iter=res.n_iter,
         grad_norm=res.grad_norm,
         converged=res.converged,
-        feature_template=feature_template,
     )
 
 
@@ -267,9 +263,7 @@ def tag_da(utterances: Sequence[Turn], model: ChainCRF) -> list[Turn]:
 def train_utterance_classifier(
     data: Sequence[tuple[Sequence[str], str]],
     *,
-    tag_set: TagSet = MC_TAG_SET,
     l2: float = 0.1,
-    tol: float = 1e-4,
     max_iter: int = 500,
 ) -> ChainCRF:
     """Fit the per-utterance tagger: a chain CRF whose sequences are single
@@ -278,11 +272,11 @@ def train_utterance_classifier(
     if not data:
         raise ValidationError("no training utterances")
     present = {lab for _, lab in data}
-    for lab in tag_set.labels:
+    for lab in MC_TAG_SET.labels:
         if lab not in present:
             raise ValidationError(f"class {lab!r} absent from training data")
     sequences = [([utterance_features(words)], [tag]) for words, tag in data]
-    return train_chain_crf(sequences, tag_set, l2=l2, tol=tol, max_iter=max_iter)
+    return train_chain_crf(sequences, MC_TAG_SET, l2=l2, max_iter=max_iter)
 
 
 def tag_mc_sessions(sessions: Sequence[Sequence[Turn]], model: ChainCRF) -> list[list[Turn]]:

@@ -501,7 +501,6 @@ def reference_generate_corpus(config):
         sessions=tuple(sessions),
         tagged=tuple(tagged_sessions),
         boundary_lines=tuple(boundary_lines),
-        config=config,
     )
 
 

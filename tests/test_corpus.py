@@ -9,15 +9,14 @@ from cbtcode.corpus import (
     Session,
     Tokens,
     Turn,
-    binarize_scores,
     parse_corpus,
     read_scores_table,
     session_to_record,
-    total_ctrs,
     write_corpus,
     write_scores_table,
 )
 from cbtcode.errors import MissingArtifactError, ParseError, ValidationError
+from cbtcode.evaluate import LABEL_COLUMNS, label_matrix
 from helpers import random_session
 
 
@@ -112,46 +111,57 @@ class TestParsing:
         assert parse_corpus(path)[0].scores is None
 
 
+def labels_of(*values):
+    """The label_matrix row of one session with these 11 scores."""
+    return label_matrix(["s"], {"s": CodeScores(tuple(values))})[0]
+
+
+TOTAL = LABEL_COLUMNS.index("total")
+
+
 class TestScores:
     def test_total_zero(self):
-        assert total_ctrs(CodeScores((0,) * 11)) == 0
+        assert not labels_of(*(0,) * 11)[TOTAL]
 
     def test_total_all_fours(self):
-        assert total_ctrs(CodeScores((4,) * 11)) == 44
+        assert labels_of(*(4,) * 11)[TOTAL]  # 44 >= 40
 
     def test_total_maximum(self):
-        assert total_ctrs(CodeScores((6,) * 11)) == 66
+        assert labels_of(*(6,) * 11)[TOTAL]  # 66
 
     def test_total_matches_direct_sum(self):
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            values = tuple(int(v) for v in rng.integers(0, 7, size=11))
-            assert total_ctrs(CodeScores(values)) == sum(values)
+        values = rng.integers(0, 7, size=(200, 11))
+        ids = [f"s{i}" for i in range(200)]
+        scores = {sid: CodeScores(tuple(int(v) for v in row)) for sid, row in zip(ids, values)}
+        labels = label_matrix(ids, scores)
+        assert labels[:, TOTAL].tolist() == [sum(int(v) for v in row) >= 40 for row in values]
+        assert labels[:, :TOTAL].tolist() == [[int(v) >= 4 for v in row] for row in values]
 
     def test_binarize_anchor(self):
         base = [3] * 11
         base[CODES.index("ag")] = 4
-        assert binarize_scores(CodeScores(tuple(base)))["ag"] is True
+        assert labels_of(*base)[CODES.index("ag")]
         base[CODES.index("ag")] = 3
-        assert binarize_scores(CodeScores(tuple(base)))["ag"] is False
+        assert not labels_of(*base)[CODES.index("ag")]
 
     def test_binarize_total_threshold(self):
-        assert binarize_scores(CodeScores((4,) * 11)).total is True  # 44 >= 40
-        assert binarize_scores(CodeScores((3,) * 11)).total is False  # 33 < 40
+        assert labels_of(*(4,) * 11)[TOTAL]  # 44 >= 40
+        assert not labels_of(*(3,) * 11)[TOTAL]  # 33 < 40
+        assert labels_of(*(4,) * 10, 0)[TOTAL]  # 40 >= 40
+        assert not labels_of(*(4,) * 9, 3, 0)[TOTAL]  # 39 < 40
 
     def test_binarize_monotone(self):
         rng = np.random.default_rng(1)
         for _ in range(300):
             values = list(int(v) for v in rng.integers(0, 7, size=11))
-            before = binarize_scores(CodeScores(tuple(values)))
+            before = labels_of(*values)
             i = int(rng.integers(0, 11))
             if values[i] == 6:
                 continue
             values[i] += 1
-            after = binarize_scores(CodeScores(tuple(values)))
-            for code in CODES:
-                assert not (before[code] and not after[code])
-            assert not (before.total and not after.total)
+            after = labels_of(*values)
+            assert not (before & ~after).any()  # no code and not the total goes from high to low
 
     def test_partial_scores_rejected(self):
         with pytest.raises(ValidationError, match="missing"):

@@ -180,11 +180,6 @@ class TestTagCounts:
         with pytest.raises(ValidationError):
             tag_count_features([tagged(["a"], da="Question")], MC_TAG_SET)
 
-    def test_session_word_denominator(self):
-        utts = [tagged(["a", "b"], mc="FA")]
-        block = tag_count_features(utts, MC_TAG_SET, total_words=8)
-        assert block[7 + MC_TAG_SET.labels.index("FA")] == 2 / 8
-
 
 class TestAugmentation:
     def test_stated_example(self):
@@ -276,8 +271,9 @@ class TestConcatFusion:
         d = word.X.shape[1]
         assert fused.X.shape == (len(sessions), d + 14)
         assert np.array_equal(fused.X[:, :d], word.X)
-        assert np.all(fused.X[-1] == 0.0)  # no therapist words and a zero tag block
-        assert np.all(fused.X[:-1, d:].sum(axis=1) > 0.0)
+        empty = fused.session_ids.index(sessions[-1].id)  # rows are in session-id order
+        assert np.all(fused.X[empty] == 0.0)  # no therapist words and a zero tag block
+        assert np.all(np.delete(fused.X, empty, axis=0)[:, d:].sum(axis=1) > 0.0)
 
     def test_word_level_block_comes_first_and_is_deterministic(self):
         sessions = self.make_corpus()

@@ -2,6 +2,7 @@
 
 import argparse
 import base64
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ import cbtcode
 from cbtcode.cli import _build_parser, main
 from cbtcode.corpus import CODES, MC_TAG_SET
 from cbtcode.evaluate import make_folds
-from cbtcode.pipeline import PipelineConfig
+from cbtcode.pipeline import FEATURE_SETS, PipelineConfig
 from cbtcode.features import augment_tokens, fit_tfidf
 from cbtcode.serialize import load_artifact, load_chain_crf, load_linear_model, read_matrix, read_tagged_corpus
 from cbtcode.svm import decision_function
@@ -264,33 +265,6 @@ def test_compare_subcommand(workspace, tmp_path):
     assert payload["verdict"] == "no difference"
 
 
-def test_session_order_does_not_change_matrices_reports_or_compare(tmp_path):
-    """The same gold-tagged corpus with its session lines shuffled."""
-    data = tmp_path / "data"
-    assert main(["synth", "--n-sessions", "40", "--seed", "3", "--out", str(data)]) == 0
-    lines = (data / "gold_tags.jsonl").read_text(encoding="utf-8").splitlines(True)
-    shuffled = tmp_path / "shuffled.jsonl"
-    shuffled.write_text("".join(lines[i] for i in np.random.default_rng(0).permutation(len(lines))), "utf-8")
-    outputs = {}
-    for name, corpus in (("sorted", data / "gold_tags.jsonl"), ("shuffled", shuffled)):
-        out = tmp_path / name
-        for feature_set in ("tfidf", "mc-tfidf", "da"):
-            matrix = out / f"{feature_set}.mtx"
-            assert main(["featurize", "--set", feature_set, "--in", str(corpus), "--out", str(matrix)]) == 0
-            assert main(["evaluate", "--matrix", str(matrix), "--labels", str(data / "labels.csv"),
-                         "--k-grid", "8,16", "--report", str(out / f"{feature_set}.json")]) == 0
-        assert main(["compare", "--a", "mc-tfidf", "--b", "tfidf", "--in", str(corpus), "--labels",
-                     str(data / "labels.csv"), "--k-grid", "8,16", "--out", str(out / "compare.json")]) == 0
-        outputs[name] = out
-    for feature_set in ("tfidf", "mc-tfidf", "da"):
-        a, b = (read_matrix(outputs[name] / f"{feature_set}.mtx") for name in ("sorted", "shuffled"))
-        assert b.session_ids != a.session_ids and sorted(b.session_ids) == sorted(a.session_ids)
-        assert (b.set_name, b.names, b.selectable, b.fingerprint) == (a.set_name, a.names, a.selectable, a.fingerprint)
-        assert np.array_equal(b.X[[b.session_ids.index(sid) for sid in a.session_ids]], a.X)
-    for report in ("tfidf.json", "mc-tfidf.json", "da.json", "compare.json"):
-        assert (outputs["shuffled"] / report).read_bytes() == (outputs["sorted"] / report).read_bytes(), report
-
-
 def test_matrix_with_an_older_provenance_header_reads_and_evaluates_the_same(workspace, tmp_path):
     """Matrices of earlier versions carry a '#provenance' line after '#set'; it is read and ignored."""
     new = workspace["tfidf"]
@@ -340,20 +314,18 @@ def test_featurize_space_out(workspace, tmp_path, feature_set):
     assert payload["selectable"] == [True] * len(word_idf) + [False] * n_block
 
 
-def test_global_seed_flag_matches_local(workspace, tmp_path):
-    data, models = workspace["data"], workspace["models"]
-    seg = tmp_path / "seg.jsonl"
-    main(["segment", "--model", str(models / "boundary.json"), "--in", str(data / "corpus.jsonl"), "--out", str(seg)])
-    tagged = tmp_path / "tagged.jsonl"
-    main(["tag", "--scheme", "mc", "--model", str(models / "mc.json"), "--in", str(seg), "--out", str(tagged)])
-    matrix = tmp_path / "m.mtx"
-    main(["featurize", "--set", "mc", "--in", str(tagged), "--out", str(matrix)])
-    r_local = tmp_path / "local.json"
-    r_global = tmp_path / "global.json"
-    common = ["--matrix", str(matrix), "--labels", str(data / "labels.csv"), "--k-grid", "8"]
-    assert main(["evaluate", *common, "--seed", "7", "--report", str(r_local)]) == 0
-    assert main(["--seed", "7", "evaluate", *common, "--report", str(r_global)]) == 0
-    assert r_local.read_bytes() == r_global.read_bytes()
+@pytest.mark.parametrize("seed, message", [(["--seed", "7"], "invalid choice: '7'"),
+                                           (["--seed=7"], "unrecognized arguments: --seed=7")])
+def test_seed_before_the_subcommand_is_an_argument_error(workspace, tmp_path, capsys, seed, message):
+    """The seed is set by a subcommand's --seed or the global config's seed field only."""
+    report = tmp_path / "r.json"
+    argv = ["evaluate", "--matrix", str(workspace["tfidf"]), "--labels", str(workspace["data"] / "labels.csv"),
+            "--report", str(report)]
+    with pytest.raises(SystemExit) as exc:
+        main([*seed, *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not report.exists()
 
 
 def _add_seed_key(src, dst):
@@ -379,6 +351,20 @@ def test_tagger_file_with_seed_key_decodes_identically(workspace, tmp_path, mode
         assert main([*argv, "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("model", ["boundary", "da", "mc"])
+def test_tagger_file_with_feature_template_key_loads_the_same_model(workspace, tmp_path, model):
+    """Model files of earlier versions carry a "feature_template" string, which is read and ignored."""
+    new = workspace["models"] / f"{model}.json"
+    doc = json.loads(new.read_text(encoding="utf-8"))
+    assert "feature_template" not in doc["payload"]
+    doc["payload"]["feature_template"] = "unigram+bigram+length-bucket+bias"
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc), encoding="utf-8")
+    a, b = load_chain_crf(new), load_chain_crf(old)
+    for field in dataclasses.fields(a):
+        assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
 
 
 def test_svm_file_with_seed_key_decodes_identically(workspace, tmp_path):
@@ -463,6 +449,48 @@ def test_evaluate_flags_passed_override_the_config(workspace, tmp_path):
     assert segmented != _written(tmp_path, "default.jsonl", segment)
 
 
+def test_session_order_does_not_change_matrices_reports_or_compare(workspace, tmp_path):
+    """Matrix rows are in session-id order, so the gold-tagged corpus with its
+    session lines shuffled gives the same matrices, reports and comparison
+    byte for byte."""
+    data = workspace["data"]
+    lines = (data / "gold_tags.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    shuffled = tmp_path / "shuffled.jsonl"
+    shuffled.write_text("".join(lines[i] for i in np.random.default_rng(0).permutation(len(lines))), "utf-8")
+    assert shuffled.read_text(encoding="utf-8") != "".join(lines)
+    outputs = []
+    for name, corpus in (("file", data / "gold_tags.jsonl"), ("shuffled", shuffled)):
+        written = {}
+        for feature_set in FEATURE_SETS:
+            matrix = tmp_path / f"{name}_{feature_set}.mtx"
+            written[feature_set] = _written(tmp_path, matrix.name, ["featurize", "--set", feature_set,
+                                                                     "--in", str(corpus)])
+            written[f"{feature_set} report"] = _written(
+                tmp_path, f"{name}_{feature_set}.json",
+                ["evaluate", "--matrix", str(matrix), "--labels", str(data / "labels.csv")], "--report")
+        written["compare"] = _written(tmp_path, f"{name}_compare.json", [
+            "compare", "--a", "mc-tfidf", "--b", "tfidf", "--in", str(corpus), "--labels", str(data / "labels.csv")])
+        outputs.append(written)
+    assert [k for k in outputs[0] if outputs[0][k] != outputs[1][k]] == []
+
+
+@pytest.mark.parametrize("off", [["--disable"], "config"])
+def test_segment_model_with_segmentation_off_is_exit_2_and_names_the_flag(workspace, tmp_path, capsys, off):
+    data, models = workspace["data"], workspace["models"]
+    out = tmp_path / "seg.jsonl"
+    argv = ["segment", "--model", str(models / "boundary.json"), "--in", str(data / "corpus.jsonl"),
+            "--out", str(out)]
+    if off == "config":
+        argv = [*_global_config(tmp_path, {"segmentation": False}), *argv]
+    else:
+        argv += off
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: --model applies only with segmentation on, not with --disable or segmentation: false\n"
+    )
+    assert not out.exists()
+
+
 def test_nan_pause_is_exit_2_and_inf_is_accepted(workspace, tmp_path, capsys):
     data, models = workspace["data"], workspace["models"]
     common = ["--model", str(models / "boundary.json"), "--in", str(data / "corpus.jsonl")]
@@ -511,13 +539,13 @@ def test_one_global_config_gives_the_same_files_step_by_step_as_its_flags(worksp
 
 def test_featurize_and_compare_under_the_config_equal_the_same_flags(workspace, tmp_path):
     data = workspace["data"]
-    values = {"max_df": 0.5, "min_df": 0.2, "word_denominator": "session", "k_grid": [2], "seed": 3, "svm_c": 0.5}
+    values = {"max_df": 0.5, "min_df": 0.2, "k_grid": [2], "seed": 3, "svm_c": 0.5}
     config = tmp_path / "pipeline.json"
     config.write_text(json.dumps(values), encoding="utf-8")
     df_flags = ["--max-df", "0.5", "--min-df", "0.2"]
     runs = {
         "featurize": (["featurize", "--set", "tfidf+mc", "--in", str(data / "gold_tags.jsonl")],
-                      [*df_flags, "--word-denominator", "session"]),
+                      df_flags),
         "compare": (["compare", "--a", "mc-tfidf", "--b", "tfidf", "--in", str(data / "gold_tags.jsonl"),
                      "--labels", str(data / "labels.csv")], [*df_flags, "--k-grid", "2", "--seed", "3", "--c", "0.5"]),
     }
@@ -555,7 +583,7 @@ def test_every_flag_of_a_config_field_defaults_to_none():
                 assert action.default is None, (command, action.option_strings)
                 checked.add(action.dest)
     assert checked == {"pause_threshold", "segmentation", "max_df", "min_df", "k_grid", "svm_c",
-                       "folds", "seed", "word_denominator", "n_sessions"}
+                       "folds", "seed", "n_sessions"}
 
 
 @pytest.mark.parametrize("c", [float("nan"), float("inf"), 0.0, -1.0])
@@ -636,8 +664,10 @@ def test_bad_synth_config_is_exit_2_and_names_the_file(tmp_path, capsys, body):
     "body, message",
     [(b"[1, 2]", None), (b'{"folds": 5', None), (b'{"folds": "x"}', None), (b'{"k_grid": [16, "32"]}', None),
      (b'{"max_df": "\xff"}', None), (b'{"threads": 4}', "unknown pipeline config fields: ['threads']"),
-     (b'{"feature_set": "tfidf", "seed": 1}', "unknown pipeline config fields: ['feature_set']")],
-    ids=["list", "truncated", "string-field", "string-in-list", "not-utf8", "threads", "feature-set"],
+     (b'{"feature_set": "tfidf", "seed": 1}', "unknown pipeline config fields: ['feature_set']"),
+     (b'{"word_denominator": "therapist"}', "unknown pipeline config fields: ['word_denominator']")],
+    ids=["list", "truncated", "string-field", "string-in-list", "not-utf8", "threads", "feature-set",
+         "word-denominator"],
 )
 def test_bad_pipeline_config_is_exit_2_and_names_the_file(workspace, tmp_path, capsys, body, message):
     config, report = tmp_path / "pipeline.json", tmp_path / "r.json"
@@ -919,8 +949,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "command, where",
-        [(c, w) for c in ("synth", "evaluate", "compare") for w in ("flag", "global", "config")]
-        + [(c, w) for c in ("segment", "featurize", "train-svm") for w in ("global", "config")],
+        [(c, w) for c in ("synth", "evaluate", "compare") for w in ("flag", "config")]
+        + [(c, "config") for c in ("segment", "featurize", "train-svm")],
     )
     def test_negative_seed_is_exit_2_and_names_the_seed(self, workspace, tmp_path, capsys, command, where):
         data, models = workspace["data"], workspace["models"]
@@ -948,8 +978,6 @@ class TestExitCodes:
                     "--out", str(tmp_path / "f.mtx")]
         if where == "flag":
             argv += ["--seed", "-1"]
-        elif where == "global":
-            argv = ["--seed", "-1", *argv]
         else:
             config = tmp_path / "config.json"
             config.write_text(json.dumps({**body, "seed": -1}), encoding="utf-8")

@@ -3,9 +3,8 @@ import pytest
 
 import cbtcode.evaluate
 import cbtcode.svm
-from cbtcode.corpus import binarize_scores
 from cbtcode.errors import NumericalError, ValidationError
-from cbtcode.evaluate import fit_folds_and_count, select_k_tasks
+from cbtcode.evaluate import LABEL_COLUMNS, fit_folds_and_count, label_matrix, select_k_tasks
 from cbtcode.pipeline import build_feature_matrix
 from cbtcode.svm import (
     ClassWeights,
@@ -285,7 +284,7 @@ def reference_fold_problem():
     result = generate_corpus(SynthConfig(n_sessions=300, seed=11))
     matrix = build_feature_matrix(result.tagged, "tfidf")
     scores = {s.id: s.scores for s in result.sessions}
-    total = np.array([binarize_scores(scores[sid]).total for sid in matrix.session_ids])
+    total = label_matrix(matrix.session_ids, scores)[:, LABEL_COLUMNS.index("total")]
     selectable = np.asarray(matrix.selectable, dtype=bool)
     ks, tasks = select_k_tasks(matrix.X, matrix.session_ids, selectable, total, (16, 32, 64, 128), 5, 0)
     captured = []

@@ -3,9 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from cbtcode.corpus import binarize_scores, parse_corpus, write_corpus
+from cbtcode.corpus import parse_corpus, write_corpus
 from cbtcode.errors import ValidationError
-from cbtcode.evaluate import cv_pooled_counts, make_folds, pooled_f1
+from cbtcode.evaluate import LABEL_COLUMNS, cv_pooled_counts, label_matrix, make_folds, pooled_f1
 from cbtcode.features import anova_f_scores
 from cbtcode.pipeline import build_feature_matrix
 from cbtcode.serialize import read_tagged_corpus, write_tagged_corpus
@@ -21,6 +21,12 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return SynthConfig(**base)
+
+
+def code_labels(sessions, code):
+    """Each session's high/low label for code (or "total"), in order."""
+    labels = label_matrix([s.id for s in sessions], {s.id: s.scores for s in sessions})
+    return labels[:, LABEL_COLUMNS.index(code)]
 
 
 class TestGeneration:
@@ -158,8 +164,7 @@ class TestPlantedSignal:
         config = small_config(label_noise=0.0, n_sessions=50)
         result = generate_corpus(config)
         rule = config.rules[0]  # homework / QUC / hw
-        for session, tagged in zip(result.sessions, result.tagged):
-            label = binarize_scores(session.scores)[rule.code]
+        for label, tagged in zip(code_labels(result.sessions, rule.code), result.tagged):
             in_tag = out_tag = 0
             for tu in tagged.turns:
                 if tu.speaker != "therapist":
@@ -182,9 +187,7 @@ class TestPlantedSignal:
         result = generate_corpus(config)
         matrix_plain = build_feature_matrix(result.tagged, "tfidf")
         matrix_aug = build_feature_matrix(result.tagged, "mc-tfidf")
-        y = np.array(
-            [binarize_scores(s.scores)["hw"] for s in result.sessions], dtype=bool
-        )
+        y = code_labels(result.sessions, "hw")
         f_plain = anova_f_scores(matrix_plain.X, y)
         f_aug = anova_f_scores(matrix_aug.X, y)
         kw = matrix_plain.names.index("homework")
@@ -207,9 +210,7 @@ class TestPlantedSignal:
             )
             result = generate_corpus(config)
             matrix = build_feature_matrix(result.tagged, "mc-tfidf")
-            y = np.array(
-                [binarize_scores(s.scores).total for s in result.sessions], dtype=bool
-            )
+            y = code_labels(result.sessions, "total")
             counts = cv_pooled_counts(
                 matrix.X,
                 np.asarray(matrix.selectable, dtype=bool),
@@ -224,5 +225,5 @@ class TestPlantedSignal:
     def test_planted_scores_track_quality(self):
         config = small_config(label_noise=0.0, n_sessions=80)
         result = generate_corpus(config)
-        totals = [binarize_scores(s.scores).total for s in result.sessions]
+        totals = code_labels(result.sessions, "total")
         assert 0.25 <= np.mean(totals) <= 0.65
